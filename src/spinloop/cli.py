@@ -3,8 +3,8 @@
 Subcommands: ``figure2``, ``deflect``, ``epr``, ``oracle``, ``selftest``.
 Every command is deterministic: identical configurations produce
 byte-identical data files (12 significant digits, sorted JSON keys, no
-timestamps).  Exit codes: 0 success, 1 validation error, 2 numerical
-failure.
+timestamps).  Exit codes: 0 success, 1 validation error or unwritable
+output, 2 numerical failure.
 """
 
 from __future__ import annotations
@@ -490,6 +490,9 @@ def main(argv: list[str] | None = None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -231,6 +231,8 @@ def load_config(path: str | Path | None = None, preset: str = PRESET_NAME) -> di
         raise ValidationError("config.oracle.center: expected exactly 3 coordinates")
     if len(cfg["oracle"]["zeeman"]) != 2:
         raise ValidationError("config.oracle.zeeman: expected exactly 2 strengths")
+    if cfg["epr"]["sweep_points"] < 1:
+        raise ValidationError("config.epr.sweep_points: must be >= 1")
     return cfg
 
 

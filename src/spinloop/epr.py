@@ -18,13 +18,16 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 
 _UP = np.array([1.0, 0.0], dtype=complex)
 _DOWN = np.array([0.0, 1.0], dtype=complex)
 _I2 = np.eye(2, dtype=complex)
 
 BELL_STATES = ("singlet", "triplet0", "triplet+", "triplet-")
+# Outcome probabilities this far below zero are rounding noise and clamp
+# to 0; anything more negative means a broken state and is an error.
+PROBABILITY_ROUNDING_TOL = 1e-12
 OUTCOMES = ("up", "down")  # up = parallel pair, down = antiparallel pair
 
 
@@ -152,6 +155,10 @@ def joint_distribution(scenario: EPRScenario) -> JointDistribution:
                 val = complex(state.conj() @ (P @ state))
             else:
                 val = complex(np.trace(state @ P))
+            if val.real < -PROBABILITY_ROUNDING_TOL:
+                raise NumericalError(
+                    f"negative outcome probability {val.real:.3e} for wings ({o1}, {o2})"
+                )
             probs[(o1, o2)] = max(val.real, 0.0)
     return JointDistribution(
         up_up=probs[("up", "up")],

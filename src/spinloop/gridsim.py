@@ -11,10 +11,12 @@ dipole-dipole operator of :mod:`spinloop.fields` (whose expectation gradient
 is the acceleration in l/tau^2).  A quadratic fit of <z>(t) then recovers
 the initial acceleration with no perturbative input.
 
-Discretization: 2nd-order finite-difference Laplacian with Dirichlet walls
-and classical RK4 time stepping.  The momentum stencil conjugate to this
-Laplacian is the plain central difference, which is what
-:func:`expect_momentum_z` measures, so the fitted velocity matches
+Discretization: 2nd-order finite-difference Laplacian and classical RK4
+time stepping.  The outer layer of grid points is the Dirichlet wall: it
+is held at exactly zero, so the simulated box is the (n-2)^3 interior,
+one cell narrower per side than ``box_half_width``.  The momentum stencil
+conjugate to this Laplacian is the plain central difference, which is
+what :func:`expect_momentum_z` measures, so the fitted velocity matches
 kappa * <p_z> exactly up to fit error.
 
 The square packet is represented on the grid with cosine-smoothed edges a
@@ -35,9 +37,8 @@ import numpy as np
 from .deflection import MomentKey
 from .errors import NumericalError, ValidationError
 from .packets import WavePacket
-from .spins import SPIN_PAIR, embed, spin_dot, spin_generator
+from .spins import embed, spin_generator
 
-_SPIN_DOT = spin_dot()
 _SZ_P = embed(spin_generator("z"), "particle")
 _SZ_L = embed(spin_generator("z"), "loop")
 
@@ -139,20 +140,31 @@ def stable_dt(spec_like: GridSpec, theta: float = DEFAULT_THETA) -> float:
 
 @dataclass
 class GridState:
-    """4-component amplitudes on the grid; treated as immutable once built."""
+    """Spin-first amplitudes on the grid; treated as immutable once built.
 
-    amplitudes: np.ndarray  # shape (n, n, n, 4), complex
+    ``amplitudes`` has shape (4, n, n, n): one contiguous n^3 block per
+    two-spin component (uu, ud, du, dd).  ``norm2`` is the squared norm
+    when a step has already computed it.
+    """
+
+    amplitudes: np.ndarray
+    norm2: float | None = None
 
     def norm(self) -> float:
-        return float(np.sqrt(np.sum(np.abs(self.amplitudes) ** 2)))
+        return math.sqrt(_squared_norm(self.amplitudes))
 
     def density(self) -> np.ndarray:
-        return np.sum(np.abs(self.amplitudes) ** 2, axis=-1)
+        return np.sum(np.abs(self.amplitudes) ** 2, axis=0)
 
     def spin_marginal(self) -> np.ndarray:
         """Reduced 4x4 spin density matrix (trace over position)."""
-        flat = self.amplitudes.reshape(-1, 4)
-        return flat.T @ flat.conj()
+        flat = self.amplitudes.reshape(4, -1)
+        return flat @ flat.conj().T
+
+
+def _squared_norm(psi: np.ndarray) -> float:
+    flat = psi.reshape(-1)
+    return float(np.vdot(flat, flat).real)
 
 
 def _edge_profile(coords: np.ndarray, center: float, width: float, ramp: float) -> np.ndarray:
@@ -177,7 +189,7 @@ def initialize(
     ``momentum_z`` applies a plane-wave factor exp(i k z) so that runs with
     a nonzero initial velocity can exercise the velocity and higher-order
     checks.  The packet (including ramps) must sit at least 2 cells inside
-    the box.
+    the box, so the wall layer starts, and stays, exactly zero.
     """
     spin = np.asarray(spin, dtype=complex)
     if spin.shape != (4,):
@@ -199,86 +211,140 @@ def initialize(
     amp = np.sqrt(prof).astype(complex)
     if momentum_z != 0.0:
         amp = amp * np.exp(1j * momentum_z * az)[None, None, :]
-    psi = amp[..., None] * spin[None, None, None, :]
-    total = np.sqrt(np.sum(np.abs(psi) ** 2))
+    psi = spin[:, None, None, None] * amp[None]
+    total = math.sqrt(_squared_norm(psi))
     if total == 0.0:
         raise ValidationError("packet has no support on the grid")
     return GridState(amplitudes=psi / total)
 
 
+def coupling_fields(
+    x: np.ndarray, y: np.ndarray, z: np.ndarray, ham: GridHamiltonian, kinetic_scale: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The dipole coupling / kappa as three fields D (real), P and Q.
+
+    With n = r/|r|, a = n_z, w = n_x - i n_y and
+    g = -sign * scale / (4 pi r^3 kappa), they are D = g (3a^2 - 1)/4,
+    P = 3g a w / 4 and Q = 3g w^2 / 4, and in the basis (uu, ud, du, dd)
+    the coupling matrix is
+
+        [[D,  P,  P,  Q], [P*, -D, -D, -P], [P*, -D, -D, -P], [Q*, -P*, -P*, D]].
+
+    The ud and du rows are equal, so the singlet is annihilated.
+    """
+    r2 = x * x + y * y + z * z
+    r = np.sqrt(r2)
+    g = -ham.coupling_sign * ham.coupling_scale / (4.0 * np.pi * kinetic_scale * r2 * r)
+    a = z / r
+    w = (x - 1j * y) / r
+    D = g * (3.0 * a * a - 1.0) / 4.0
+    P = 0.75 * g * a * w
+    Q = 0.75 * g * w * w
+    return D, P, Q
+
+
 class GridOperator:
-    """Precomputed action of the discrete Hamiltonian on a grid state."""
+    """The RK4 stage map psi -> -i dt H psi on the spin-first grid.
+
+    Amplitudes are handled flat, as (4, n^3).  The six Laplacian neighbours
+    are the +-1, +-n and +-n^2 offset slices of each component; the outer
+    wall layer is the Dirichlet ghost and is held at exactly zero, so the
+    simulated box is the (n-2)^3 interior.  The Laplacian's -6/dx^2
+    diagonal and the Zeeman term are one scalar per spin component, and the
+    coupling is the three fields of :func:`coupling_fields`, scaled by
+    -i dt and stacked as ``potential`` (shape (3, n^3), or None without
+    coupling).
+    """
 
     def __init__(self, spec: GridSpec, ham: GridHamiltonian):
         self.spec = spec
         self.ham = ham
         self.kappa = spec.kinetic_scale if ham.include_kinetic else 0.0
         self.dx = spec.dx
-        self.potential = self._build_potential()
-
-    def _build_potential(self) -> np.ndarray | None:
-        ham = self.ham
-        spec = self.spec
-        V = None
+        step = -1j * spec.dt
+        n = spec.points_per_axis
+        zeeman = -(ham.zeeman_particle * _SZ_P + ham.zeeman_loop * _SZ_L).diagonal().real
+        self._diag = step * (3.0 * self.kappa / self.dx**2 + zeeman)
+        self._hop = step * (-self.kappa / (2.0 * self.dx**2))
+        self._offsets = (1, n, n * n)
+        lo = n * n + n + 1  # flat index of the first interior cell
+        self._span = (lo, n**3 - lo)
+        self.potential = None
         if ham.include_interaction:
-            X, Y, Z = spec.meshes()
-            R2 = X * X + Y * Y + Z * Z
-            R = np.sqrt(R2)
-            rv = (X, Y, Z)
-            V = np.zeros(X.shape + (4, 4), dtype=complex)
-            for i in range(3):
-                for j in range(3):
-                    V += (rv[i] * rv[j])[..., None, None] * SPIN_PAIR[i][j][None, None, None]
-            V *= (3.0 / R2)[..., None, None]
-            V -= _SPIN_DOT[None, None, None]
-            V *= (-ham.coupling_sign * ham.coupling_scale / (4.0 * np.pi * R**3))[
-                ..., None, None
-            ]
-            V /= spec.kinetic_scale
-        zee = -(ham.zeeman_particle * _SZ_P + ham.zeeman_loop * _SZ_L)
-        if np.any(zee):
-            if V is None:
-                n = spec.points_per_axis
-                V = np.broadcast_to(zee, (n, n, n, 4, 4)).copy()
-            else:
-                V += zee[None, None, None]
-        return V
-
-    def _laplacian(self, u: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(u)
-        out[1:-1] += u[2:] + u[:-2]
-        out[:, 1:-1] += u[:, 2:] + u[:, :-2]
-        out[:, :, 1:-1] += u[:, :, 2:] + u[:, :, :-2]
-        out -= 6.0 * u
-        return out / self.dx**2
+            X, Y, Z = (m.reshape(-1) for m in spec.meshes())
+            self.potential = step * np.stack(coupling_fields(X, Y, Z, ham, spec.kinetic_scale))
+            self._work = np.empty((3, n**3), dtype=complex)
 
     def apply(self, psi: np.ndarray) -> np.ndarray:
-        out = None
+        """-i dt H psi for amplitudes of shape (4, n, n, n); walls come out zero."""
+        y = psi.reshape(4, -1)
         if self.kappa:
-            out = (-self.kappa / 2.0) * self._laplacian(psi)
+            # out = hop * (neighbour sum + (diag / hop) psi), one component
+            # at a time so that each pass works on cache-sized arrays
+            out = np.empty_like(y)
+            lo, hi = self._span
+            for o, u, ratio in zip(out, y, self._diag / self._hop):
+                np.multiply(u, ratio, out=o)
+                inner = o[lo:hi]
+                for k in self._offsets:
+                    inner += u[lo - k : hi - k]
+                    inner += u[lo + k : hi + k]
+                o *= self._hop
+        else:
+            out = y * self._diag[:, None]
         if self.potential is not None:
-            pot = np.einsum("xyzab,xyzb->xyza", self.potential, psi)
-            out = pot if out is None else out + pot
-        if out is None:
-            out = np.zeros_like(psi)
+            self._add_coupling(y, out)
+        out = out.reshape(psi.shape)
+        out[:, [0, -1]] = 0.0
+        out[:, :, [0, -1]] = 0.0
+        out[..., [0, -1]] = 0.0
         return out
+
+    def _add_coupling(self, y: np.ndarray, out: np.ndarray) -> None:
+        # potential holds c D, c P, c Q with c = -i dt purely imaginary, so
+        # c P* = -conj(c P) and c Q* = -conj(c Q).
+        D, P, Q = self.potential
+        s, pc, tmp = self._work
+        uu, ud, du, dd = y
+        np.add(ud, du, out=s)
+        np.conjugate(P, out=pc)
+        # uu row: c (D uu + P s + Q dd)
+        out[0] += np.multiply(D, uu, out=tmp)
+        out[0] += np.multiply(P, s, out=tmp)
+        out[0] += np.multiply(Q, dd, out=tmp)
+        # dd row: c (Q* uu - P* s + D dd) = -conj(cQ) uu + conj(cP) s + cD dd
+        out[3] += np.multiply(D, dd, out=tmp)
+        out[3] += np.multiply(pc, s, out=tmp)
+        np.conjugate(Q, out=tmp)
+        tmp *= uu
+        out[3] -= tmp
+        # ud and du rows: c (P* uu - D s - P dd) = -(conj(cP) uu + cD s + cP dd)
+        pc *= uu
+        pc += np.multiply(D, s, out=tmp)
+        pc += np.multiply(P, dd, out=tmp)
+        out[1] -= pc
+        out[2] -= pc
 
 
 def evolve(state: GridState, spec: GridSpec, operator: GridOperator) -> GridState:
-    """One RK4 step of size ``spec.dt``; errors out on a norm jump."""
+    """One RK4 step of size ``spec.dt``; errors out on a norm jump.
+
+    H is linear and time independent, so the classical four-stage step is
+    sum_{k<=4} (-i dt H)^k psi / k!, evaluated in Horner form:
+    y <- psi, then y <- psi + (-i dt H y) / j for j = 4, 3, 2, 1.
+    """
     psi = state.amplitudes
-    dt = spec.dt
-    H = operator.apply
-    k1 = -1j * H(psi)
-    k2 = -1j * H(psi + 0.5 * dt * k1)
-    k3 = -1j * H(psi + 0.5 * dt * k2)
-    k4 = -1j * H(psi + dt * k3)
-    new = psi + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    before = float(np.sum(np.abs(psi) ** 2))
-    after = float(np.sum(np.abs(new) ** 2))
+    y = psi
+    for j in (4, 3, 2, 1):
+        y = operator.apply(y)
+        if j > 1:
+            y *= 1.0 / j
+        y += psi
+    before = state.norm2 if state.norm2 is not None else _squared_norm(psi)
+    after = _squared_norm(y)
     if abs(after - before) > STEP_NORM_DRIFT_LIMIT * max(before, 1e-300):
         raise NumericalError(f"unstable step: norm drifted by {after - before:.3e} in one step")
-    return GridState(amplitudes=new)
+    return GridState(amplitudes=y, norm2=after)
 
 
 @dataclass(frozen=True)
@@ -294,18 +360,25 @@ class TimeSeries:
 
 
 def run(state: GridState, spec: GridSpec, operator: GridOperator) -> tuple[GridState, TimeSeries]:
-    """Evolve ``spec.steps`` steps recording <z> and the norm at every step."""
-    _, _, Z = spec.meshes()
-    ts = [0.0]
-    zs = [float(np.sum(state.density() * Z))]
-    norms = [state.norm() ** 2]
-    for k in range(spec.steps):
+    """Evolve ``spec.steps`` steps recording <z> and the norm at every step.
+
+    Both come from one |psi|^2 pass per step: the squared real and imaginary
+    parts, summed over spin and contracted against (1, z) per part.
+    """
+    z = np.repeat(spec.meshes()[2].reshape(-1), 2)
+    weights = np.stack([np.ones_like(z), z])
+
+    def observe(psi: np.ndarray) -> np.ndarray:
+        parts = psi.reshape(4, -1).view(np.float64)
+        return weights @ np.einsum("ck,ck->k", parts, parts)
+
+    rows = [observe(state.amplitudes)]
+    for _ in range(spec.steps):
         state = evolve(state, spec, operator)
-        ts.append((k + 1) * spec.dt)
-        zs.append(float(np.sum(state.density() * Z)))
-        norms.append(state.norm() ** 2)
-    series = TimeSeries(t=np.array(ts), z_expect=np.array(zs), norm=np.array(norms))
-    return state, series
+        rows.append(observe(state.amplitudes))
+    norms, zs = np.array(rows).T
+    ts = np.arange(spec.steps + 1) * spec.dt
+    return state, TimeSeries(t=ts, z_expect=zs, norm=norms)
 
 
 def expect_position(state: GridState, spec: GridSpec) -> np.ndarray:
@@ -319,7 +392,7 @@ def expect_momentum_z(state: GridState, spec: GridSpec) -> float:
     """<p_z> with the central-difference stencil conjugate to the Laplacian."""
     psi = state.amplitudes
     d = np.zeros_like(psi)
-    d[:, :, 1:-1] = (psi[:, :, 2:] - psi[:, :, :-2]) / (2.0 * spec.dx)
+    d[..., 1:-1] = (psi[..., 2:] - psi[..., :-2]) / (2.0 * spec.dx)
     val = np.sum(np.conj(psi) * (-1j) * d)
     return float(val.real) / state.norm() ** 2
 

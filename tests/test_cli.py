@@ -49,6 +49,12 @@ class TestConfig:
         assert cfg["figure2"]["samples"] == 11
         assert cfg["figure2"]["z"] == 0.4  # untouched default
 
+    def test_zero_sweep_points_rejected(self, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"epr": {"sweep_points": 0}}))
+        with pytest.raises(ValidationError, match="sweep_points"):
+            cfgmod.load_config(bad)
+
     def test_resolved_beta_sign_matches_alpha(self):
         cfg = cfgmod.load_config()
         beta = cfgmod.resolved_beta(cfg)
@@ -130,10 +136,28 @@ class TestEprCommand:
         assert sweep[0] == "p,cond_up_given_down"
         assert len(sweep) == 100  # header + 99 points
 
+    def test_zero_sweep_points_exit_code(self, tmp_path, capsys):
+        over = tmp_path / "cfg.json"
+        over.write_text(json.dumps({"epr": {"sweep_points": 0}}))
+        out = tmp_path / "out"
+        assert main(["epr", "--config", str(over), "--out", str(out)]) == 1
+        assert "sweep_points" in capsys.readouterr().err
+        assert not (out / "epr_sweep.csv").exists()
+
     def test_sweep_symmetry(self, tmp_path):
         assert main(["epr", "--out", str(tmp_path)]) == 0
         rows = np.loadtxt(tmp_path / "epr_sweep.csv", delimiter=",", skiprows=1)
         assert np.allclose(rows[:, 1], rows[::-1, 1], atol=1e-12)
+
+
+class TestOutputErrors:
+    def test_out_under_regular_file(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("not a directory")
+        assert main(["figure2", "--out", str(blocker / "sub")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write output:")
+        assert "Traceback" not in err
 
 
 class TestSelftestCommand:

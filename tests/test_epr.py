@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinloop import epr
-from spinloop.errors import ValidationError
+from spinloop.errors import NumericalError, ValidationError
 
 probs = st.floats(0.0, 1.0, allow_nan=False)
 
@@ -159,3 +159,24 @@ class TestSweep:
         lines = text.strip().split("\n")
         assert lines[0] == "p,cond_up_given_down"
         assert lines[1] == "0.1,0.82"
+
+
+class TestNegativeProbabilities:
+    @staticmethod
+    def diagonal_state(monkeypatch, up_up, up_down):
+        # index = 8 p1 + 4 p2 + 2 l1 + l2: 0 is (up, up), 1 is (up, down)
+        weights = np.zeros(16)
+        weights[0], weights[1] = up_up, up_down
+        monkeypatch.setattr(epr, "build_state", lambda scenario: np.diag(weights).astype(complex))
+
+    def test_rounding_noise_clamps_to_zero(self, monkeypatch):
+        self.diagonal_state(monkeypatch, -1e-15, 1.0 + 1e-15)
+        dist = epr.joint_distribution(epr.EPRScenario())
+        assert dist.up_up == 0.0
+        assert dist.up_down == pytest.approx(1.0, abs=1e-14)
+
+    def test_negative_probability_raises(self, monkeypatch):
+        # clamping -0.1 to 0 would hide it: the rest sums to exactly 1
+        self.diagonal_state(monkeypatch, -0.1, 1.0)
+        with pytest.raises(NumericalError, match="negative outcome probability"):
+            epr.joint_distribution(epr.EPRScenario())

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from spinloop import deflection as dfl
-from spinloop import gridsim, packets, spins
+from spinloop import config as cfgmod
+from spinloop import fields, gridsim, packets, spins
 from spinloop.errors import NumericalError, ValidationError
 
 KAPPA = 0.8773534162632591  # reference kinetic scale
@@ -166,6 +167,140 @@ class TestEvolution:
         _, series = gridsim.run(state, spec, op)
         fit = gridsim.fit_acceleration(series.t, series.z_expect)
         assert fit.a == pytest.approx(a_pred, rel=0.10)
+
+
+def random_state(rng, n, walls_zero=True):
+    psi = rng.normal(size=(4, n, n, n)) + 1j * rng.normal(size=(4, n, n, n))
+    if walls_zero:
+        psi[:, [0, -1]] = 0.0
+        psi[:, :, [0, -1]] = 0.0
+        psi[:, :, :, [0, -1]] = 0.0
+    return psi
+
+
+def wall_layer(amplitudes):
+    return np.concatenate([
+        amplitudes[:, [0, -1]].ravel(),
+        amplitudes[:, :, [0, -1]].ravel(),
+        amplitudes[:, :, :, [0, -1]].ravel(),
+    ])
+
+
+def dense_hamiltonian_apply(spec, ham, psi):
+    """H psi from a dense (n, n, n, 4, 4) potential and a six-neighbour
+    Laplacian on the position-first layout, for amplitudes that are zero
+    on the wall layer."""
+    n = spec.points_per_axis
+    coupling = fields.interaction_hamiltonian(ham.coupling_sign)
+    sz_p = spins.embed(spins.spin_generator("z"), "particle")
+    sz_l = spins.embed(spins.spin_generator("z"), "loop")
+    V = np.zeros((n, n, n, 4, 4), dtype=complex)
+    V += -(ham.zeeman_particle * sz_p + ham.zeeman_loop * sz_l)
+    ax, ay, az = spec.axes()
+    for i, x in enumerate(ax):
+        for j, y in enumerate(ay):
+            for k, z in enumerate(az):
+                V[i, j, k] += ham.coupling_scale * coupling.at(x, y, z) / spec.kinetic_scale
+    u = np.moveaxis(psi, 0, -1)
+    lap = -6.0 * u
+    lap[1:-1] += u[2:] + u[:-2]
+    lap[:, 1:-1] += u[:, 2:] + u[:, :-2]
+    lap[:, :, 1:-1] += u[:, :, 2:] + u[:, :, :-2]
+    out = (-spec.kinetic_scale / 2.0) * lap / spec.dx**2 + np.einsum("xyzab,xyzb->xyza", V, u)
+    return np.moveaxis(out, -1, 0)
+
+
+class TestStructuredKernel:
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("scale", [1.0, 2.5])
+    def test_coupling_fields_match_pointwise_operator(self, rng, sign, scale):
+        pts = rng.uniform(-1.0, 1.0, size=(40, 3))
+        pts = pts[np.linalg.norm(pts, axis=1) > 0.2]
+        ham = gridsim.GridHamiltonian(coupling_sign=sign, coupling_scale=scale)
+        D, P, Q = gridsim.coupling_fields(*pts.T, ham, KAPPA)
+        field = fields.interaction_hamiltonian(sign)
+        for (x, y, z), d, p, q in zip(pts, D, P, Q):
+            pc, qc = np.conj(p), np.conj(q)
+            structured = np.array([
+                [d, p, p, q], [pc, -d, -d, -p], [pc, -d, -d, -p], [qc, -pc, -pc, d]
+            ])
+            ref = scale * field.at(x, y, z) / KAPPA
+            assert np.max(np.abs(structured - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    @pytest.fixture(scope="class")
+    def full_operator(self):
+        spec = small_spec(points=12)
+        ham = gridsim.GridHamiltonian(
+            coupling_sign=-1, coupling_scale=3.0, zeeman_particle=5.0, zeeman_loop=-2.0
+        )
+        return gridsim.GridOperator(spec, ham)
+
+    def test_apply_matches_dense_reference(self, rng, full_operator):
+        spec = full_operator.spec
+        psi = random_state(rng, spec.points_per_axis)
+        ref = -1j * spec.dt * dense_hamiltonian_apply(spec, full_operator.ham, psi)
+        got = full_operator.apply(psi)
+        assert got.shape == psi.shape
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_apply_holds_walls_at_zero(self, rng, full_operator):
+        psi = random_state(rng, full_operator.spec.points_per_axis, walls_zero=False)
+        assert np.all(wall_layer(full_operator.apply(psi)) == 0.0)
+
+    def test_hermitian(self, rng, full_operator):
+        n, dt = full_operator.spec.points_per_axis, full_operator.spec.dt
+        phi, psi = random_state(rng, n), random_state(rng, n)
+
+        def H(v):
+            return full_operator.apply(v) / (-1j * dt)
+
+        lhs = np.vdot(phi, H(psi))
+        rhs = np.conj(np.vdot(psi, H(phi)))
+        assert abs(lhs - rhs) <= 1e-13 * abs(lhs)
+
+    def test_horner_step_equals_four_stage_rk4(self, rng, full_operator):
+        spec = full_operator.spec
+        dt = spec.dt
+        psi = random_state(rng, spec.points_per_axis)
+        psi /= np.linalg.norm(psi)
+
+        def f(v):
+            return -1j * (full_operator.apply(v) / (-1j * dt))
+
+        k1 = f(psi)
+        k2 = f(psi + 0.5 * dt * k1)
+        k3 = f(psi + 0.5 * dt * k2)
+        k4 = f(psi + dt * k3)
+        ref = psi + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        got = gridsim.evolve(gridsim.GridState(psi), spec, full_operator).amplitudes
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(psi))
+
+    def test_walls_stay_zero_on_preset_run(self, preset_cfg, preset_kappa):
+        """The wall layer is a fixed Dirichlet ghost: the simulated box is
+        the (n-2)^3 interior."""
+        o = preset_cfg["oracle"]
+        probe = gridsim.GridSpec(
+            points_per_axis=o["points"], box_center=tuple(o["center"]),
+            box_half_width=o["half_width"], dt=1e-30, steps=1, kinetic_scale=preset_kappa,
+        )
+        dt = gridsim.stable_dt(probe, theta=o["theta"])
+        spec = gridsim.GridSpec(
+            points_per_axis=o["points"], box_center=tuple(o["center"]),
+            box_half_width=o["half_width"], dt=dt,
+            steps=int(math.ceil(o["duration"] / dt)), kinetic_scale=preset_kappa,
+        )
+        packet = packets.WavePacket(center=tuple(o["center"]), width=o["packet_width"])
+        state = gridsim.initialize(
+            packet, spins.basis_state("up", "up"), spec, momentum_z=o["momentum_kick"],
+            edge_ramp_cells=o["edge_ramp_cells"],
+        )
+        ham = gridsim.GridHamiltonian(
+            coupling_sign=cfgmod.build_params(preset_cfg).coupling_sign,
+            zeeman_particle=o["zeeman"][0], zeeman_loop=o["zeeman"][1],
+        )
+        final, _ = gridsim.run(state, spec, gridsim.GridOperator(spec, ham))
+        assert np.all(wall_layer(final.amplitudes) == 0.0)
+        assert np.any(final.amplitudes[:, 1:-1, 1:-1, 1:-1] != 0.0)
 
 
 class TestFitAcceleration:
