@@ -70,7 +70,8 @@ REFERENCE_NEGATIVE_AVERAGE = -2.22  # l / tau^2, transverse-profile benchmark
 def cmd_figure2(cfg: dict, out_dir: Path) -> int:
     profile = _compute_profile(cfg)
     crossings = packets.zero_crossings(profile)
-    average = packets.region_average(profile)
+    # A vanishing force (e.g. the singlet) has no region to average.
+    average = None if packets.is_noise(profile) else packets.region_average(profile)
     f2 = cfg["figure2"]
     center_packet = packets.WavePacket(center=(f2["x"], 0.0, f2["z"]), width=f2["width"])
     sign = cfgmod.build_params(cfg).coupling_sign
@@ -80,8 +81,8 @@ def cmd_figure2(cfg: dict, out_dir: Path) -> int:
     summary = {
         "average_negative_region": average,
         "reference_average": REFERENCE_NEGATIVE_AVERAGE,
-        "relative_difference": abs(average - REFERENCE_NEGATIVE_AVERAGE)
-        / abs(REFERENCE_NEGATIVE_AVERAGE),
+        "relative_difference": None if average is None
+        else abs(average - REFERENCE_NEGATIVE_AVERAGE) / abs(REFERENCE_NEGATIVE_AVERAGE),
         "zero_crossings": crossings,
         "negative_region_width": (crossings[-1] - crossings[0]) if len(crossings) >= 2 else None,
         "a_z_at_y0": peak,
@@ -89,7 +90,10 @@ def cmd_figure2(cfg: dict, out_dir: Path) -> int:
     }
     _write(out_dir, "figure2.csv", packets.profile_csv(profile))
     _write_json(out_dir, "figure2_summary.json", summary)
-    print(f"figure2: negative-region average {average:.6g} l/tau^2, crossings {crossings}")
+    if average is None:
+        print("figure2: no deflecting region, a_z is rounding noise at every sample")
+    else:
+        print(f"figure2: negative-region average {average:.6g} l/tau^2, crossings {crossings}")
     return 0
 
 
@@ -97,27 +101,29 @@ def cmd_figure2(cfg: dict, out_dir: Path) -> int:
 # deflect: SI screen-deflection estimate
 # ----------------------------------------------------------------------
 
+def _no_deflection(out_dir: Path, d: dict, note: str) -> int:
+    payload = {
+        "degenerate": True,
+        "note": note,
+        "deflection_m": 0.0,
+        "interaction_time_s": 0.0,
+        "separation_ratio": 0.0,
+        "config": d,
+    }
+    _write_json(out_dir, "deflection.json", payload)
+    print(f"deflect: {note}")
+    return 0
+
+
 def cmd_deflect(cfg: dict, out_dir: Path) -> int:
     d = cfg["deflect"]
     beta = cfgmod.resolved_beta(cfg)
     if beta == 0.0 or cfg["params"]["alpha"] == 0.0:
-        payload = {
-            "degenerate": True,
-            "note": "zero coupling: no interaction, no deflection",
-            "deflection_m": 0.0,
-            "interaction_time_s": 0.0,
-            "separation_ratio": 0.0,
-            "config": d,
-        }
-        _write_json(out_dir, "deflection.json", payload)
-        print("deflect: zero coupling, deflection 0")
-        return 0
+        return _no_deflection(out_dir, d, "zero coupling: no interaction, no deflection")
     profile = _compute_profile(cfg)
-    average = packets.region_average(profile)
-    crossings = packets.zero_crossings(profile)
-    if len(crossings) < 2:
-        raise NumericalError("profile has no bracketed negative region")
-    width_nat = crossings[-1] - crossings[0]
+    if packets.is_noise(profile):
+        return _no_deflection(out_dir, d, "zero force: a_z is rounding noise at every sample")
+    average, width_nat = packets.deflecting_lobe(profile)
     est = trajectory.estimate(
         cfgmod.build_params(cfg),
         tau=cfg["tau"],

@@ -56,25 +56,45 @@ def spin_correlators(state: np.ndarray, tol: float = 1e-14) -> np.ndarray:
     return C
 
 
-def required_moment_tuples(C: np.ndarray) -> list[MomentKey]:
-    """Moment keys needed to contract the force against correlators C."""
-    needed: set[MomentKey] = set()
+def _bracket_terms(C: np.ndarray) -> list[tuple[float, MomentKey]]:
+    """(coefficient, moment key) of every term of the bracket, correlator
+    included, for the nonzero entries of C; a_z is pref times their sum."""
+    terms = []
     for i in range(3):
         for j in range(3):
-            if C[i, j] == 0.0:
+            cij = C[i, j]
+            if cij == 0.0:
                 continue
-            needed.add(_QUADRATIC[i][j])
+            terms.append((-5.0 * cij, _QUADRATIC[i][j]))
             if i == 2:
-                needed.add(_LINEAR[j])
+                terms.append((cij, _LINEAR[j]))
             if j == 2:
-                needed.add(_LINEAR[i])
+                terms.append((cij, _LINEAR[i]))
             if i == j:
-                needed.add(_LINEAR[2])
-    return sorted(needed)
+                terms.append((cij, _LINEAR[2]))
+    return terms
+
+
+def required_moment_tuples(C: np.ndarray) -> list[MomentKey]:
+    """Moment keys needed to contract the force against correlators C."""
+    return sorted({key for _, key in _bracket_terms(C)})
 
 
 def required_tuples_for(state: np.ndarray) -> list[MomentKey]:
     return required_moment_tuples(spin_correlators(state))
+
+
+def force_scale(state: np.ndarray, l1_moments: Mapping[MomentKey, float]):
+    """L1 scale of a_z: the contraction with every coefficient taken in
+    absolute value and every moment replaced by its L1 moment (the
+    quadrature sum of |integrand|).  It bounds |a_z|, and where the force
+    vanishes the terms cancel to rounding noise of order 1e-16 times it.
+    Elementwise over array-valued moments, like :func:`contract_force`.
+    """
+    total = 0.0
+    for coef, key in _bracket_terms(spin_correlators(state)):
+        total = total + abs(coef) * l1_moments[key]
+    return 3.0 / (4.0 * np.pi) * total
 
 
 @dataclass(frozen=True)
@@ -84,7 +104,8 @@ class ForceExpectation:
     ``decomposition`` holds the four bracket terms evaluated with the
     C_zz correlator alone (the parallel/antiparallel closed-form content);
     ``extra_terms`` is the total contribution of every other correlator.
-    a_z equals sum(decomposition.values()) + extra_terms.
+    a_z equals sum(decomposition.values()) + extra_terms.  With array-valued
+    moments (one entry per packet) every field is an array of the same shape.
     """
 
     a_z: float
@@ -107,7 +128,8 @@ def contract_force(
     """Contract the force bracket against a spin state and packet moments.
 
     ``moments`` must contain every tuple required by the state's nonzero
-    correlators (see :func:`required_moment_tuples`).  The sign of the
+    correlators (see :func:`required_moment_tuples`); each value is a float
+    or an array, and the contraction is elementwise.  The sign of the
     coupling comes from ``params`` when given, else ``coupling_sign``,
     else +1.
     """

@@ -8,12 +8,15 @@ outcome probabilities follow from the 16-dimensional composite state
 ordered (particle1, particle2, loop1, loop2).
 
 There is no spatial physics here: the deflection measurement is the ideal
-projection onto the parallel/antiparallel subspaces.
+projection onto the parallel/antiparallel subspaces.  The four wing
+projectors and their four pairwise products do not depend on the
+scenario, so each is built once, cached and made read-only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -88,9 +91,12 @@ def build_state(scenario: EPRScenario) -> np.ndarray:
     return _kron(rho_pair, rho1, rho2)
 
 
+@lru_cache(maxsize=None)
 def wing_projector(wing: int, outcome: str) -> np.ndarray:
     """Projector onto the parallel ('up') or antiparallel ('down') subspace
-    of one wing's (particle, loop) pair, embedded in the 16-dim space."""
+    of one wing's (particle, loop) pair, embedded in the 16-dim space.
+
+    Cached and shared by every caller, hence read-only."""
     if wing not in (1, 2):
         raise ValidationError("wing must be 1 or 2")
     if outcome not in OUTCOMES:
@@ -108,7 +114,16 @@ def wing_projector(wing: int, outcome: str) -> np.ndarray:
                 proj += _kron(ps, _I2, pl, _I2)
             else:
                 proj += _kron(_I2, ps, _I2, pl)
+    proj.flags.writeable = False
     return proj
+
+
+@lru_cache(maxsize=None)
+def _joint_projector(o1: str, o2: str) -> np.ndarray:
+    """P_o1(wing 1) P_o2(wing 2): cached and read-only like its factors."""
+    P = wing_projector(1, o1) @ wing_projector(2, o2)
+    P.flags.writeable = False
+    return P
 
 
 @dataclass(frozen=True)
@@ -150,7 +165,7 @@ def joint_distribution(scenario: EPRScenario) -> JointDistribution:
     probs = {}
     for o1 in OUTCOMES:
         for o2 in OUTCOMES:
-            P = wing_projector(1, o1) @ wing_projector(2, o2)
+            P = _joint_projector(o1, o2)
             if state.ndim == 1:
                 val = complex(state.conj() @ (P @ state))
             else:

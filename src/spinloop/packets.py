@@ -5,6 +5,15 @@ Moments < x^a y^b z^c / r^n > are evaluated with tensor-product
 Gauss-Legendre quadrature whose order is escalated until two consecutive
 orders agree to a relative tolerance; the integrand is smooth on the cube
 (the origin is excluded by construction) so convergence is spectral.
+
+The quadrature is batched: one kernel evaluates the moments of many packet
+centres at once as ``(samples, o, o, o)`` arrays, in blocks of at most
+``_POINT_BUDGET`` nodes, and each centre escalates its own order.  An
+a_z(y) profile is one kernel call and one elementwise contraction; the
+scalar :func:`moments` is the one-centre call of the same kernel.  The
+kernel also returns each moment's L1 value (the quadrature sum of
+|integrand|), which sets the convergence scale and the noise floor below
+which a profile sample counts as zero.
 """
 
 from __future__ import annotations
@@ -16,10 +25,27 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .deflection import MomentKey, contract_force, required_tuples_for
+from .deflection import MomentKey, contract_force, force_scale, required_tuples_for
 from .errors import NumericalError, ValidationError
 
 _GL_ORDERS = (6, 10, 14, 20, 28, 40, 56)
+# Quadrature nodes (centres x order^3) per vectorised block: bounds the
+# working set to a few hundred KiB per array whatever the sample count.
+_POINT_BUDGET = 2**14
+# |a_z| at or below this share of its L1 scale is rounding noise: the terms
+# of the contraction cancel to ~1e-16 of the scale where the force vanishes.
+ZERO_FLOOR = 1e-12
+
+
+def _check_packets(centers: np.ndarray, width: float) -> None:
+    """Reject packets whose moments are undefined; ``centers`` is (s, 3)."""
+    if width <= 0:
+        raise ValidationError("packet width must be positive")
+    if not np.all(np.isfinite(centers)):
+        raise ValidationError("packet center must be finite")
+    # The closed ball around the cube must exclude the point dipole.
+    if np.any(np.linalg.norm(centers, axis=1) <= math.sqrt(3.0) * width / 2.0):
+        raise ValidationError("singular support: packet cube touches the origin")
 
 
 @dataclass(frozen=True)
@@ -30,13 +56,7 @@ class WavePacket:
     width: float
 
     def __post_init__(self):
-        if self.width <= 0:
-            raise ValidationError("packet width must be positive")
-        if not all(math.isfinite(c) for c in self.center):
-            raise ValidationError("packet center must be finite")
-        # The closed ball around the cube must exclude the point dipole.
-        if np.linalg.norm(self.center) <= math.sqrt(3.0) * self.width / 2.0:
-            raise ValidationError("singular support: packet cube touches the origin")
+        _check_packets(np.array([self.center], dtype=float), self.width)
 
 
 @lru_cache(maxsize=None)
@@ -44,31 +64,70 @@ def _leggauss(order: int):
     return np.polynomial.legendre.leggauss(order)
 
 
-def _evaluate(
-    packet: WavePacket, tuples: Sequence[MomentKey], order: int
-) -> dict[MomentKey, tuple[float, float]]:
-    """Per tuple: (moment, L1 moment).  The L1 value sets the convergence
-    scale so that moments that vanish by symmetry are not compared against
-    their own rounding noise."""
+def _sums(
+    centers: np.ndarray, width: float, tuples: Sequence[MomentKey], order: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Quadrature sums at one order for every centre: (moments, L1 moments),
+    each shaped (len(tuples), len(centers)).
+
+    The L1 value sets the convergence scale so that moments that vanish by
+    symmetry are not compared against their own rounding noise.
+    """
     nodes, wts = _leggauss(order)
-    half = 0.5 * packet.width
-    cx, cy, cz = packet.center
-    X, Y, Z = np.meshgrid(
-        cx + half * nodes, cy + half * nodes, cz + half * nodes, indexing="ij"
-    )
     # Weights normalized so that moment(0,0,0,0) == 1 exactly.
     W = np.einsum("i,j,k->ijk", wts, wts, wts) / 8.0
-    R = np.sqrt(X * X + Y * Y + Z * Z)
-    out = {}
-    for a, b, c, n in tuples:
-        integrand = X**a * Y**b * Z**c
-        if n:
-            integrand = integrand / R**n
-        out[(a, b, c, n)] = (
-            float(np.sum(W * integrand)),
-            float(np.sum(np.abs(W * integrand))),
-        )
-    return out
+    offsets = 0.5 * width * nodes
+    values = np.empty((len(tuples), len(centers)))
+    l1 = np.empty_like(values)
+    block = max(1, _POINT_BUDGET // order**3)
+    for lo in range(0, len(centers), block):
+        c = centers[lo : lo + block]
+        X = (c[:, 0, None] + offsets)[:, :, None, None]
+        Y = (c[:, 1, None] + offsets)[:, None, :, None]
+        Z = (c[:, 2, None] + offsets)[:, None, None, :]
+        R = np.sqrt(X * X + Y * Y + Z * Z)
+        r_pow = {}
+        for k, (a, b, cz, n) in enumerate(tuples):
+            # One full-size array per moment, updated in place.
+            weighted = X**a * Y**b * Z**cz
+            if n:
+                if n not in r_pow:
+                    r_pow[n] = R**n
+                weighted /= r_pow[n]
+            weighted *= W
+            flat = weighted.reshape(len(c), -1)
+            values[k, lo : lo + block] = flat.sum(axis=1)
+            l1[k, lo : lo + block] = np.abs(flat, out=flat).sum(axis=1)
+    return values, l1
+
+
+def _batch_moments(
+    centers: np.ndarray, width: float, tuples: Sequence[MomentKey], rel_tol: float = 1e-10
+) -> tuple[np.ndarray, np.ndarray]:
+    """Converged (moments, L1 moments) for packets of one width at ``centers``.
+
+    Each centre starts at the lowest order and moves up only while two
+    consecutive orders of any of its moments differ by more than
+    ``rel_tol`` times that moment's L1 value; converged centres drop out.
+    Both arrays are shaped (len(tuples), len(centers)).
+    """
+    values = np.empty((len(tuples), len(centers)))
+    l1 = np.empty_like(values)
+    todo = np.arange(len(centers))
+    prev, _ = _sums(centers, width, tuples, _GL_ORDERS[0])
+    for order in _GL_ORDERS[1:]:
+        cur, cur_l1 = _sums(centers[todo], width, tuples, order)
+        done = np.all(np.abs(cur - prev) <= rel_tol * np.maximum(cur_l1, 1e-300), axis=0)
+        values[:, todo[done]] = cur[:, done]
+        l1[:, todo[done]] = cur_l1[:, done]
+        todo, prev = todo[~done], cur[:, ~done]
+        if not todo.size:
+            return values, l1
+    raise NumericalError(
+        f"moment quadrature failed to converge to {rel_tol} by order {_GL_ORDERS[-1]} "
+        f"for {todo.size} of {len(centers)} packet(s) of width {width:g}, first centred at "
+        f"{centers[todo[0]].tolist()}; moments {[tuple(map(int, k)) for k in tuples]}"
+    )
 
 
 def moments(
@@ -87,19 +146,9 @@ def moments(
             raise ValidationError(f"moment exponents must be non-negative, got {(a, b, c, n)}")
     if not tuples:
         return {}
-    prev = _evaluate(packet, tuples, _GL_ORDERS[0])
-    for order in _GL_ORDERS[1:]:
-        cur = _evaluate(packet, tuples, order)
-        converged = all(
-            abs(cur[k][0] - prev[k][0]) <= rel_tol * max(cur[k][1], 1e-300)
-            for k in tuples
-        )
-        if converged:
-            return {k: v[0] for k, v in cur.items()}
-        prev = cur
-    raise NumericalError(
-        f"moment quadrature failed to converge to {rel_tol} by order {_GL_ORDERS[-1]}"
-    )
+    center = np.array([packet.center], dtype=float)
+    values, _ = _batch_moments(center, packet.width, tuples, rel_tol)
+    return {k: float(v) for k, v in zip(tuples, values[:, 0])}
 
 
 def moment(packet: WavePacket, a: int, b: int, c: int, n: int, rel_tol: float = 1e-10) -> float:
@@ -109,16 +158,24 @@ def moment(packet: WavePacket, a: int, b: int, c: int, n: int, rel_tol: float = 
 
 @dataclass(frozen=True)
 class AccelerationProfile:
-    """Sampled a_z(y) along a transverse sweep at fixed x, z and packet width."""
+    """Sampled a_z(y) along a transverse sweep at fixed x, z and packet width.
+
+    ``scale`` is each sample's L1 scale (see :func:`deflection.force_scale`);
+    a sample with |a_z| <= ZERO_FLOOR * scale is rounding noise and counts
+    as zero.  Without it only exact zeros do.
+    """
 
     y: np.ndarray
     a_z: np.ndarray
     x: float
     z: float
     width: float
+    scale: np.ndarray | None = None
 
     def __post_init__(self):
         if len(self.y) != len(self.a_z):
+            raise ValidationError("profile arrays must have equal length")
+        if self.scale is not None and len(self.scale) != len(self.a_z):
             raise ValidationError("profile arrays must have equal length")
         if len(self.y) >= 2 and not np.all(np.diff(self.y) > 0):
             raise ValidationError("profile y samples must be strictly increasing")
@@ -136,45 +193,49 @@ def acceleration_profile(
     """Sweep the packet center along y and contract the force at each sample.
 
     Works for any spin input (pure state or density matrix); the moment
-    set is derived once from the state's nonzero correlators.
+    set is derived once from the state's nonzero correlators, every
+    sample's moments come from one batched quadrature, and one elementwise
+    contraction turns them into a_z.
     """
     if n_samples < 2:
         raise ValidationError("need at least two profile samples")
     if y_range[1] <= y_range[0]:
         raise ValidationError("y_range must be increasing")
-    tuples = required_tuples_for(spin)
     ys = np.linspace(y_range[0], y_range[1], n_samples)
-    a_values = np.empty_like(ys)
-    for k, y in enumerate(ys):
-        packet = WavePacket(center=(x, float(y), z), width=width)
-        m = moments(packet, tuples)
-        a_values[k] = contract_force(spin, m, coupling_sign=coupling_sign).a_z
-    return AccelerationProfile(y=ys, a_z=a_values, x=x, z=z, width=width)
+    centers = np.column_stack([np.full_like(ys, x), ys, np.full_like(ys, z)])
+    _check_packets(centers, width)
+    tuples = required_tuples_for(spin)
+    values, l1 = _batch_moments(centers, width, tuples)
+    a_z = contract_force(spin, dict(zip(tuples, values)), coupling_sign=coupling_sign).a_z
+    scale = force_scale(spin, dict(zip(tuples, l1)))
+    # Both are plain 0.0, not arrays, for a state with no nonzero correlator.
+    return AccelerationProfile(
+        y=ys,
+        a_z=np.array(np.broadcast_to(a_z, ys.shape), dtype=float),
+        x=x,
+        z=z,
+        width=width,
+        scale=np.array(np.broadcast_to(scale, ys.shape), dtype=float),
+    )
 
 
-def _negative_runs(a: np.ndarray) -> list[tuple[int, int]]:
-    runs = []
-    start = None
-    for i, v in enumerate(a):
-        if v < 0 and start is None:
-            start = i
-        elif v >= 0 and start is not None:
-            runs.append((start, i - 1))
-            start = None
-    if start is not None:
-        runs.append((start, len(a) - 1))
+def _runs(profile: AccelerationProfile) -> list[tuple[int, int, int]]:
+    """Maximal runs (start, stop, sign) of same-sign samples.  Noise-level
+    samples belong to no run, so they split the runs around them."""
+    a = profile.a_z
+    floor = 0.0 if profile.scale is None else ZERO_FLOOR * profile.scale
+    signs = np.where(np.abs(a) <= floor, 0, np.sign(a)).astype(int)
+    runs: list[tuple[int, int, int]] = []
+    for i, s in enumerate(signs.tolist()):
+        if s and runs and runs[-1][1] == i - 1 and runs[-1][2] == s:
+            runs[-1] = (runs[-1][0], i, s)
+        elif s:
+            runs.append((i, i, s))
     return runs
 
 
-def region_average(profile: AccelerationProfile) -> float:
-    """Trapezoidal mean of a_z over the contiguous negative-sign interval.
-
-    With several negative runs the longest one is used (ties: first).
-    """
-    runs = _negative_runs(profile.a_z)
-    if not runs:
-        raise ValidationError("no negative-acceleration samples in profile")
-    start, stop = max(runs, key=lambda r: r[1] - r[0])
+def _run_average(profile: AccelerationProfile, start: int, stop: int) -> float:
+    """Trapezoidal mean of a_z over samples start..stop."""
     if start == stop:
         return float(profile.a_z[start])
     ys = profile.y[start : stop + 1]
@@ -182,18 +243,62 @@ def region_average(profile: AccelerationProfile) -> float:
     return float(np.trapezoid(az, ys) / (ys[-1] - ys[0]))
 
 
-def zero_crossings(profile: AccelerationProfile) -> list[float]:
-    """Linear-interpolated roots between adjacent sign-changing samples."""
+def _crossing(profile: AccelerationProfile, i: int) -> float:
+    """Linear-interpolated root between samples i and i + 1."""
     ys, az = profile.y, profile.a_z
+    return float(ys[i] - az[i] * (ys[i + 1] - ys[i]) / (az[i + 1] - az[i]))
+
+
+def is_noise(profile: AccelerationProfile) -> bool:
+    """True when every sample is zero to rounding: the force vanishes."""
+    return not _runs(profile)
+
+
+def region_average(profile: AccelerationProfile) -> float:
+    """Trapezoidal mean of a_z over the contiguous negative-sign interval.
+
+    With several negative runs the longest one is used (ties: first).
+    """
+    negative = [r for r in _runs(profile) if r[2] < 0]
+    if not negative:
+        raise ValidationError("no negative-acceleration samples in profile")
+    start, stop, _ = max(negative, key=lambda r: r[1] - r[0])
+    return _run_average(profile, start, stop)
+
+
+def deflecting_lobe(profile: AccelerationProfile) -> tuple[float, float]:
+    """(average a_z, width) of the lobe holding the peak |a_z|, either sign.
+
+    Both come from that same lobe: the trapezoidal mean over its samples and
+    the distance between the interpolated zero crossings that bracket it.
+    """
+    runs = _runs(profile)
+    if not runs:
+        raise ValidationError("no deflecting region: a_z is rounding noise at every sample")
+    az = np.abs(profile.a_z)
+    start, stop, _ = max(runs, key=lambda r: np.max(az[r[0] : r[1] + 1]))
+    if start == 0 or stop == len(az) - 1:
+        raise ValidationError(
+            f"the deflecting lobe (y in [{profile.y[start]:.6g}, {profile.y[stop]:.6g}]) "
+            "is not bracketed by zero crossings inside the y range; widen y_min/y_max"
+        )
+    width = _crossing(profile, stop) - _crossing(profile, start - 1)
+    return _run_average(profile, start, stop), width
+
+
+def zero_crossings(profile: AccelerationProfile) -> list[float]:
+    """Roots where a_z changes sign between consecutive runs: linear
+    interpolation between adjacent samples, or the middle of the
+    noise-level samples that separate the two runs."""
+    runs = _runs(profile)
     crossings = []
-    for i in range(len(ys) - 1):
-        a0, a1 = az[i], az[i + 1]
-        if a0 == 0.0:
-            crossings.append(float(ys[i]))
-        elif a0 * a1 < 0:
-            crossings.append(float(ys[i] - a0 * (ys[i + 1] - ys[i]) / (a1 - a0)))
-    if len(ys) >= 1 and az[-1] == 0.0:
-        crossings.append(float(ys[-1]))
+    for (_, stop, s0), (start, _, s1) in zip(runs, runs[1:]):
+        if s0 == s1:
+            continue
+        if start == stop + 1:
+            crossings.append(_crossing(profile, stop))
+        else:
+            crossings.append(float(0.5 * (profile.y[stop + 1] + profile.y[start - 1])))
     return crossings
 
 

@@ -1,7 +1,8 @@
 """Order-of-magnitude screen-deflection estimate from the natural-unit results.
 
-Constant-acceleration model: the particle crosses the negative-acceleration
-region of the transverse profile at its forward speed, accumulating
+Constant-acceleration model: the particle crosses the deflecting lobe of
+the transverse profile (the lobe holding the peak |a_z|, of either sign)
+at its forward speed, accumulating
 
     deflection = |a| * t_int^2 / 2,   t_int = region_width / speed,
 

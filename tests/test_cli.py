@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from spinloop import config as cfgmod
+from spinloop import packets, spins
 from spinloop.cli import main
 from spinloop.errors import ValidationError
 
@@ -123,6 +124,62 @@ class TestDeflectCommand:
             report = json.loads((out / "deflection.json").read_text())
             deflections.append(report["estimate"]["deflection_m"])
         assert deflections[0] > deflections[1] > deflections[2]
+
+
+    def test_antiparallel_mirrors_preset(self, tmp_path):
+        # the deflecting lobe is the central one, whatever its sign
+        assert main(["deflect", "--out", str(tmp_path / "p")]) == 0
+        over = tmp_path / "cfg.json"
+        over.write_text(json.dumps({"figure2": {"spin": "up-down"}}))
+        assert main(["deflect", "--config", str(over), "--out", str(tmp_path / "a")]) == 0
+        par = json.loads((tmp_path / "p" / "deflection.json").read_text())["estimate"]
+        anti = json.loads((tmp_path / "a" / "deflection.json").read_text())["estimate"]
+        assert anti["deflection_m"] == pytest.approx(2.9e-16, abs=0.05e-16)
+        assert anti["deflection_m"] == pytest.approx(par["deflection_m"], rel=1e-12)
+        assert anti["avg_acceleration_natural"] == pytest.approx(
+            -par["avg_acceleration_natural"], rel=1e-12
+        )
+        assert anti["region_width_natural"] == pytest.approx(
+            par["region_width_natural"], rel=1e-12
+        )
+
+    def test_unbracketed_lobe_exit_code(self, tmp_path, capsys):
+        over = tmp_path / "cfg.json"
+        over.write_text(json.dumps({"figure2": {"y_min": -0.1, "y_max": 0.1, "samples": 21}}))
+        assert main(["deflect", "--config", str(over), "--out", str(tmp_path)]) == 1
+        assert "not bracketed" in capsys.readouterr().err
+
+
+class TestZeroForce:
+    """The singlet force vanishes: its profile is rounding noise, not signal."""
+
+    @staticmethod
+    def singlet_config(tmp_path):
+        over = tmp_path / "cfg.json"
+        over.write_text(json.dumps({"figure2": {"spin": "singlet", "samples": 101}}))
+        return str(over)
+
+    def test_figure2_reports_no_region(self, tmp_path):
+        assert main(["figure2", "--config", self.singlet_config(tmp_path),
+                     "--out", str(tmp_path / "o")]) == 0
+        summary = json.loads((tmp_path / "o" / "figure2_summary.json").read_text())
+        assert summary["zero_crossings"] == []
+        assert summary["average_negative_region"] is None
+        assert summary["negative_region_width"] is None
+        # the CSV keeps the raw values
+        cfg = cfgmod.load_config(tmp_path / "cfg.json")["figure2"]
+        prof = packets.acceleration_profile(
+            spins.singlet(), z=cfg["z"], x=cfg["x"], y_range=(cfg["y_min"], cfg["y_max"]),
+            n_samples=cfg["samples"], width=cfg["width"],
+        )
+        assert (tmp_path / "o" / "figure2.csv").read_text() == packets.profile_csv(prof)
+
+    def test_deflect_reports_zero(self, tmp_path):
+        assert main(["deflect", "--config", self.singlet_config(tmp_path),
+                     "--out", str(tmp_path / "o")]) == 0
+        report = json.loads((tmp_path / "o" / "deflection.json").read_text())
+        assert report["degenerate"] is True
+        assert report["deflection_m"] == 0.0
 
 
 class TestEprCommand:

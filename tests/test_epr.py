@@ -58,6 +58,76 @@ class TestProjectors:
         assert np.max(np.abs(P1 @ P2 - P2 @ P1)) == 0.0
 
 
+def kron_projector(wing, outcome):
+    """The wing projector built from Kronecker products on every call."""
+    basis = (np.array([1.0, 0.0], dtype=complex), np.array([0.0, 1.0], dtype=complex))
+    eye = np.eye(2, dtype=complex)
+    proj = np.zeros((16, 16), dtype=complex)
+    for s in range(2):
+        for l in range(2):
+            if (outcome == "up") != (s == l):
+                continue
+            ps, pl = np.outer(basis[s], basis[s]), np.outer(basis[l], basis[l])
+            factors = (ps, eye, pl, eye) if wing == 1 else (eye, ps, eye, pl)
+            term = factors[0]
+            for f in factors[1:]:
+                term = np.kron(term, f)
+            proj += term
+    return proj
+
+
+def reference_joint(scenario):
+    """Joint outcome probabilities with freshly built projectors."""
+    state = epr.build_state(scenario)
+    probs = {}
+    for o1 in epr.OUTCOMES:
+        for o2 in epr.OUTCOMES:
+            P = kron_projector(1, o1) @ kron_projector(2, o2)
+            if state.ndim == 1:
+                val = complex(state.conj() @ (P @ state))
+            else:
+                val = complex(np.trace(state @ P))
+            probs[(o1, o2)] = max(val.real, 0.0)
+    return probs
+
+
+class TestCachedProjectors:
+    def test_read_only(self):
+        for wing in (1, 2):
+            for outcome in epr.OUTCOMES:
+                P = epr.wing_projector(wing, outcome)
+                with pytest.raises(ValueError, match="read-only"):
+                    P[0, 0] = 2.0
+                for other in epr.OUTCOMES:
+                    with pytest.raises(ValueError, match="read-only"):
+                        epr._joint_projector(outcome, other)[0, 0] = 2.0
+
+    def test_equal_fresh_construction(self):
+        for wing in (1, 2):
+            for outcome in epr.OUTCOMES:
+                assert np.array_equal(epr.wing_projector(wing, outcome),
+                                      kron_projector(wing, outcome))
+
+    def test_invalid_arguments_still_rejected(self):
+        epr.wing_projector(1, "up")
+        with pytest.raises(ValidationError):
+            epr.wing_projector(3, "up")
+        with pytest.raises(ValidationError):
+            epr.wing_projector(1, "sideways")
+
+    def test_preset_joint_unchanged(self):
+        scenario = epr.EPRScenario()
+        assert epr.joint_distribution(scenario).as_dict() == reference_joint(scenario)
+
+    @given(probs, probs, st.sampled_from(epr.BELL_STATES),
+           st.sampled_from(["coherent", "mixture"]))
+    @settings(max_examples=60)
+    def test_joint_unchanged(self, p1, p2, bell, representation):
+        scenario = epr.EPRScenario(bell=bell, p1_up=p1, p2_up=p2,
+                                   loop_representation=representation)
+        assert epr.joint_distribution(scenario).as_dict() == reference_joint(scenario)
+
+
 class TestReferenceNumbers:
     def test_unequal_superposition_correlation(self):
         dist = epr.joint_distribution(epr.EPRScenario(p1_up=0.1, p2_up=0.1))

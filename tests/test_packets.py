@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spinloop import deflection as dfl
 from spinloop import packets, spins
 from spinloop.deflection import PARALLEL_TUPLES
-from spinloop.errors import ValidationError
+from spinloop.errors import NumericalError, ValidationError
 
 # ---------------------------------------------------------------------------
 # Independent oracle: midpoint Riemann sum over the cube.  The value below
@@ -215,6 +216,229 @@ class TestPathEquivalence:
                     w = wts[i] * wts[j] * wts[k] / 8.0
                     total += w * spins.expectation(F.at(x, y, z), uu)
         assert closed == pytest.approx(total, rel=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# Batched quadrature against the per-sample path it replaced.  The reference
+# below is that path written out: one packet at a time on meshgrid nodes,
+# escalating until two consecutive orders agree, then one contraction per
+# sample.  The arithmetic is the same, so the results must be equal bit for
+# bit.
+# ---------------------------------------------------------------------------
+
+REFERENCE_ORDERS = (6, 10, 14, 20, 28, 40, 56)
+
+
+def per_sample_moments(center, width, tuples, rel_tol=1e-10):
+    """(moments, order reached) of one packet."""
+
+    def evaluate(order):
+        nodes, wts = np.polynomial.legendre.leggauss(order)
+        half = 0.5 * width
+        X, Y, Z = np.meshgrid(
+            center[0] + half * nodes, center[1] + half * nodes, center[2] + half * nodes,
+            indexing="ij",
+        )
+        W = np.einsum("i,j,k->ijk", wts, wts, wts) / 8.0
+        R = np.sqrt(X * X + Y * Y + Z * Z)
+        out = {}
+        for a, b, c, n in tuples:
+            integrand = X**a * Y**b * Z**c
+            if n:
+                integrand = integrand / R**n
+            out[(a, b, c, n)] = (
+                float(np.sum(W * integrand)),
+                float(np.sum(np.abs(W * integrand))),
+            )
+        return out
+
+    prev = evaluate(REFERENCE_ORDERS[0])
+    for order in REFERENCE_ORDERS[1:]:
+        cur = evaluate(order)
+        if all(abs(cur[k][0] - prev[k][0]) <= rel_tol * max(cur[k][1], 1e-300) for k in tuples):
+            return {k: v[0] for k, v in cur.items()}, order
+        prev = cur
+    raise NumericalError("per-sample reference did not converge")
+
+
+def per_sample_profile(spin, z, x, y_range, n_samples, width, coupling_sign=1):
+    """(a_z array, order reached per sample) from one contraction per sample."""
+    tuples = dfl.required_tuples_for(spin)
+    ys = np.linspace(y_range[0], y_range[1], n_samples)
+    a_z, orders = np.empty_like(ys), []
+    for k, y in enumerate(ys):
+        m, order = per_sample_moments((x, float(y), z), width, tuples)
+        a_z[k] = dfl.contract_force(spin, m, coupling_sign=coupling_sign).a_z
+        orders.append(order)
+    return a_z, orders
+
+
+# One chunk of the lowest order holds this many samples.
+FIRST_CHUNK = packets._POINT_BUDGET // REFERENCE_ORDERS[0] ** 3
+
+EQUIVALENCE_CASES = [
+    # spin, z, x, y_range, n_samples, width, coupling_sign
+    ("up-up", 0.4, 0.0, (-0.5, 0.5), 41, 1e-3, 1),
+    ("singlet", 0.4, 0.0, (-0.5, 0.5), 41, 1e-3, 1),
+    ("parallel-coherent", 0.35, 0.03, (-0.5, 0.5), 41, 0.01, 1),
+    ("antiparallel", 0.45, 0.0, (-0.5, 0.5), 41, 0.02, -1),
+    # wide packet near the dipole: samples of one chunk converge at different orders
+    ("parallel-coherent", 0.25, 0.01, (-0.5, 0.5), 101, 0.1, 1),
+    ("antiparallel", 0.3, 0.0, (-0.2, 0.3), 2, 0.02, 1),
+    ("up-up", 0.45, 0.02, (-0.5, 0.5), FIRST_CHUNK + 1, 0.005, 1),
+]
+
+
+class TestBatchedProfile:
+    @pytest.mark.parametrize("name,z,x,y_range,n,width,sign", EQUIVALENCE_CASES)
+    def test_equals_per_sample_path(self, name, z, x, y_range, n, width, sign):
+        spin = spins.named_spin_input(name)
+        prof = packets.acceleration_profile(
+            spin, z=z, x=x, y_range=y_range, n_samples=n, width=width, coupling_sign=sign
+        )
+        ref, _ = per_sample_profile(spin, z, x, y_range, n, width, coupling_sign=sign)
+        assert prof.a_z.tobytes() == ref.tobytes()
+
+    def test_wide_packet_mixes_orders_within_a_chunk(self):
+        _, orders = per_sample_profile(
+            spins.parallel_coherent(), 0.25, 0.01, (-0.5, 0.5), 101, 0.1
+        )
+        block = packets._POINT_BUDGET // REFERENCE_ORDERS[1] ** 3
+        assert any(len(set(orders[i : i + block])) > 1 for i in range(0, 101, block))
+
+    def test_scalar_moments_equal_per_sample_path(self):
+        pk = packets.WavePacket(center=(0.02, 0.1, 0.3), width=0.05)
+        keys = sorted(dfl.required_tuples_for(spins.parallel_coherent()))
+        ref, _ = per_sample_moments(pk.center, pk.width, keys)
+        assert packets.moments(pk, keys) == ref
+
+    def test_non_convergence_raises(self):
+        # the first sample's cube reaches to 1.7e-4 of the dipole
+        args = dict(z=0.0501, x=0.0501, y_range=(0.0501, 0.4), n_samples=3, width=0.1)
+        with pytest.raises(NumericalError, match="failed to converge"):
+            packets.acceleration_profile(spins.basis_state("up", "up"), **args)
+        with pytest.raises(NumericalError):
+            per_sample_profile(spins.basis_state("up", "up"), 0.0501, 0.0501,
+                               (0.0501, 0.4), 3, 0.1)
+
+    def test_singular_sample_rejected(self):
+        with pytest.raises(ValidationError, match="singular support"):
+            packets.acceleration_profile(spins.basis_state("up", "up"), z=0.04, width=0.05)
+
+
+class TestNoiseFloor:
+    def test_singlet_profile_is_noise(self):
+        prof = packets.acceleration_profile(spins.singlet(), z=0.4, n_samples=101, width=1e-3)
+        assert np.any(prof.a_z != 0.0)  # the raw rounding noise is kept
+        assert np.all(np.abs(prof.a_z) <= packets.ZERO_FLOOR * prof.scale)
+        assert packets.is_noise(prof)
+        assert packets.zero_crossings(prof) == []
+        with pytest.raises(ValidationError):
+            packets.region_average(prof)
+        with pytest.raises(ValidationError, match="no deflecting region"):
+            packets.deflecting_lobe(prof)
+
+    def test_signal_profile_is_not_noise(self, fig_profile):
+        assert not packets.is_noise(fig_profile)
+        assert np.all(np.abs(fig_profile.a_z) > packets.ZERO_FLOOR * fig_profile.scale)
+
+
+class TestDeflectingLobe:
+    def test_parallel_uses_central_lobe(self, fig_profile):
+        avg, width = packets.deflecting_lobe(fig_profile)
+        crossings = packets.zero_crossings(fig_profile)
+        assert avg == packets.region_average(fig_profile)
+        assert width == crossings[-1] - crossings[0]
+
+    def test_antiparallel_mirrors_parallel(self, fig_profile):
+        anti = packets.acceleration_profile(
+            spins.basis_state("up", "down"), z=0.4, x=0.0, y_range=(-0.5, 0.5),
+            n_samples=201, width=1e-3,
+        )
+        avg, width = packets.deflecting_lobe(anti)
+        ref_avg, ref_width = packets.deflecting_lobe(fig_profile)
+        assert avg == pytest.approx(-ref_avg, rel=1e-12)
+        assert width == pytest.approx(ref_width, rel=1e-12)
+
+    def test_unbracketed_lobe_rejected(self):
+        prof = packets.acceleration_profile(
+            spins.parallel_mixture(), z=0.4, y_range=(-0.1, 0.1), n_samples=21
+        )
+        with pytest.raises(ValidationError, match="not bracketed"):
+            packets.deflecting_lobe(prof)
+
+
+# ---------------------------------------------------------------------------
+# Properties of the contraction, run through the batched profile
+# ---------------------------------------------------------------------------
+
+unit = st.floats(-1.0, 1.0, allow_nan=False)
+kets = st.lists(unit, min_size=8, max_size=8).filter(lambda v: np.linalg.norm(v) > 0.1)
+packet_args = st.tuples(
+    st.floats(0.2, 0.6), st.floats(-0.2, 0.2), st.floats(-0.3, 0.3), st.floats(1e-3, 0.05)
+)
+PROPERTY_TOL = 1e-8  # share of the L1 scale; quadrature orders may differ per state
+
+
+def _ket(v):
+    psi = np.asarray(v[:4]) + 1j * np.asarray(v[4:])
+    return psi / np.linalg.norm(psi)
+
+
+def _a_z(spin, z, x, y, width):
+    """(a_z, L1 scale) of one packet via a two-sample profile starting at y."""
+    prof = packets.acceleration_profile(
+        spin, z=z, x=x, y_range=(y, y + 0.01), n_samples=2, width=width
+    )
+    return prof.a_z[0], prof.scale[0]
+
+
+class TestContractionProperties:
+    @given(kets, kets, st.floats(0.0, 1.0), packet_args)
+    @settings(max_examples=25, deadline=None)
+    def test_linear_in_rho(self, v1, v2, p, args):
+        rho1, rho2 = (np.outer(k, k.conj()) for k in (_ket(v1), _ket(v2)))
+        a1, s1 = _a_z(rho1, *args)
+        a2, s2 = _a_z(rho2, *args)
+        a, _ = _a_z(p * rho1 + (1 - p) * rho2, *args)
+        assert a == pytest.approx(p * a1 + (1 - p) * a2, abs=PROPERTY_TOL * (s1 + s2))
+
+    @given(st.floats(0, np.pi), st.floats(0, 2 * np.pi), st.floats(0, np.pi),
+           st.floats(0, 2 * np.pi), packet_args)
+    @settings(max_examples=25, deadline=None)
+    def test_antisymmetric_under_loop_flip(self, tp, fp, tl, fl, args):
+        def spinor(theta, phi):
+            return np.array([np.cos(theta / 2), np.exp(1j * phi) * np.sin(theta / 2)])
+
+        particle = spinor(tp, fp)
+        loop = spinor(tl, fl)
+        flipped = np.array([-loop[1].conj(), loop[0].conj()])  # antipodal Bloch vector
+        a, s = _a_z(np.kron(particle, loop), *args)
+        a_flip, _ = _a_z(np.kron(particle, flipped), *args)
+        assert a_flip == pytest.approx(-a, abs=PROPERTY_TOL * s)
+
+    @given(kets, st.integers(1, 3), packet_args)
+    @settings(max_examples=25, deadline=None)
+    def test_covariant_under_rotation_about_z(self, v, quarter_turns, args):
+        # the cube is invariant under quarter turns, so these are exact symmetries
+        z, x, y, width = args
+        phi = quarter_turns * np.pi / 2
+        u = np.diag([np.exp(-0.5j * phi), np.exp(0.5j * phi)])
+        psi = _ket(v)
+        xr, yr = {1: (-y, x), 2: (-x, -y), 3: (y, -x)}[quarter_turns]
+        a, s = _a_z(psi, z, x, y, width)
+        a_rot, _ = _a_z(np.kron(u, u) @ psi, z, xr, yr, width)
+        assert a_rot == pytest.approx(a, abs=PROPERTY_TOL * s)
+
+    @given(packet_args, st.integers(2, 40))
+    @settings(max_examples=25, deadline=None)
+    def test_singlet_force_vanishes(self, args, n):
+        z, x, y, width = args
+        prof = packets.acceleration_profile(
+            spins.singlet(), z=z, x=x, y_range=(y, y + 0.2), n_samples=n, width=width
+        )
+        assert np.all(np.abs(prof.a_z) <= packets.ZERO_FLOOR * prof.scale)
+        assert packets.is_noise(prof) and packets.zero_crossings(prof) == []
 
 
 def test_profile_csv_format():
