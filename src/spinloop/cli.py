@@ -13,6 +13,7 @@ import argparse
 import json
 import math
 import sys
+from functools import lru_cache
 from pathlib import Path
 from typing import Any
 
@@ -84,7 +85,7 @@ def cmd_figure2(cfg: dict, out_dir: Path) -> int:
         "relative_difference": None if average is None
         else abs(average - REFERENCE_NEGATIVE_AVERAGE) / abs(REFERENCE_NEGATIVE_AVERAGE),
         "zero_crossings": crossings,
-        "negative_region_width": (crossings[-1] - crossings[0]) if len(crossings) >= 2 else None,
+        "negative_region_width": None if average is None else packets.region_width(profile),
         "a_z_at_y0": peak,
         "config": f2,
     }
@@ -459,7 +460,10 @@ _COMMANDS = {
 }
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves no state
+    on it, so every :func:`main` call shares it.  Do not modify it."""
     parser = argparse.ArgumentParser(
         prog="spinloop",
         description="Deflection of a spin-1/2 particle by a two-state magnetic dipole: "

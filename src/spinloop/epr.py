@@ -35,9 +35,21 @@ OUTCOMES = ("up", "down")  # up = parallel pair, down = antiparallel pair
 
 
 def _kron(*ops: np.ndarray) -> np.ndarray:
+    """Kronecker product of vectors or of matrices, left to right.
+
+    Each step is the broadcast multiply that ``np.kron`` performs, on the
+    same operand layout, so numpy runs the same complex-multiply loop and the
+    bits agree; only ``np.kron``'s per-call set-up is skipped.  (An
+    ``np.multiply.outer`` product can take another loop and round complex
+    products differently in the last bit.)
+    """
     out = ops[0]
     for op in ops[1:]:
-        out = np.kron(out, op)
+        if op.ndim == 1:
+            out = (out[:, None] * op[None, :]).reshape(-1)
+        else:
+            prod = out[:, None, :, None] * op[None, :, None, :]
+            out = prod.reshape(out.shape[0] * op.shape[0], out.shape[1] * op.shape[1])
     return out
 
 

@@ -254,16 +254,36 @@ def is_noise(profile: AccelerationProfile) -> bool:
     return not _runs(profile)
 
 
+def _negative_run(profile: AccelerationProfile) -> tuple[int, int]:
+    """(start, stop) of the longest run of negative samples (ties: first)."""
+    negative = [r for r in _runs(profile) if r[2] < 0]
+    if not negative:
+        raise ValidationError("no negative-acceleration samples in profile")
+    start, stop, _ = max(negative, key=lambda r: r[1] - r[0])
+    return start, stop
+
+
+def _run_width(profile: AccelerationProfile, start: int, stop: int) -> float | None:
+    """Distance between the interpolated zero crossings that bracket samples
+    start..stop, or None when the run touches either end of the y range."""
+    if start == 0 or stop == len(profile.y) - 1:
+        return None
+    return _crossing(profile, stop) - _crossing(profile, start - 1)
+
+
 def region_average(profile: AccelerationProfile) -> float:
     """Trapezoidal mean of a_z over the contiguous negative-sign interval.
 
     With several negative runs the longest one is used (ties: first).
     """
-    negative = [r for r in _runs(profile) if r[2] < 0]
-    if not negative:
-        raise ValidationError("no negative-acceleration samples in profile")
-    start, stop, _ = max(negative, key=lambda r: r[1] - r[0])
-    return _run_average(profile, start, stop)
+    return _run_average(profile, *_negative_run(profile))
+
+
+def region_width(profile: AccelerationProfile) -> float | None:
+    """Width of the negative run that :func:`region_average` averages,
+    measured as :func:`deflecting_lobe` measures its lobe; None when the run
+    touches y_min or y_max."""
+    return _run_width(profile, *_negative_run(profile))
 
 
 def deflecting_lobe(profile: AccelerationProfile) -> tuple[float, float]:
@@ -277,12 +297,12 @@ def deflecting_lobe(profile: AccelerationProfile) -> tuple[float, float]:
         raise ValidationError("no deflecting region: a_z is rounding noise at every sample")
     az = np.abs(profile.a_z)
     start, stop, _ = max(runs, key=lambda r: np.max(az[r[0] : r[1] + 1]))
-    if start == 0 or stop == len(az) - 1:
+    width = _run_width(profile, start, stop)
+    if width is None:
         raise ValidationError(
             f"the deflecting lobe (y in [{profile.y[start]:.6g}, {profile.y[stop]:.6g}]) "
             "is not bracketed by zero crossings inside the y range; widen y_min/y_max"
         )
-    width = _crossing(profile, stop) - _crossing(profile, start - 1)
     return _run_average(profile, start, stop), width
 
 

@@ -92,6 +92,22 @@ class TestFigure2Command:
         bad.write_text(json.dumps({"figure2": {"spin": "sideways"}}))
         assert main(["figure2", "--config", str(bad), "--out", str(tmp_path)]) == 1
 
+    def test_width_and_average_describe_one_run(self, tmp_path):
+        # preset: the averaged run is the central lobe between the two crossings
+        assert main(["figure2", "--out", str(tmp_path / "p")]) == 0
+        summary = json.loads((tmp_path / "p" / "figure2_summary.json").read_text())
+        crossings = summary["zero_crossings"]
+        assert summary["negative_region_width"] == crossings[1] - crossings[0]
+        # up-down: the averaged negative run is a side lobe cut off at y_min,
+        # so no width; the central lobe between the crossings is positive
+        over = tmp_path / "cfg.json"
+        over.write_text(json.dumps({"figure2": {"spin": "up-down"}}))
+        assert main(["figure2", "--config", str(over), "--out", str(tmp_path / "a")]) == 0
+        anti = json.loads((tmp_path / "a" / "figure2_summary.json").read_text())
+        assert anti["average_negative_region"] == pytest.approx(-0.1903, abs=5e-4)
+        assert anti["zero_crossings"] == pytest.approx([-c for c in crossings[::-1]])
+        assert anti["negative_region_width"] is None
+
 
 class TestDeflectCommand:
     def test_preset_estimate(self, tmp_path):
@@ -291,3 +307,36 @@ class TestDeterminism:
         assert files1 == files2 and files1
         for name in files1:
             assert read(out1 / name) == read(out2 / name), name
+
+
+class TestCachedParser:
+    """One parser per process: repeated in-process calls must not see each
+    other's arguments, errors or configs."""
+
+    @staticmethod
+    def files(out):
+        return {p.name: read(p) for p in sorted(out.iterdir())}
+
+    def test_repeated_calls_write_the_first_bytes(self, tmp_path, capsys):
+        from spinloop.cli import build_parser
+
+        assert build_parser() is build_parser()
+        # the config also overrides figure2: it must not leak into later calls
+        over = tmp_path / "cfg.json"
+        over.write_text(json.dumps({"epr": {"bell": "triplet0", "sweep_points": 7},
+                                    "figure2": {"samples": 21}}))
+        assert main(["figure2", "--out", str(tmp_path / "f1")]) == 0
+        assert main(["epr", "--config", str(over), "--seed", "3",
+                     "--out", str(tmp_path / "e1")]) == 0
+        with pytest.raises(SystemExit) as exc:
+            main(["figure2", "--bogus", "--out", str(tmp_path / "bad")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --bogus" in capsys.readouterr().err
+        assert main(["figure2", "--out", str(tmp_path / "f2")]) == 0
+        assert main(["epr", "--config", str(over), "--out", str(tmp_path / "e2")]) == 0
+        assert not (tmp_path / "bad").exists()
+        assert self.files(tmp_path / "f1") == self.files(tmp_path / "f2")
+        assert self.files(tmp_path / "e1") == self.files(tmp_path / "e2")
+        assert len(self.files(tmp_path / "f1")["figure2.csv"].splitlines()) == 202
+        args = build_parser().parse_args(["figure2"])
+        assert (args.config, args.seed, args.out) == (None, None, ".")

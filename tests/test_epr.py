@@ -250,3 +250,82 @@ class TestNegativeProbabilities:
         self.diagonal_state(monkeypatch, -0.1, 1.0)
         with pytest.raises(NumericalError, match="negative outcome probability"):
             epr.joint_distribution(epr.EPRScenario())
+
+
+# ---------------------------------------------------------------------------
+# The outer-product Kronecker builder against chained np.kron, bit for bit
+# ---------------------------------------------------------------------------
+
+entries = st.floats(-1e6, 1e6, allow_nan=False, allow_subnormal=True)
+
+
+@st.composite
+def kron_factors(draw):
+    """2-4 factors, all vectors or all matrices, real or complex."""
+    matrix = draw(st.booleans())
+    complex_ = draw(st.booleans())
+    factors = []
+    for _ in range(draw(st.integers(2, 4))):
+        shape = (draw(st.integers(1, 3)), draw(st.integers(1, 3))) if matrix else (
+            draw(st.integers(1, 4)),)
+        size = int(np.prod(shape))
+        re = np.array(draw(st.lists(entries, min_size=size, max_size=size)))
+        if complex_:
+            im = np.array(draw(st.lists(entries, min_size=size, max_size=size)))
+            factors.append((re + 1j * im).reshape(shape))
+        else:
+            factors.append(re.reshape(shape))
+    return factors
+
+
+def chained_kron(*ops):
+    out = ops[0]
+    for op in ops[1:]:
+        out = np.kron(out, op)
+    return out
+
+
+class TestKron:
+    @given(kron_factors())
+    @settings(max_examples=200, deadline=None)
+    def test_equals_chained_np_kron(self, factors):
+        got, ref = epr._kron(*factors), chained_kron(*factors)
+        assert got.shape == ref.shape and got.dtype == ref.dtype
+        assert got.tobytes() == ref.tobytes()
+
+    def test_complex_products_round_like_np_kron(self):
+        # numpy has more than one complex-multiply loop, and they may round
+        # differently in the last bit; about half of these products expose
+        # a builder that runs another loop than np.kron (np.multiply.outer).
+        rng = np.random.default_rng(5)
+
+        def draw(*shape):
+            return rng.uniform(-1e6, 1e6, shape) + 1j * rng.uniform(-1e6, 1e6, shape)
+
+        for n in (1, 2, 3):
+            for m in (1, 2, 3):
+                for _ in range(20):
+                    a, b, c, d = draw(n), draw(m), draw(n, m), draw(m, n)
+                    assert epr._kron(a, b).tobytes() == chained_kron(a, b).tobytes()
+                    assert epr._kron(c, d).tobytes() == chained_kron(c, d).tobytes()
+
+    @given(probs, probs, st.sampled_from(epr.BELL_STATES),
+           st.sampled_from(["coherent", "mixture"]))
+    @settings(max_examples=60)
+    def test_build_state_equals_np_kron_build(self, p1, p2, bell, representation):
+        up, down = np.array([1.0, 0.0], dtype=complex), np.array([0.0, 1.0], dtype=complex)
+        pair = {
+            "singlet": (chained_kron(up, down) - chained_kron(down, up)) / np.sqrt(2.0),
+            "triplet0": (chained_kron(up, down) + chained_kron(down, up)) / np.sqrt(2.0),
+            "triplet+": chained_kron(up, up),
+            "triplet-": chained_kron(down, down),
+        }[bell]
+        if representation == "coherent":
+            loops = [np.sqrt(p) * up + np.sqrt(1.0 - p) * down for p in (p1, p2)]
+            ref = chained_kron(pair, *loops)
+        else:
+            loops = [np.diag([p, 1.0 - p]).astype(complex) for p in (p1, p2)]
+            ref = chained_kron(np.outer(pair, pair.conj()), *loops)
+        scenario = epr.EPRScenario(bell=bell, p1_up=p1, p2_up=p2,
+                                   loop_representation=representation)
+        assert epr.build_state(scenario).tobytes() == ref.tobytes()

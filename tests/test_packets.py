@@ -368,6 +368,53 @@ class TestDeflectingLobe:
             packets.deflecting_lobe(prof)
 
 
+def _synthetic(y, a_z):
+    return packets.AccelerationProfile(y=y, a_z=np.asarray(a_z, dtype=float), x=0.0, z=0.4,
+                                       width=1e-3)
+
+
+class TestRegionWidth:
+    """The width belongs to the run that region_average averages, and is
+    measured by the rule of deflecting_lobe."""
+
+    def test_preset_width_is_crossing_distance(self, fig_profile):
+        crossings = packets.zero_crossings(fig_profile)
+        assert packets.region_width(fig_profile) == crossings[1] - crossings[0]
+
+    def test_width_of_longest_run_not_outermost_crossings(self):
+        # negative on (0, 1) and (2, 2.55]: the bracketed (0, 1) run is longest
+        y = np.linspace(-0.45, 2.55, 41)
+        prof = _synthetic(y, -np.sin(np.pi * y))
+        crossings = packets.zero_crossings(prof)
+        assert len(crossings) == 3
+        assert packets.region_width(prof) == crossings[1] - crossings[0]
+        assert packets.region_width(prof) == pytest.approx(1.0, abs=1e-2)
+
+    def test_run_touching_range_end_has_no_width(self):
+        y = np.linspace(0.05, 1.45, 29)
+        prof = _synthetic(y, np.cos(np.pi * y))
+        assert len(packets.zero_crossings(prof)) == 1
+        assert packets.region_average(prof) < 0
+        assert packets.region_width(prof) is None
+
+    @pytest.mark.parametrize("a_z, width", [
+        # a noise sample at y_min borders the run
+        ([0, -2, -2, 1, 0.5], 8 / 3),
+        # noise samples between the run and its neighbours
+        ([1, 0, -1, -3, -1, 0, 1, 1], 4.0),
+        # a noise sample splits two negative runs: the longer one is measured
+        ([1, -1, -1, 0, -1, -3, -1, 1, 1], 3.5),
+    ])
+    def test_same_width_as_deflecting_lobe(self, a_z, width):
+        prof = _synthetic(np.arange(float(len(a_z))), a_z)
+        assert packets.region_width(prof) == width
+        assert packets.deflecting_lobe(prof) == (packets.region_average(prof), width)
+
+    def test_no_negative_run_raises(self):
+        with pytest.raises(ValidationError):
+            packets.region_width(_synthetic(np.arange(3.0), [1, 2, 1]))
+
+
 # ---------------------------------------------------------------------------
 # Properties of the contraction, run through the batched profile
 # ---------------------------------------------------------------------------
