@@ -16,6 +16,7 @@ import sys
 import numpy as np
 
 from spinloop import gridsim, packets, spins
+from spinloop.errors import NumericalError, ValidationError
 
 
 def run_study(points: int, kappa: float, kicks, windows) -> list[tuple]:
@@ -50,13 +51,23 @@ def main() -> int:
     parser.add_argument("--csv", default=None, help="optional CSV output path")
     args = parser.parse_args()
     windows = list(np.geomspace(2.5e-4, 1.0e-3, 6))
-    rows = run_study(args.points, args.kappa, kicks=(5.0, 15.0, 30.0), windows=windows)
-    if args.csv:
-        with open(args.csv, "w") as fh:
-            fh.write("kick,window,residual_rms,slope\n")
-            for kick, w, r, slope in rows:
-                fh.write(f"{kick:.12g},{w:.12g},{r:.12g},{slope:.12g}\n")
-        print(f"wrote {args.csv}")
+    try:
+        rows = run_study(args.points, args.kappa, kicks=(5.0, 15.0, 30.0), windows=windows)
+        if args.csv:
+            with open(args.csv, "w") as fh:
+                fh.write("kick,window,residual_rms,slope\n")
+                for kick, w, r, slope in rows:
+                    fh.write(f"{kick:.12g},{w:.12g},{r:.12g},{slope:.12g}\n")
+            print(f"wrote {args.csv}")
+    except ValidationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except NumericalError as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -233,6 +233,14 @@ def load_config(path: str | Path | None = None, preset: str = PRESET_NAME) -> di
         raise ValidationError("config.oracle.zeeman: expected exactly 2 strengths")
     if cfg["epr"]["sweep_points"] < 1:
         raise ValidationError("config.epr.sweep_points: must be >= 1")
+    o = cfg["oracle"]
+    for key, value in (
+        ("oracle.theta", o["theta"]),
+        ("oracle.duration", o["duration"]),
+        ("oracle.remainder.duration", o["remainder"]["duration"]),
+    ):
+        if value <= 0:
+            raise ValidationError(f"config.{key}: must be positive")
     return cfg
 
 

@@ -1,4 +1,4 @@
-"""Direct Schrodinger evolution of the 4-component wavefunction on a 3-D grid.
+"""Direct Schrodinger evolution of the two-spin wavefunction on a 3-D grid.
 
 This is the brute-force cross-check for the perturbative deflection: the
 initial packet is evolved under the full Hamiltonian
@@ -10,6 +10,15 @@ where positions are in l, times in tau, and coupling(r) is the natural-unit
 dipole-dipole operator of :mod:`spinloop.fields` (whose expectation gradient
 is the acceleration in l/tau^2).  A quadratic fit of <z>(t) then recovers
 the initial acceleration with no perturbative input.
+
+Spin basis: the grid holds the coefficients on the "magic" basis
+(T_x, T_y, T_z, S) of :data:`MAGIC_BASIS`, in which the coupling is real:
+g/2 (delta_ab - 3 n_a n_b) on the triplet and zero on the singlet.  Their
+real and imaginary parts form one real stack, and only the components the
+state and the Hamiltonian reach are carried: three (the triplet) for an
+up-up packet under the coupling, four once a Zeeman term with
+zeeman_particle != zeeman_loop mixes in S.  One RK4 stage is one
+:meth:`GridOperator.apply`.
 
 Discretization: 2nd-order finite-difference Laplacian and classical RK4
 time stepping.  The outer layer of grid points is the Dirichlet wall: it
@@ -37,10 +46,17 @@ import numpy as np
 from .deflection import MomentKey
 from .errors import NumericalError, ValidationError
 from .packets import WavePacket
-from .spins import embed, spin_generator
 
-_SZ_P = embed(spin_generator("z"), "particle")
-_SZ_L = embed(spin_generator("z"), "loop")
+_R = 1.0 / math.sqrt(2.0)
+# Columns: the magic basis T_x = (dd - uu)/sqrt2, T_y = i(uu + dd)/sqrt2,
+# T_z = (ud + du)/sqrt2 and S = (ud - du)/sqrt2 in the product basis
+# (uu, ud, du, dd) (Hill & Wootters, PRL 78, 5022 (1997)).
+MAGIC_BASIS = np.array([
+    [-_R, 1j * _R, 0.0, 0.0],
+    [0.0, 0.0, _R, _R],
+    [0.0, 0.0, _R, -_R],
+    [_R, 1j * _R, 0.0, 0.0],
+])
 
 # RK4 is stable for |lambda| dt <= 2*sqrt(2) on the imaginary axis; specs
 # are rejected beyond 2.0 and defaults run far below that so that the
@@ -48,6 +64,9 @@ _SZ_L = embed(spin_generator("z"), "loop")
 RK4_STABILITY_LIMIT = 2.0
 DEFAULT_THETA = 0.15
 STEP_NORM_DRIFT_LIMIT = 1e-6
+# Cells per kernel pass: 256 KiB of float64 stays in cache across the
+# neighbour sums.
+_BLOCK_CELLS = 32**3
 
 
 @dataclass(frozen=True)
@@ -140,31 +159,48 @@ def stable_dt(spec_like: GridSpec, theta: float = DEFAULT_THETA) -> float:
 
 @dataclass
 class GridState:
-    """Spin-first amplitudes on the grid; treated as immutable once built.
+    """Magic-basis coefficients on the grid as one real stack; treated as
+    immutable once built.
 
-    ``amplitudes`` has shape (4, n, n, n): one contiguous n^3 block per
-    two-spin component (uu, ud, du, dd).  ``norm2`` is the squared norm
-    when a step has already computed it.
+    ``stack`` has shape (2, m, n, n, n): the real parts, then the imaginary
+    parts, of the coefficients on the m magic components ``first`` ..
+    ``first + m - 1`` of (T_x, T_y, T_z, S) (see :data:`MAGIC_BASIS`).  The
+    others are exactly zero and not stored.  :func:`initialize` keeps the
+    components the spin state has weight on, and :func:`evolve` adds those
+    the Hamiltonian reaches from them (the coupling links the triplet, a
+    Zeeman term with zeeman_particle != zeeman_loop links T_z and S).
+    ``norm2`` is the squared norm when a step has already computed it, and
+    ``step`` counts the RK4 steps taken since :func:`initialize`.
     """
 
-    amplitudes: np.ndarray
+    stack: np.ndarray
+    first: int = 0
     norm2: float | None = None
+    step: int = 0
 
     def norm(self) -> float:
-        return math.sqrt(_squared_norm(self.amplitudes))
+        return math.sqrt(_squared_norm(self.stack))
 
     def density(self) -> np.ndarray:
-        return np.sum(np.abs(self.amplitudes) ** 2, axis=0)
+        """|psi|^2 per cell: the squares of the stack summed over parts and components."""
+        flat = self.stack.reshape(-1, self.stack[0, 0].size)
+        return np.einsum("ck,ck->k", flat, flat).reshape(self.stack.shape[2:])
+
+    def amplitudes(self) -> np.ndarray:
+        """Complex amplitudes in the product basis (uu, ud, du, dd), shape (4, n, n, n)."""
+        re, im = self.stack
+        basis = MAGIC_BASIS[:, self.first : self.first + len(re)]
+        return np.tensordot(basis, re + 1j * im, axes=1)
 
     def spin_marginal(self) -> np.ndarray:
-        """Reduced 4x4 spin density matrix (trace over position)."""
-        flat = self.amplitudes.reshape(4, -1)
+        """Reduced 4x4 spin density matrix (trace over position), product basis."""
+        flat = self.amplitudes().reshape(4, -1)
         return flat @ flat.conj().T
 
 
-def _squared_norm(psi: np.ndarray) -> float:
-    flat = psi.reshape(-1)
-    return float(np.vdot(flat, flat).real)
+def _squared_norm(stack: np.ndarray) -> float:
+    flat = stack.reshape(-1)
+    return float(np.dot(flat, flat))
 
 
 def _edge_profile(coords: np.ndarray, center: float, width: float, ramp: float) -> np.ndarray:
@@ -186,6 +222,8 @@ def initialize(
 ) -> GridState:
     """Square-packet profile (edge-smoothed) times a spin vector, grid-normalized.
 
+    ``spin`` is given in the product basis (uu, ud, du, dd); the state
+    carries the range of magic components on which ``spin`` has weight.
     ``momentum_z`` applies a plane-wave factor exp(i k z) so that runs with
     a nonzero initial velocity can exercise the velocity and higher-order
     checks.  The packet (including ramps) must sit at least 2 cells inside
@@ -211,119 +249,170 @@ def initialize(
     amp = np.sqrt(prof).astype(complex)
     if momentum_z != 0.0:
         amp = amp * np.exp(1j * momentum_z * az)[None, None, :]
-    psi = spin[:, None, None, None] * amp[None]
-    total = math.sqrt(_squared_norm(psi))
+    coef = MAGIC_BASIS.conj().T @ spin
+    live = np.flatnonzero(coef)
+    if live.size == 0:
+        raise ValidationError("grid initialization needs a nonzero spin state")
+    first = int(live[0])
+    psi = coef[first : live[-1] + 1, None, None, None] * amp[None]
+    stack = np.stack([psi.real, psi.imag])
+    total = math.sqrt(_squared_norm(stack))
     if total == 0.0:
         raise ValidationError("packet has no support on the grid")
-    return GridState(amplitudes=psi / total)
-
-
-def coupling_fields(
-    x: np.ndarray, y: np.ndarray, z: np.ndarray, ham: GridHamiltonian, kinetic_scale: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The dipole coupling / kappa as three fields D (real), P and Q.
-
-    With n = r/|r|, a = n_z, w = n_x - i n_y and
-    g = -sign * scale / (4 pi r^3 kappa), they are D = g (3a^2 - 1)/4,
-    P = 3g a w / 4 and Q = 3g w^2 / 4, and in the basis (uu, ud, du, dd)
-    the coupling matrix is
-
-        [[D,  P,  P,  Q], [P*, -D, -D, -P], [P*, -D, -D, -P], [Q*, -P*, -P*, D]].
-
-    The ud and du rows are equal, so the singlet is annihilated.
-    """
-    r2 = x * x + y * y + z * z
-    r = np.sqrt(r2)
-    g = -ham.coupling_sign * ham.coupling_scale / (4.0 * np.pi * kinetic_scale * r2 * r)
-    a = z / r
-    w = (x - 1j * y) / r
-    D = g * (3.0 * a * a - 1.0) / 4.0
-    P = 0.75 * g * a * w
-    Q = 0.75 * g * w * w
-    return D, P, Q
+    return GridState(stack=stack / total, first=first)
 
 
 class GridOperator:
-    """The RK4 stage map psi -> -i dt H psi on the spin-first grid.
+    """One RK4 stage, y -> psi + (-i dt H y) / j, on real magic-basis stacks.
 
-    Amplitudes are handled flat, as (4, n^3).  The six Laplacian neighbours
-    are the +-1, +-n and +-n^2 offset slices of each component; the outer
-    wall layer is the Dirichlet ghost and is held at exactly zero, so the
-    simulated box is the (n-2)^3 interior.  The Laplacian's -6/dx^2
-    diagonal and the Zeeman term are one scalar per spin component, and the
-    coupling is the three fields of :func:`coupling_fields`, scaled by
-    -i dt and stacked as ``potential`` (shape (3, n^3), or None without
-    coupling).
+    In the magic basis H is real except for the total-S_z Zeeman term, so a
+    stage is "H on Im added to Re, H on Re subtracted from Im".  Each part is
+    built in blocks of components about ``_BLOCK_CELLS`` cells long, so that
+    every pass works on a cache-sized array.  In a block, H y / ``unit`` is
+    the sum of:
+
+    * the six-neighbour sum of the Laplacian (flat offset slices +-1, +-n
+      and +-n^2), plus the diagonal field (3 kappa / dx^2 + G) / unit;
+    * on the triplet, the dipole coupling g/2 (delta_ab - 3 n_a n_b) with
+      g = -sign * scale / (4 pi r^3 kappa), i.e. G u - sigma q (q . u) with
+      G = g/2, q = n sqrt(3 |g| / 2) and sigma = sign(g); the singlet row
+      and column vanish;
+    * the Zeeman term as two constant 2x2 mixes: total S_z is imaginary
+      antisymmetric on (T_x, T_y) and S_z_p - S_z_l is real on (T_z, S).
+
+    One multiply by the stage mask, dt / j * unit on the interior and 0 on
+    the outer wall layer, then scales the block and clears the walls, and
+    one pass adds it to (or subtracts it from) psi.  The wall layer is the
+    Dirichlet ghost and is held at exactly zero, so the simulated box is
+    the (n-2)^3 interior.
+
+    ``potential`` stacks the diagonal field and q / sqrt|unit| (shape
+    (4, n^3), or None without coupling).  The operator also holds the four
+    stage masks (4, n^3) and two n^3 scratch rows at 32^3 (up to four on
+    smaller grids): 2.5 MiB of fields at 32^3, of which ``potential`` is 1.0 MiB.
     """
 
     def __init__(self, spec: GridSpec, ham: GridHamiltonian):
         self.spec = spec
         self.ham = ham
-        self.kappa = spec.kinetic_scale if ham.include_kinetic else 0.0
-        self.dx = spec.dx
-        step = -1j * spec.dt
         n = spec.points_per_axis
-        zeeman = -(ham.zeeman_particle * _SZ_P + ham.zeeman_loop * _SZ_L).diagonal().real
-        self._diag = step * (3.0 * self.kappa / self.dx**2 + zeeman)
-        self._hop = step * (-self.kappa / (2.0 * self.dx**2))
+        kappa = spec.kinetic_scale if ham.include_kinetic else 0.0
+        self._unit = -kappa / (2.0 * spec.dx**2) if kappa else 1.0
+        self._kinetic = bool(kappa)
         self._offsets = (1, n, n * n)
-        lo = n * n + n + 1  # flat index of the first interior cell
-        self._span = (lo, n**3 - lo)
+        self._span_start = n * n + n + 1  # flat index of the first interior cell
+        diag = 3.0 * kappa / spec.dx**2
+        zp, zl = ham.zeeman_particle, ham.zeeman_loop
+        # component ranges [a, b) that H couples together
+        links = (((0, 3), ham.include_interaction), ((0, 2), zp + zl != 0), ((2, 4), zp != zl))
+        self._links = [link for link, on in links if on]
         self.potential = None
+        # (triplet, singlet) diagonal: G is zero on the singlet
+        self._diag = (diag / self._unit,) * 2
         if ham.include_interaction:
             X, Y, Z = (m.reshape(-1) for m in spec.meshes())
-            self.potential = step * np.stack(coupling_fields(X, Y, Z, ham, spec.kinetic_scale))
-            self._work = np.empty((3, n**3), dtype=complex)
+            r = np.sqrt(X * X + Y * Y + Z * Z)
+            g = -ham.coupling_sign * ham.coupling_scale / (4.0 * np.pi * spec.kinetic_scale * r**3)
+            q = np.sqrt(1.5 * np.abs(g) / abs(self._unit)) / r
+            self.potential = np.stack([(diag + 0.5 * g) / self._unit, q * X, q * Y, q * Z])
+            self._diag = (self.potential[0], self._diag[1])
+            # -(sigma / unit) q (q . u) = -sigma sign(unit) q' (q' . u)
+            flip = -ham.coupling_sign * ham.coupling_scale * self._unit > 0
+            self._couple = np.subtract if flip else np.add
+        # Component blocks per live range; with coupling, the singlet (no G,
+        # no q) is a block of its own.
+        size = max(1, _BLOCK_CELLS // n**3)
+        self._blocks = {}
+        for first in range(4):
+            for stop in range(first + 1, 5):
+                edges = {*range(first, stop, size), stop}
+                if ham.include_interaction and first < 3 < stop:
+                    edges.add(3)
+                edges = sorted(edges)
+                self._blocks[first, stop] = list(zip(edges, edges[1:]))
+        # Zeeman term per (part, component): (read the same part?, partner,
+        # coefficient before the stage scale), or None.  Total S_z turns
+        # (T_x, T_y) within a part; S_z_p - S_z_l swaps T_z and S across parts.
+        spin_mix = -0.5 * (zp + zl) / self._unit
+        singlet_mix = -0.5 * (zp - zl) / self._unit
+        self._mixes = ([None] * 4, [None] * 4)
+        for part, turn in enumerate((-spin_mix, spin_mix)):
+            if turn:
+                self._mixes[part][:2] = [(True, 1, turn), (True, 0, -turn)]
+            if singlet_mix:
+                self._mixes[part][2:] = [(False, 3, singlet_mix), (False, 2, singlet_mix)]
+        # Stage scale dt / j * unit on the interior and 0 on the walls, j = 1..4:
+        # (4, n^3), 1 MiB at 32^3.
+        interior = np.zeros((n, n, n))
+        interior[1:-1, 1:-1, 1:-1] = 1.0
+        self._stage_masks = np.stack(
+            [(spec.dt / j * self._unit) * interior.reshape(-1) for j in range(1, 5)]
+        )
+        self._dot = np.empty(n**3)
+        self._tmp = np.empty((max(1, min(size, 3)), n**3))
 
-    def apply(self, psi: np.ndarray) -> np.ndarray:
-        """-i dt H psi for amplitudes of shape (4, n, n, n); walls come out zero."""
-        y = psi.reshape(4, -1)
-        if self.kappa:
-            # out = hop * (neighbour sum + (diag / hop) psi), one component
-            # at a time so that each pass works on cache-sized arrays
-            out = np.empty_like(y)
-            lo, hi = self._span
-            for o, u, ratio in zip(out, y, self._diag / self._hop):
-                np.multiply(u, ratio, out=o)
-                inner = o[lo:hi]
-                for k in self._offsets:
-                    inner += u[lo - k : hi - k]
-                    inner += u[lo + k : hi + k]
-                o *= self._hop
-        else:
-            out = y * self._diag[:, None]
-        if self.potential is not None:
-            self._add_coupling(y, out)
-        out = out.reshape(psi.shape)
-        out[:, [0, -1]] = 0.0
-        out[:, :, [0, -1]] = 0.0
-        out[..., [0, -1]] = 0.0
+    def closure(self, first: int, stop: int) -> tuple[int, int]:
+        """Smallest range of magic components holding [first, stop) that H maps into itself."""
+        grown = True
+        while grown:
+            grown = False
+            for a, b in self._links:
+                if a < stop and first < b and (a < first or stop < b):
+                    first, stop, grown = min(first, a), max(stop, b), True
+        return first, stop
+
+    def apply(
+        self, y: np.ndarray, psi: np.ndarray, j: int, out: np.ndarray, first: int = 0
+    ) -> np.ndarray:
+        """Write psi + (-i dt H y) / j into ``out``, for the stage j = 1, 2, 3 or 4.
+
+        All three are C-contiguous real stacks of one shape (2, m, n, n, n)
+        holding the magic components ``first`` .. ``first + m - 1``, a range
+        that H must map into itself; ``out`` may be neither ``y`` nor ``psi``.
+        The walls of ``out`` are those of ``psi``: the H y term is exactly
+        zero there whatever ``y`` holds.
+        """
+        m = y.shape[1]
+        stop = first + m
+        if self.closure(first, stop) != (first, stop):
+            raise ValidationError(f"H couples magic components {first}..{stop - 1} to others")
+        if j not in (1, 2, 3, 4):
+            raise ValidationError(f"RK4 stage {j} is not one of 1, 2, 3, 4")
+        ys, ps, os = (a.reshape(2, m, -1) for a in (y, psi, out))
+        mask = self._stage_masks[j - 1]
+        lo = self._span_start
+        tmp, dot = self._tmp, self._dot
+        coupled = self.potential is not None and first == 0
+        # H on Im adds into Re, H on Re subtracts from Im
+        for o_part, p_part, same, src, mixes, finish in (
+            (os[0], ps[0], ys[0], ys[1], self._mixes[0], np.add),
+            (os[1], ps[1], ys[1], ys[0], self._mixes[1], np.subtract),
+        ):
+            if coupled:
+                np.einsum("bk,bk->k", self.potential[1:], src[:3], out=dot)
+            for c0, c1 in self._blocks[first, stop]:
+                o, u = o_part[c0 - first : c1 - first], src[c0 - first : c1 - first]
+                np.multiply(u, self._diag[c0 // 3], out=o)
+                if self._kinetic:
+                    # neighbours at flat offsets; spill-over lands on the walls only
+                    of, uf = o.reshape(-1), u.reshape(-1)
+                    hi = of.size - lo
+                    inner = of[lo:hi]
+                    for k in self._offsets:
+                        inner += uf[lo - k : hi - k]
+                        inner += uf[lo + k : hi + k]
+                if coupled and c0 < 3:
+                    q = self.potential[1 + c0 : 1 + c1]
+                    self._couple(o, np.multiply(q, dot, out=tmp[: c1 - c0]), out=o)
+                for c in range(c0, c1):
+                    if mixes[c] is not None:
+                        from_same, partner, coef = mixes[c]
+                        v = (same if from_same else src)[partner - first]
+                        o[c - c0] += np.multiply(v, coef, out=tmp[0])
+                # stage scale on the interior, 0 on the walls (where the offset sums spill)
+                np.multiply(o, mask, out=o)
+                finish(p_part[c0 - first : c1 - first], o, out=o)
         return out
-
-    def _add_coupling(self, y: np.ndarray, out: np.ndarray) -> None:
-        # potential holds c D, c P, c Q with c = -i dt purely imaginary, so
-        # c P* = -conj(c P) and c Q* = -conj(c Q).
-        D, P, Q = self.potential
-        s, pc, tmp = self._work
-        uu, ud, du, dd = y
-        np.add(ud, du, out=s)
-        np.conjugate(P, out=pc)
-        # uu row: c (D uu + P s + Q dd)
-        out[0] += np.multiply(D, uu, out=tmp)
-        out[0] += np.multiply(P, s, out=tmp)
-        out[0] += np.multiply(Q, dd, out=tmp)
-        # dd row: c (Q* uu - P* s + D dd) = -conj(cQ) uu + conj(cP) s + cD dd
-        out[3] += np.multiply(D, dd, out=tmp)
-        out[3] += np.multiply(pc, s, out=tmp)
-        np.conjugate(Q, out=tmp)
-        tmp *= uu
-        out[3] -= tmp
-        # ud and du rows: c (P* uu - D s - P dd) = -(conj(cP) uu + cD s + cP dd)
-        pc *= uu
-        pc += np.multiply(D, s, out=tmp)
-        pc += np.multiply(P, dd, out=tmp)
-        out[1] -= pc
-        out[2] -= pc
 
 
 def evolve(state: GridState, spec: GridSpec, operator: GridOperator) -> GridState:
@@ -331,20 +420,29 @@ def evolve(state: GridState, spec: GridSpec, operator: GridOperator) -> GridStat
 
     H is linear and time independent, so the classical four-stage step is
     sum_{k<=4} (-i dt H)^k psi / k!, evaluated in Horner form:
-    y <- psi, then y <- psi + (-i dt H y) / j for j = 4, 3, 2, 1.
+    y <- psi, then y <- psi + (-i dt H y) / j for j = 4, 3, 2, 1, each
+    stage one :meth:`GridOperator.apply` that alternates between two
+    buffers; the second holds the new state.  The stack first grows to the
+    range of magic components that H reaches from the state's.
     """
-    psi = state.amplitudes
-    y = psi
-    for j in (4, 3, 2, 1):
-        y = operator.apply(y)
-        if j > 1:
-            y *= 1.0 / j
-        y += psi
+    psi, first = state.stack, state.first
+    m = psi.shape[1]
+    lo, hi = operator.closure(first, first + m)
+    if (lo, hi) != (first, first + m):
+        grown = np.zeros((2, hi - lo) + psi.shape[2:])
+        grown[:, first - lo : first - lo + m] = psi
+        psi, first = grown, lo
+    work, y = np.empty_like(psi), np.empty_like(psi)
+    for j, src, dst in ((4, psi, work), (3, work, y), (2, y, work), (1, work, y)):
+        operator.apply(src, psi, j, dst, first)
     before = state.norm2 if state.norm2 is not None else _squared_norm(psi)
     after = _squared_norm(y)
+    step = state.step + 1
     if abs(after - before) > STEP_NORM_DRIFT_LIMIT * max(before, 1e-300):
-        raise NumericalError(f"unstable step: norm drifted by {after - before:.3e} in one step")
-    return GridState(amplitudes=y, norm2=after)
+        raise NumericalError(
+            f"unstable step {step} (dt {spec.dt:.3e}): norm drifted by {after - before:.3e}"
+        )
+    return GridState(stack=y, first=first, norm2=after, step=step)
 
 
 @dataclass(frozen=True)
@@ -362,20 +460,18 @@ class TimeSeries:
 def run(state: GridState, spec: GridSpec, operator: GridOperator) -> tuple[GridState, TimeSeries]:
     """Evolve ``spec.steps`` steps recording <z> and the norm at every step.
 
-    Both come from one |psi|^2 pass per step: the squared real and imaginary
-    parts, summed over spin and contracted against (1, z) per part.
+    Both come from one |psi|^2 pass per step, contracted against (1, z).
     """
-    z = np.repeat(spec.meshes()[2].reshape(-1), 2)
+    z = spec.meshes()[2].reshape(-1)
     weights = np.stack([np.ones_like(z), z])
 
-    def observe(psi: np.ndarray) -> np.ndarray:
-        parts = psi.reshape(4, -1).view(np.float64)
-        return weights @ np.einsum("ck,ck->k", parts, parts)
+    def observe(state: GridState) -> np.ndarray:
+        return weights @ state.density().reshape(-1)
 
-    rows = [observe(state.amplitudes)]
+    rows = [observe(state)]
     for _ in range(spec.steps):
         state = evolve(state, spec, operator)
-        rows.append(observe(state.amplitudes))
+        rows.append(observe(state))
     norms, zs = np.array(rows).T
     ts = np.arange(spec.steps + 1) * spec.dt
     return state, TimeSeries(t=ts, z_expect=zs, norm=norms)
@@ -389,12 +485,15 @@ def expect_position(state: GridState, spec: GridSpec) -> np.ndarray:
 
 
 def expect_momentum_z(state: GridState, spec: GridSpec) -> float:
-    """<p_z> with the central-difference stencil conjugate to the Laplacian."""
-    psi = state.amplitudes
-    d = np.zeros_like(psi)
-    d[..., 1:-1] = (psi[..., 2:] - psi[..., :-2]) / (2.0 * spec.dx)
-    val = np.sum(np.conj(psi) * (-1j) * d)
-    return float(val.real) / state.norm() ** 2
+    """<p_z> with the central-difference stencil conjugate to the Laplacian.
+
+    With psi = a + i b per component, Re(psi* (-i d/dz) psi) = a db - b da.
+    """
+    re, im = state.stack
+    d = np.zeros_like(state.stack)
+    d[..., 1:-1] = (state.stack[..., 2:] - state.stack[..., :-2]) / (2.0 * spec.dx)
+    val = np.sum(re * d[1]) - np.sum(im * d[0])
+    return float(val) / state.norm() ** 2
 
 
 def moments_from_state(

@@ -1,6 +1,10 @@
 """CLI contract: outputs, determinism, exit codes, config validation."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -54,6 +58,23 @@ class TestConfig:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"epr": {"sweep_points": 0}}))
         with pytest.raises(ValidationError, match="sweep_points"):
+            cfgmod.load_config(bad)
+
+    @pytest.mark.parametrize(
+        "override, key",
+        [
+            ({"theta": 0.0}, "oracle.theta"),
+            ({"theta": -0.1}, "oracle.theta"),
+            ({"duration": 0.0}, "oracle.duration"),
+            ({"duration": -1.0}, "oracle.duration"),
+            ({"remainder": {"duration": 0.0}}, "oracle.remainder.duration"),
+            ({"remainder": {"duration": -1e-3}}, "oracle.remainder.duration"),
+        ],
+    )
+    def test_nonpositive_oracle_step_inputs_rejected(self, tmp_path, override, key):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"oracle": override}))
+        with pytest.raises(ValidationError, match=rf"^config\.{key}: must be positive$"):
             cfgmod.load_config(bad)
 
     def test_resolved_beta_sign_matches_alpha(self):
@@ -294,6 +315,34 @@ class TestOracleVariants:
                                                   "momentum_kick": 0.0}}})
         )
         assert main(["oracle", "--config", str(over), "--out", str(tmp_path)]) == 2
+
+
+class TestOracleInputErrors:
+    @pytest.mark.parametrize("override", [{"theta": 0.0}, {"duration": -1.0}])
+    def test_exit_code_and_message(self, tmp_path, capsys, override):
+        over = tmp_path / "cfg.json"
+        over.write_text(json.dumps({"oracle": override}))
+        out = tmp_path / "out"
+        assert main(["oracle", "--config", str(over), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: config.oracle.") and err.endswith(": must be positive\n")
+        assert not out.exists()
+
+
+class TestRemainderStudyScript:
+    def test_packet_outside_box_is_one_line_error(self):
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ)
+        paths = [str(root / "src"), env.get("PYTHONPATH")]
+        env["PYTHONPATH"] = os.pathsep.join(p for p in paths if p)
+        done = subprocess.run(
+            [sys.executable, str(root / "scripts" / "remainder_study.py"), "--points", "16"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert done.returncode == 1
+        assert "Traceback" not in done.stderr
+        assert done.stderr.startswith("error: packet outside box")
+        assert done.stderr.count("\n") == 1
 
 
 class TestDeterminism:

@@ -117,7 +117,7 @@ class TestEvolution:
             spec, gridsim.GridHamiltonian(include_kinetic=False, include_interaction=False)
         )
         out = gridsim.evolve(state, spec, op)
-        assert np.allclose(out.amplitudes, state.amplitudes, atol=1e-15)
+        assert np.allclose(out.stack, state.stack, atol=1e-15)
 
     def test_norm_conserved(self, spec, packet, uu):
         state = gridsim.initialize(packet, uu, spec)
@@ -159,6 +159,21 @@ class TestEvolution:
             for _ in range(spec.steps):
                 state = gridsim.evolve(state, spec, op)
 
+    def test_unstable_step_names_step_and_dt(self, uu):
+        probe = small_spec(points=20)
+        spec = gridsim.GridSpec(
+            points_per_axis=20, box_center=(0.0, 0.0, 0.4), box_half_width=0.05,
+            dt=1.95 / gridsim.spectral_radius_bound(probe), steps=5, kinetic_scale=KAPPA,
+        )
+        packet = packets.WavePacket(center=(0.0, 0.0, 0.4), width=0.03)
+        state = gridsim.initialize(packet, uu, spec, edge_ramp_cells=0.51)
+        op = gridsim.GridOperator(spec, gridsim.GridHamiltonian())
+        with pytest.raises(NumericalError) as info:
+            gridsim.run(state, spec, op)
+        message = str(info.value)
+        assert message.startswith("unstable step 1 ")
+        assert f"dt {spec.dt:.3e}" in message
+
     def test_fit_matches_contraction_coarse(self, spec, packet, uu):
         state = gridsim.initialize(packet, uu, spec)
         m = gridsim.moments_from_state(state, spec, dfl.required_tuples_for(uu))
@@ -170,6 +185,7 @@ class TestEvolution:
 
 
 def random_state(rng, n, walls_zero=True):
+    """Random product-basis amplitudes (4, n, n, n), by default zero on the wall layer."""
     psi = rng.normal(size=(4, n, n, n)) + 1j * rng.normal(size=(4, n, n, n))
     if walls_zero:
         psi[:, [0, -1]] = 0.0
@@ -178,12 +194,28 @@ def random_state(rng, n, walls_zero=True):
     return psi
 
 
-def wall_layer(amplitudes):
+def wall_layer(stack):
     return np.concatenate([
-        amplitudes[:, [0, -1]].ravel(),
-        amplitudes[:, :, [0, -1]].ravel(),
-        amplitudes[:, :, :, [0, -1]].ravel(),
+        stack[..., [0, -1], :, :].ravel(),
+        stack[..., :, [0, -1], :].ravel(),
+        stack[..., :, :, [0, -1]].ravel(),
     ])
+
+
+U = gridsim.MAGIC_BASIS
+
+
+def magic_state(psi):
+    """All four magic components of product-basis amplitudes (4, n, n, n)."""
+    coef = np.tensordot(U.conj().T, psi, axes=1)
+    return gridsim.GridState(np.stack([coef.real, coef.imag]))
+
+
+def step_map(operator, psi):
+    """-i dt H psi in the product basis, through one stage with a zero psi term."""
+    y = magic_state(psi).stack
+    out = operator.apply(y, np.zeros_like(y), 1, np.empty_like(y))
+    return gridsim.GridState(out).amplitudes()
 
 
 def dense_hamiltonian_apply(spec, ham, psi):
@@ -200,32 +232,65 @@ def dense_hamiltonian_apply(spec, ham, psi):
     for i, x in enumerate(ax):
         for j, y in enumerate(ay):
             for k, z in enumerate(az):
-                V[i, j, k] += ham.coupling_scale * coupling.at(x, y, z) / spec.kinetic_scale
+                if ham.include_interaction:
+                    V[i, j, k] += ham.coupling_scale * coupling.at(x, y, z) / spec.kinetic_scale
     u = np.moveaxis(psi, 0, -1)
     lap = -6.0 * u
     lap[1:-1] += u[2:] + u[:-2]
     lap[:, 1:-1] += u[:, 2:] + u[:, :-2]
     lap[:, :, 1:-1] += u[:, :, 2:] + u[:, :, :-2]
-    out = (-spec.kinetic_scale / 2.0) * lap / spec.dx**2 + np.einsum("xyzab,xyzb->xyza", V, u)
+    kinetic = spec.kinetic_scale if ham.include_kinetic else 0.0
+    out = (-kinetic / 2.0) * lap / spec.dx**2 + np.einsum("xyzab,xyzb->xyza", V, u)
     return np.moveaxis(out, -1, 0)
+
+
+SMALL_PACKET = packets.WavePacket(center=(0.0, 0.0, 0.4), width=0.03)
+
+
+def run_pair(spec, ham, spin):
+    """(final state, series) from the minimal state and from all four magic components."""
+    state = gridsim.initialize(SMALL_PACKET, spin, spec, momentum_z=2.0, edge_ramp_cells=2.0)
+    full = np.zeros((2, 4) + state.stack.shape[2:])
+    full[:, state.first : state.first + state.stack.shape[1]] = state.stack
+    op = gridsim.GridOperator(spec, ham)
+    return gridsim.run(state, spec, op), gridsim.run(gridsim.GridState(full), spec, op)
 
 
 class TestStructuredKernel:
     @pytest.mark.parametrize("sign", [1, -1])
     @pytest.mark.parametrize("scale", [1.0, 2.5])
     def test_coupling_fields_match_pointwise_operator(self, rng, sign, scale):
-        pts = rng.uniform(-1.0, 1.0, size=(40, 3))
-        pts = pts[np.linalg.norm(pts, axis=1) > 0.2]
-        ham = gridsim.GridHamiltonian(coupling_sign=sign, coupling_scale=scale)
-        D, P, Q = gridsim.coupling_fields(*pts.T, ham, KAPPA)
+        """In the magic basis the coupling is real, zero on the singlet and
+        g/2 (delta - 3 n n) on the triplet; the operator's fields rebuild it."""
+        assert np.allclose(U.conj().T @ U, np.eye(4), atol=1e-15)
         field = fields.interaction_hamiltonian(sign)
-        for (x, y, z), d, p, q in zip(pts, D, P, Q):
-            pc, qc = np.conj(p), np.conj(q)
-            structured = np.array([
-                [d, p, p, q], [pc, -d, -d, -p], [pc, -d, -d, -p], [qc, -pc, -pc, d]
-            ])
-            ref = scale * field.at(x, y, z) / KAPPA
-            assert np.max(np.abs(structured - ref)) <= 1e-13 * np.max(np.abs(ref))
+        pts = rng.uniform(-1.0, 1.0, size=(40, 3))
+        for p in pts[np.linalg.norm(pts, axis=1) > 0.2]:
+            ref = scale * field.at(*p) / KAPPA
+            magic = U.conj().T @ ref @ U
+            r = np.linalg.norm(p)
+            g = -sign * scale / (4.0 * np.pi * r**3 * KAPPA)
+            tensor = 0.5 * g * (np.eye(3) - 3.0 * np.outer(p, p) / r**2)
+            tol = 1e-14 * np.max(np.abs(ref))
+            assert np.max(np.abs(magic.imag)) <= tol
+            assert np.max(np.abs(magic[3])) <= tol and np.max(np.abs(magic[:, 3])) <= tol
+            assert np.max(np.abs(magic[:3, :3] - tensor)) <= tol
+        spec = small_spec(points=8)
+        op = gridsim.GridOperator(
+            spec, gridsim.GridHamiltonian(coupling_sign=sign, coupling_scale=scale)
+        )
+        unit = -KAPPA / (2.0 * spec.dx**2)
+        laplacian_diag = 3.0 * KAPPA / spec.dx**2
+        G = unit * op.potential[0] - laplacian_diag
+        q = op.potential[1:] * math.sqrt(abs(unit))
+        X, Y, Z = (m.reshape(-1) for m in spec.meshes())
+        for i in rng.choice(X.size, size=20, replace=False):
+            ref = U.conj().T @ (scale * field.at(X[i], Y[i], Z[i]) / KAPPA) @ U
+            sigma = -sign * np.sign(scale)
+            rebuilt = G[i] * np.eye(3) - sigma * np.outer(q[:, i], q[:, i])
+            # G shares a float with the Laplacian diagonal: rounding is relative to that
+            tol = 1e-15 * laplacian_diag + 1e-14 * np.max(np.abs(ref))
+            assert np.max(np.abs(rebuilt - ref[:3, :3].real)) <= tol
 
     @pytest.fixture(scope="class")
     def full_operator(self):
@@ -236,23 +301,73 @@ class TestStructuredKernel:
         return gridsim.GridOperator(spec, ham)
 
     def test_apply_matches_dense_reference(self, rng, full_operator):
+        """zeeman_particle != zeeman_loop: all four magic components are live."""
         spec = full_operator.spec
         psi = random_state(rng, spec.points_per_axis)
         ref = -1j * spec.dt * dense_hamiltonian_apply(spec, full_operator.ham, psi)
-        got = full_operator.apply(psi)
+        got = step_map(full_operator, psi)
         assert got.shape == psi.shape
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
+    @pytest.mark.parametrize(
+        "ham",
+        [
+            gridsim.GridHamiltonian(include_interaction=False, zeeman_particle=5.0, zeeman_loop=3.0),
+            gridsim.GridHamiltonian(include_kinetic=False, coupling_scale=2.0, zeeman_particle=1.0),
+        ],
+    )
+    def test_other_terms_match_dense_reference(self, rng, ham):
+        """Without coupling (components in one block) and without kinetic term."""
+        spec = small_spec(points=12)
+        psi = random_state(rng, spec.points_per_axis)
+        ref = -1j * spec.dt * dense_hamiltonian_apply(spec, ham, psi)
+        got = step_map(gridsim.GridOperator(spec, ham), psi)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_apply_adds_psi_over_j(self, rng, full_operator):
+        n = full_operator.spec.points_per_axis
+        y, psi = (magic_state(random_state(rng, n)).stack for _ in range(2))
+        zero = np.zeros_like(y)
+        h = full_operator.apply(y, zero, 1, np.empty_like(y))
+        got = full_operator.apply(y, psi, 3, np.empty_like(y))
+        assert np.max(np.abs(got - (psi + h / 3))) <= 1e-15 * np.max(np.abs(psi))
+
+    def test_block_layout_does_not_change_apply(self, rng, full_operator, monkeypatch):
+        """One component per block (the 32^3 layout) gives the same bits."""
+        spec = full_operator.spec
+        y = magic_state(random_state(rng, spec.points_per_axis)).stack
+        psi = magic_state(random_state(rng, spec.points_per_axis)).stack
+        grouped = full_operator.apply(y, psi, 2, np.empty_like(y))
+        monkeypatch.setattr(gridsim, "_BLOCK_CELLS", 1)
+        single = gridsim.GridOperator(spec, full_operator.ham)
+        assert single._blocks[0, 4] == [(0, 1), (1, 2), (2, 3), (3, 4)]
+        assert np.array_equal(single.apply(y, psi, 2, np.empty_like(y)), grouped)
+
     def test_apply_holds_walls_at_zero(self, rng, full_operator):
-        psi = random_state(rng, full_operator.spec.points_per_axis, walls_zero=False)
-        assert np.all(wall_layer(full_operator.apply(psi)) == 0.0)
+        """The flat offset sums spill onto the walls and y is nonzero there;
+        every term of H y, Zeeman mixes included, must be cleared on them."""
+        n = full_operator.spec.points_per_axis
+        y = magic_state(random_state(rng, n, walls_zero=False)).stack
+        out = np.full_like(y, np.nan)
+        assert np.all(wall_layer(full_operator.apply(y, np.zeros_like(y), 1, out)) == 0.0)
+
+    def test_apply_refuses_open_component_range(self, rng, full_operator):
+        y = magic_state(random_state(rng, full_operator.spec.points_per_axis)).stack[:, :3]
+        with pytest.raises(ValidationError, match="couples magic components"):
+            full_operator.apply(y, y, 1, np.empty_like(y))
+
+    @pytest.mark.parametrize("j", [0, 5, 2.5])
+    def test_apply_refuses_stage_outside_rk4(self, rng, full_operator, j):
+        y = magic_state(random_state(rng, full_operator.spec.points_per_axis)).stack
+        with pytest.raises(ValidationError, match="RK4 stage"):
+            full_operator.apply(y, y, j, np.empty_like(y))
 
     def test_hermitian(self, rng, full_operator):
         n, dt = full_operator.spec.points_per_axis, full_operator.spec.dt
         phi, psi = random_state(rng, n), random_state(rng, n)
 
         def H(v):
-            return full_operator.apply(v) / (-1j * dt)
+            return step_map(full_operator, v) / (-1j * dt)
 
         lhs = np.vdot(phi, H(psi))
         rhs = np.conj(np.vdot(psi, H(phi)))
@@ -265,15 +380,53 @@ class TestStructuredKernel:
         psi /= np.linalg.norm(psi)
 
         def f(v):
-            return -1j * (full_operator.apply(v) / (-1j * dt))
+            return -1j * (step_map(full_operator, v) / (-1j * dt))
 
         k1 = f(psi)
         k2 = f(psi + 0.5 * dt * k1)
         k3 = f(psi + 0.5 * dt * k2)
         k4 = f(psi + dt * k3)
         ref = psi + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        got = gridsim.evolve(gridsim.GridState(psi), spec, full_operator).amplitudes
+        got = gridsim.evolve(magic_state(psi), spec, full_operator).amplitudes()
         assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(psi))
+
+    @pytest.mark.parametrize(
+        "spin, ham, first, live",
+        [
+            (("up", "up"), gridsim.GridHamiltonian(), 0, 3),
+            (("down", "down"), gridsim.GridHamiltonian(coupling_sign=-1), 0, 3),
+            (("up", "up"), gridsim.GridHamiltonian(
+                include_interaction=False, zeeman_particle=5.0, zeeman_loop=3.0), 0, 2),
+            (("up", "down"), gridsim.GridHamiltonian(include_interaction=False), 2, 2),
+            (("up", "down"), gridsim.GridHamiltonian(
+                include_interaction=False, zeeman_particle=5.0, zeeman_loop=3.0), 2, 2),
+            (("up", "up"), gridsim.GridHamiltonian(zeeman_particle=5.0, zeeman_loop=3.0), 0, 4),
+        ],
+    )
+    def test_fewer_live_components_equal_all_four(self, spin, ham, first, live):
+        """Components the Hamiltonian cannot reach stay exactly zero, so the
+        run on the live range equals the run on all four magic components."""
+        spec = small_spec(points=16, steps=20)
+        (final, series), (final4, series4) = run_pair(spec, ham, spins.basis_state(*spin))
+        assert (final.first, final.stack.shape[1]) == (first, live)
+        assert np.max(np.abs(series.z_expect - series4.z_expect)) <= 1e-15
+        assert np.max(np.abs(series.norm - series4.norm)) <= 1e-15
+        rest = np.delete(final4.stack, range(first, first + live), axis=1)
+        assert np.all(rest == 0.0)
+
+    def test_up_down_start_evolves_singlet_freely(self):
+        """The coupling has no singlet row or column: S of an up-down start
+        under coupling evolves as under the kinetic term alone, bit for bit."""
+        spec = small_spec(points=16, steps=20)
+        ud = spins.basis_state("up", "down")
+        state = gridsim.initialize(SMALL_PACKET, ud, spec, momentum_z=2.0, edge_ramp_cells=2.0)
+        assert (state.first, state.stack.shape[1]) == (2, 2)
+        coupled, _ = gridsim.run(state, spec, gridsim.GridOperator(spec, gridsim.GridHamiltonian()))
+        free_ham = gridsim.GridHamiltonian(include_interaction=False)
+        free, _ = gridsim.run(state, spec, gridsim.GridOperator(spec, free_ham))
+        assert (coupled.first, coupled.stack.shape[1]) == (0, 4)
+        assert np.array_equal(coupled.stack[:, 3], free.stack[:, 1])
+        assert np.any(coupled.stack[:, :2] != 0.0)
 
     def test_walls_stay_zero_on_preset_run(self, preset_cfg, preset_kappa):
         """The wall layer is a fixed Dirichlet ghost: the simulated box is
@@ -299,8 +452,9 @@ class TestStructuredKernel:
             zeeman_particle=o["zeeman"][0], zeeman_loop=o["zeeman"][1],
         )
         final, _ = gridsim.run(state, spec, gridsim.GridOperator(spec, ham))
-        assert np.all(wall_layer(final.amplitudes) == 0.0)
-        assert np.any(final.amplitudes[:, 1:-1, 1:-1, 1:-1] != 0.0)
+        assert final.stack.shape[1] == 4
+        assert np.all(wall_layer(final.stack) == 0.0)
+        assert np.any(final.stack[..., 1:-1, 1:-1, 1:-1] != 0.0)
 
 
 class TestFitAcceleration:
