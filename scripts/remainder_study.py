@@ -10,7 +10,6 @@ Usage:  python scripts/remainder_study.py [--points N] [--csv PATH]
 """
 
 import argparse
-import math
 import sys
 
 import numpy as np
@@ -23,16 +22,8 @@ def run_study(points: int, kappa: float, kicks, windows) -> list[tuple]:
     rows = []
     uu = spins.basis_state("up", "up")
     packet = packets.WavePacket(center=(0.0, 0.0, 0.4), width=0.03)
+    spec = gridsim.Grid(points, (0.0, 0.0, 0.4), 0.05, kappa).stepped(duration=max(windows))
     for kick in kicks:
-        probe = gridsim.GridSpec(
-            points_per_axis=points, box_center=(0.0, 0.0, 0.4), box_half_width=0.05,
-            dt=1e-30, steps=1, kinetic_scale=kappa,
-        )
-        dt = gridsim.stable_dt(probe)
-        spec = gridsim.GridSpec(
-            points_per_axis=points, box_center=(0.0, 0.0, 0.4), box_half_width=0.05,
-            dt=dt, steps=int(math.ceil(max(windows) / dt)), kinetic_scale=kappa,
-        )
         state = gridsim.initialize(packet, uu, spec, momentum_z=kick, edge_ramp_cells=4.0)
         _, series = gridsim.run(state, spec, gridsim.GridOperator(spec, gridsim.GridHamiltonian()))
         residuals = gridsim.remainder_residuals(series, windows)

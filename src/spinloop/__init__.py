@@ -43,10 +43,12 @@ from .deflection import (
     spin_correlators,
 )
 from .gridsim import (
+    Grid,
     GridHamiltonian,
     GridOperator,
     GridSpec,
     GridState,
+    OracleResult,
     TimeSeries,
     canonical_commutator_residual,
     evolve,
@@ -56,6 +58,7 @@ from .gridsim import (
     initialize,
     remainder_scaling,
     run,
+    run_oracle,
 )
 from .trajectory import DeflectionEstimate, estimate, separation_vs_packet
 from .epr import EPRScenario, JointDistribution, conditional, correlation_sweep, joint_distribution

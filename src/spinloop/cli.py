@@ -188,147 +188,64 @@ def cmd_epr(cfg: dict, out_dir: Path) -> int:
 # oracle: grid evolution versus the perturbative prediction
 # ----------------------------------------------------------------------
 
-def _grid_spec(o: dict, kappa: float, duration: float) -> gridsim.GridSpec:
-    probe = gridsim.GridSpec(
-        points_per_axis=o["points"],
-        box_center=tuple(o["center"]),
-        box_half_width=o["half_width"],
-        dt=1e-30,
-        steps=1,
-        kinetic_scale=kappa,
-    )
-    dt = gridsim.stable_dt(probe, theta=o["theta"])
-    steps = max(int(math.ceil(duration / dt)), 8)
-    return gridsim.GridSpec(
-        points_per_axis=o["points"],
-        box_center=tuple(o["center"]),
-        box_half_width=o["half_width"],
-        dt=dt,
-        steps=steps,
-        kinetic_scale=kappa,
-    )
-
-
-def _fit_run(
-    spec: gridsim.GridSpec,
-    ham: gridsim.GridHamiltonian,
-    packet: packets.WavePacket,
-    spin_state: np.ndarray,
-    kick: float,
-    ramp_cells: float,
-):
-    state = gridsim.initialize(packet, spin_state, spec, momentum_z=kick, edge_ramp_cells=ramp_cells)
-    p0 = gridsim.expect_momentum_z(state, spec)
-    operator = gridsim.GridOperator(spec, ham)
-    _, series = gridsim.run(state, spec, operator)
-    fit = gridsim.fit_acceleration(series.t, series.z_expect)
-    return state, series, fit, p0
-
-
 def cmd_oracle(cfg: dict, out_dir: Path) -> int:
     o = cfg["oracle"]
-    params = cfgmod.build_params(cfg)
-    kappa = cfgmod.build_kinetic_scale(cfg)
-    sign = params.coupling_sign
-    spin_state = spins.basis_state("up", "up")
-    variant = o["variant"]
-    if variant not in ("full", "pure-zeeman", "free"):
-        raise ValidationError(f"unknown oracle variant {variant!r}")
-
-    spec = _grid_spec(o, kappa, o["duration"])
-    packet = packets.WavePacket(center=tuple(o["center"]), width=o["packet_width"])
-
-    if variant != "full":
-        ham = gridsim.GridHamiltonian(
-            include_interaction=False,
-            coupling_sign=sign,
-            zeeman_particle=o["zeeman"][0] if variant == "pure-zeeman" else 0.0,
-            zeeman_loop=o["zeeman"][1] if variant == "pure-zeeman" else 0.0,
-        )
-        _, series, fit, p0 = _fit_run(
-            spec, ham, packet, spin_state, o["momentum_kick"], o["edge_ramp_cells"]
-        )
-        report = {
-            "variant": variant,
-            "fit": fit.__dict__,
-            "initial_momentum": p0,
-            "norm_drift": series.max_norm_drift(),
-            "grid": {"points": o["points"], "dt": spec.dt, "steps": spec.steps},
-        }
-        _write(out_dir, "oracle_series.csv", gridsim.series_csv(series))
-        _write_json(out_dir, "oracle_report.json", report)
-        print(f"oracle[{variant}]: fitted a = {fit.a:.3e} (expect ~0), norm drift "
-              f"{series.max_norm_drift():.2e}")
-        return 0
-
-    # Main run: fit against the perturbative contraction.
-    ham = gridsim.GridHamiltonian(coupling_sign=sign)
-    state0, series, fit, p0 = _fit_run(
-        spec, ham, packet, spin_state, o["momentum_kick"], o["edge_ramp_cells"]
-    )
-    grid_moments = gridsim.moments_from_state(state0, spec, dfl.required_tuples_for(spin_state))
-    a_grid = dfl.contract_force(spin_state, grid_moments, coupling_sign=sign).a_z
-    quad_moments = packets.moments(packet, dfl.required_tuples_for(spin_state))
-    a_quad = dfl.contract_force(spin_state, quad_moments, coupling_sign=sign).a_z
-
-    # Zeeman run: a uniform field must not change the fitted acceleration.
-    ham_b = gridsim.GridHamiltonian(
-        coupling_sign=sign, zeeman_particle=o["zeeman"][0], zeeman_loop=o["zeeman"][1]
-    )
-    _, _, fit_b, _ = _fit_run(spec, ham_b, packet, spin_state, o["momentum_kick"], o["edge_ramp_cells"])
-
-    # Remainder run: heavy-slow regime resolving the cubic term.
-    r = o["remainder"]
-    spec_r = _grid_spec(o, r["kinetic_scale"], r["duration"])
-    packet_r = packets.WavePacket(center=tuple(o["center"]), width=r["packet_width"])
-    state_r = gridsim.initialize(
-        packet_r, spin_state, spec_r, momentum_z=r["momentum_kick"],
-        edge_ramp_cells=r["edge_ramp_cells"],
-    )
-    operator_r = gridsim.GridOperator(spec_r, gridsim.GridHamiltonian(coupling_sign=sign))
-    _, series_r = gridsim.run(state_r, spec_r, operator_r)
-    exponent = gridsim.remainder_scaling(series_r, r["windows"])
-    residuals = gridsim.remainder_residuals(series_r, r["windows"])
-
+    result = gridsim.run_oracle(cfg)
+    spec, series, fit = result.spec, result.series, result.fit
+    p0 = gridsim.expect_momentum_z(result.initial, spec)
+    drift = series.max_norm_drift()
     report = {
-        "variant": "full",
+        "variant": result.variant,
         "fit": fit.__dict__,
-        "bch": {"a_from_grid_density": a_grid, "a_from_quadrature": a_quad},
-        "relative_error": abs(fit.a - a_grid) / abs(a_grid),
-        "velocity": {
-            "initial_momentum": p0,
-            "kappa_times_p0": kappa * p0,
-            "fitted_v0": fit.v0,
-            "difference": abs(fit.v0 - kappa * p0),
-        },
-        "zeeman": {
-            "strengths": o["zeeman"],
-            "fitted_a": fit_b.a,
-            "shift": abs(fit_b.a - fit.a),
-            "sigma_a": fit.sigma_a,
-        },
-        "remainder": {
-            "windows": list(r["windows"]),
-            "residuals": residuals,
-            "exponent": exponent,
-            "norm_drift": series_r.max_norm_drift(),
-        },
-        "norm_drift": series.max_norm_drift(),
-        "grid": {
-            "points": o["points"],
-            "half_width": o["half_width"],
-            "dt": spec.dt,
-            "steps": spec.steps,
-            "kinetic_scale": kappa,
-        },
+        "norm_drift": drift,
+        "grid": {"points": o["points"], "dt": spec.dt, "steps": spec.steps},
     }
+    if result.variant != "full":
+        report["initial_momentum"] = p0
+        summary = (f"oracle[{result.variant}]: fitted a = {fit.a:.3e} (expect ~0), "
+                   f"norm drift {drift:.2e}")
+    else:
+        # the fit against the contraction of the grid density's and the nominal packet's moments
+        sign = cfgmod.build_params(cfg).coupling_sign
+        uu = spins.basis_state("up", "up")
+        tuples = dfl.required_tuples_for(uu)
+        grid_moments = gridsim.moments_from_state(result.initial, spec, tuples)
+        a_grid = dfl.contract_force(uu, grid_moments, coupling_sign=sign).a_z
+        packet = packets.WavePacket(center=tuple(o["center"]), width=o["packet_width"])
+        a_quad = dfl.contract_force(uu, packets.moments(packet, tuples), coupling_sign=sign).a_z
+        r, series_r, kappa = o["remainder"], result.remainder_series, spec.kinetic_scale
+        exponent = gridsim.remainder_scaling(series_r, r["windows"])
+        report["grid"].update(half_width=o["half_width"], kinetic_scale=kappa)
+        report.update({
+            "bch": {"a_from_grid_density": a_grid, "a_from_quadrature": a_quad},
+            "relative_error": abs(fit.a - a_grid) / abs(a_grid),
+            "velocity": {
+                "initial_momentum": p0,
+                "kappa_times_p0": kappa * p0,
+                "fitted_v0": fit.v0,
+                "difference": abs(fit.v0 - kappa * p0),
+            },
+            "zeeman": {
+                "strengths": o["zeeman"],
+                "fitted_a": result.zeeman_fit.a,
+                "shift": abs(result.zeeman_fit.a - fit.a),
+                "sigma_a": fit.sigma_a,
+            },
+            "remainder": {
+                "windows": list(r["windows"]),
+                "residuals": gridsim.remainder_residuals(series_r, r["windows"]),
+                "exponent": exponent,
+                "norm_drift": series_r.max_norm_drift(),
+            },
+        })
+        summary = (
+            f"oracle: fitted a={fit.a:.5g} vs contraction {a_grid:.5g} "
+            f"({100 * report['relative_error']:.2f}%), remainder exponent {exponent:.2f}, "
+            f"norm drift {drift:.2e}"
+        )
     _write(out_dir, "oracle_series.csv", gridsim.series_csv(series))
     _write_json(out_dir, "oracle_report.json", report)
-    print(
-        f"oracle: fitted a={fit.a:.5g} vs contraction {a_grid:.5g} "
-        f"({100 * report['relative_error']:.2f}%), remainder exponent {exponent:.2f}, "
-        f"norm drift {series.max_norm_drift():.2e}"
-    )
+    print(summary)
     return 0
 
 
@@ -412,14 +329,7 @@ def _selftest_checks(cfg: dict) -> list[tuple[str, bool, str]]:
 
     # small grid smoke: norm conservation and coarse agreement
     kappa = cfgmod.build_kinetic_scale(cfg)
-    probe = gridsim.GridSpec(
-        points_per_axis=20, box_center=(0.0, 0.0, 0.4), box_half_width=0.05,
-        dt=1e-30, steps=1, kinetic_scale=kappa,
-    )
-    spec = gridsim.GridSpec(
-        points_per_axis=20, box_center=(0.0, 0.0, 0.4), box_half_width=0.05,
-        dt=gridsim.stable_dt(probe), steps=120, kinetic_scale=kappa,
-    )
+    spec = gridsim.Grid(20, (0.0, 0.0, 0.4), 0.05, kappa).stepped(steps=120)
     state = gridsim.initialize(
         packets.WavePacket(center=(0.0, 0.0, 0.4), width=0.045),
         uu, spec, edge_ramp_cells=2.0,

@@ -38,11 +38,12 @@ as-initialized discrete density (same packet on both sides).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, Sequence
 
 import numpy as np
 
+from . import config, spins
 from .deflection import MomentKey
 from .errors import NumericalError, ValidationError
 from .packets import WavePacket
@@ -69,35 +70,38 @@ STEP_NORM_DRIFT_LIMIT = 1e-6
 _BLOCK_CELLS = 32**3
 
 
+# Bytes per cell for the size guard: operator fields and build temporaries
+# (20 rows) and five stacks of 2 x 4 rows (initial, current and grown states,
+# two RK4 buffers).  One 4-component run peaks at ~330 bytes per cell.
+_CELL_BYTES = 8 * (20 + 5 * 8)
+GRID_BYTES_BUDGET = 2 * 2**30
+
+
 @dataclass(frozen=True)
-class GridSpec:
-    """Geometry and stepping of the evolution grid."""
+class Grid:
+    """Geometry of the evolution grid: n^3 points over a cube around
+    ``box_center``, and the kinetic scale that sets its spectral radius."""
 
     points_per_axis: int
     box_center: tuple[float, float, float]
     box_half_width: float
-    dt: float
-    steps: int
     kinetic_scale: float
 
     def __post_init__(self):
         if self.points_per_axis < 8:
             raise ValidationError("grid needs at least 8 points per axis")
+        need = _CELL_BYTES * self.points_per_axis**3
+        if need > GRID_BYTES_BUDGET:
+            raise ValidationError(
+                f"grid of {self.points_per_axis}^3 points needs ~{need / 2**30:.3g} GiB, "
+                f"over the {GRID_BYTES_BUDGET / 2**30:g} GiB budget"
+            )
         if self.box_half_width <= 0:
             raise ValidationError("box half width must be positive")
         if self.kinetic_scale <= 0:
             raise ValidationError("kinetic scale must be positive")
-        if self.steps < 1:
-            raise ValidationError("steps must be >= 1")
         if self.min_radius() <= 0:
             raise ValidationError("grid box must exclude the dipole at the origin")
-        if self.dt <= 0:
-            raise ValidationError("dt must be positive")
-        bound = spectral_radius_bound(self)
-        if self.dt * bound > RK4_STABILITY_LIMIT:
-            raise ValidationError(
-                f"dt {self.dt} exceeds the RK4 stability bound {RK4_STABILITY_LIMIT / bound:.3e}"
-            )
 
     @property
     def dx(self) -> float:
@@ -113,6 +117,34 @@ class GridSpec:
     def meshes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         ax, ay, az = self.axes()
         return np.meshgrid(ax, ay, az, indexing="ij")
+
+    def stepped(
+        self, theta: float = DEFAULT_THETA, duration: float = 0.0, steps: int = 8
+    ) -> GridSpec:
+        """This grid at dt = stable_dt(theta), for max(ceil(duration / dt), steps) steps."""
+        dt = stable_dt(self, theta)
+        geometry = {f.name: getattr(self, f.name) for f in fields(Grid)}
+        return GridSpec(**geometry, dt=dt, steps=max(math.ceil(duration / dt), steps))
+
+
+@dataclass(frozen=True)
+class GridSpec(Grid):
+    """A grid with its RK4 stepping: ``steps`` steps of size ``dt``."""
+
+    dt: float
+    steps: int
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.steps < 1:
+            raise ValidationError("steps must be >= 1")
+        if self.dt <= 0:
+            raise ValidationError("dt must be positive")
+        bound = spectral_radius_bound(self)
+        if self.dt * bound > RK4_STABILITY_LIMIT:
+            raise ValidationError(
+                f"dt {self.dt} exceeds the RK4 stability bound {RK4_STABILITY_LIMIT / bound:.3e}"
+            )
 
 
 @dataclass(frozen=True)
@@ -134,27 +166,19 @@ class GridHamiltonian:
     zeeman_loop: float = 0.0
 
 
-def interaction_bound(spec: GridSpec) -> float:
+def interaction_bound(grid: Grid) -> float:
     """Upper bound on the dimensionless coupling norm over the box."""
-    r_min = spec.min_radius()
-    return (3.0 / 2.0) / (4.0 * np.pi * r_min**3) / spec.kinetic_scale
+    return (3.0 / 2.0) / (4.0 * np.pi * grid.min_radius() ** 3) / grid.kinetic_scale
 
 
-def spectral_radius_bound(spec: GridSpec, ham: GridHamiltonian | None = None) -> float:
-    """Conservative spectral-radius estimate of the discrete Hamiltonian."""
-    kinetic = spec.kinetic_scale / 2.0 * 12.0 / spec.dx**2
-    potential = interaction_bound(spec)
-    if ham is not None:
-        if not ham.include_kinetic:
-            kinetic = 0.0
-        potential = potential * abs(ham.coupling_scale) if ham.include_interaction else 0.0
-        potential += 0.5 * (abs(ham.zeeman_particle) + abs(ham.zeeman_loop))
-    return kinetic + potential
+def spectral_radius_bound(grid: Grid) -> float:
+    """Conservative spectral-radius estimate of the kinetic term plus the coupling."""
+    return grid.kinetic_scale / 2.0 * 12.0 / grid.dx**2 + interaction_bound(grid)
 
 
-def stable_dt(spec_like: GridSpec, theta: float = DEFAULT_THETA) -> float:
+def stable_dt(grid: Grid, theta: float = DEFAULT_THETA) -> float:
     """Time step with |lambda| dt = theta against the spectral-radius bound."""
-    return theta / spectral_radius_bound(spec_like)
+    return theta / spectral_radius_bound(grid)
 
 
 @dataclass
@@ -216,7 +240,7 @@ def _edge_profile(coords: np.ndarray, center: float, width: float, ramp: float) 
 def initialize(
     packet: WavePacket,
     spin: np.ndarray,
-    spec: GridSpec,
+    grid: Grid,
     momentum_z: float = 0.0,
     edge_ramp_cells: float = 3.0,
 ) -> GridState:
@@ -234,13 +258,13 @@ def initialize(
         raise ValidationError("grid initialization needs a pure 4-component spin state")
     if edge_ramp_cells <= 0:
         raise ValidationError("edge_ramp_cells must be positive")
-    ramp = edge_ramp_cells * spec.dx
+    ramp = edge_ramp_cells * grid.dx
     extent = packet.width / 2.0 + ramp
-    margin = 2.0 * spec.dx
+    margin = 2.0 * grid.dx
     for i in range(3):
-        if abs(packet.center[i] - spec.box_center[i]) + extent > spec.box_half_width - margin:
+        if abs(packet.center[i] - grid.box_center[i]) + extent > grid.box_half_width - margin:
             raise ValidationError("packet outside box (needs >= 2 cells of margin)")
-    ax, ay, az = spec.axes()
+    ax, ay, az = grid.axes()
     prof = (
         _edge_profile(ax, packet.center[0], packet.width, ramp)[:, None, None]
         * _edge_profile(ay, packet.center[1], packet.width, ramp)[None, :, None]
@@ -477,33 +501,33 @@ def run(state: GridState, spec: GridSpec, operator: GridOperator) -> tuple[GridS
     return state, TimeSeries(t=ts, z_expect=zs, norm=norms)
 
 
-def expect_position(state: GridState, spec: GridSpec) -> np.ndarray:
+def expect_position(state: GridState, grid: Grid) -> np.ndarray:
     dens = state.density()
     dens = dens / dens.sum()
-    X, Y, Z = spec.meshes()
+    X, Y, Z = grid.meshes()
     return np.array([np.sum(dens * X), np.sum(dens * Y), np.sum(dens * Z)])
 
 
-def expect_momentum_z(state: GridState, spec: GridSpec) -> float:
+def expect_momentum_z(state: GridState, grid: Grid) -> float:
     """<p_z> with the central-difference stencil conjugate to the Laplacian.
 
     With psi = a + i b per component, Re(psi* (-i d/dz) psi) = a db - b da.
     """
     re, im = state.stack
     d = np.zeros_like(state.stack)
-    d[..., 1:-1] = (state.stack[..., 2:] - state.stack[..., :-2]) / (2.0 * spec.dx)
+    d[..., 1:-1] = (state.stack[..., 2:] - state.stack[..., :-2]) / (2.0 * grid.dx)
     val = np.sum(re * d[1]) - np.sum(im * d[0])
     return float(val) / state.norm() ** 2
 
 
 def moments_from_state(
-    state: GridState, spec: GridSpec, tuples: Iterable[MomentKey]
+    state: GridState, grid: Grid, tuples: Iterable[MomentKey]
 ) -> dict[MomentKey, float]:
     """Spatial moments of the as-discretized density, for apples-to-apples
     comparison against the perturbative contraction."""
     dens = state.density()
     dens = dens / dens.sum()
-    X, Y, Z = spec.meshes()
+    X, Y, Z = grid.meshes()
     R = np.sqrt(X * X + Y * Y + Z * Z)
     out = {}
     for a, b, c, n in set(tuples):
@@ -598,6 +622,66 @@ def remainder_scaling(
         )
     slope = np.polyfit(np.log(np.asarray(windows)), np.log(np.asarray(residuals)), 1)[0]
     return float(slope)
+
+
+@dataclass(frozen=True)
+class OracleResult:
+    """The runs of one grid oracle from an up-up packet: the main run (its
+    spec, initial state, series and fit), and for the full variant the
+    Zeeman run from the same state and the unfitted remainder run."""
+
+    variant: str
+    spec: GridSpec
+    initial: GridState
+    series: TimeSeries
+    fit: QuadraticFit
+    zeeman_final: GridState | None = None
+    zeeman_series: TimeSeries | None = None
+    zeeman_fit: QuadraticFit | None = None
+    remainder_series: TimeSeries | None = None
+
+
+def run_oracle(cfg: dict) -> OracleResult:
+    """Run the grid oracle that a validated config's ``oracle`` section sets up.
+
+    The main run is under the coupling for the ``full`` variant, under the
+    Zeeman term alone for ``pure-zeeman`` and free for ``free``.  Every run
+    steps at stable_dt(theta) for max(ceil(duration / dt), 8) steps.
+    """
+    o = cfg["oracle"]
+    if o["variant"] not in ("full", "pure-zeeman", "free"):
+        raise ValidationError(f"unknown oracle variant {o['variant']!r}")
+    sign = config.build_params(cfg).coupling_sign
+    center = tuple(o["center"])
+
+    def start(kappa: float, duration: float, run_cfg: dict) -> tuple[GridSpec, GridState]:
+        spec = Grid(o["points"], center, o["half_width"], kappa).stepped(o["theta"], duration)
+        packet = WavePacket(center=center, width=run_cfg["packet_width"])
+        return spec, initialize(
+            packet, spins.basis_state("up", "up"), spec, momentum_z=run_cfg["momentum_kick"],
+            edge_ramp_cells=run_cfg["edge_ramp_cells"],
+        )
+
+    def fitted(zeeman: Sequence[float], coupled: bool = True):
+        ham = GridHamiltonian(
+            include_interaction=coupled, coupling_sign=sign,
+            zeeman_particle=zeeman[0], zeeman_loop=zeeman[1],
+        )
+        final, series = run(initial, spec, GridOperator(spec, ham))
+        return final, series, fit_acceleration(series.t, series.z_expect)
+
+    spec, initial = start(config.build_kinetic_scale(cfg), o["duration"], o)
+    if o["variant"] != "full":
+        zeeman = o["zeeman"] if o["variant"] == "pure-zeeman" else (0.0, 0.0)
+        return OracleResult(o["variant"], spec, initial, *fitted(zeeman, coupled=False)[1:])
+    # The 4-component Zeeman run sets the peak memory: it runs last, holding no spare state.
+    series, fit = fitted((0.0, 0.0))[1:]
+    r = o["remainder"]  # heavy-slow regime resolving the cubic term
+    spec_r, state_r = start(r["kinetic_scale"], r["duration"], r)
+    series_r = run(state_r, spec_r, GridOperator(spec_r, GridHamiltonian(coupling_sign=sign)))[1]
+    del state_r
+    zeeman_run = fitted(o["zeeman"])  # a uniform field must not change the fit
+    return OracleResult("full", spec, initial, series, fit, *zeeman_run, series_r)
 
 
 def canonical_commutator_residual(

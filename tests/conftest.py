@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from spinloop import config as cfgmod
+from spinloop import gridsim
 
 
 @pytest.fixture(scope="session")
@@ -22,6 +23,12 @@ def preset_units(preset_cfg):
 @pytest.fixture(scope="session")
 def preset_kappa(preset_cfg):
     return cfgmod.build_kinetic_scale(preset_cfg)
+
+
+@pytest.fixture(scope="session")
+def preset_oracle(preset_cfg):
+    """The preset's grid oracle (main, Zeeman and remainder runs), run once per session."""
+    return gridsim.run_oracle(preset_cfg)
 
 
 @pytest.fixture

@@ -123,38 +123,21 @@ def test_criterion_6_si_estimates(preset_cfg, preset_params, preset_units, refer
         assert 1e-9 <= est.interaction_time_s <= 1e-7
 
 
-def test_criterion_7_grid_oracle(preset_cfg, preset_kappa):
+def test_criterion_7_grid_oracle(preset_cfg, preset_kappa, preset_oracle):
     with criterion(7, "Schrodinger grid versus perturbative force", 300.0):
         o = preset_cfg["oracle"]
         assert o["points"] == 32
         sign = cfgmod.build_params(preset_cfg).coupling_sign
         uu = spins.basis_state("up", "up")
 
-        def make_spec(kappa, duration):
-            probe = gridsim.GridSpec(
-                points_per_axis=o["points"], box_center=tuple(o["center"]),
-                box_half_width=o["half_width"], dt=1e-30, steps=1, kinetic_scale=kappa,
-            )
-            dt = gridsim.stable_dt(probe, theta=o["theta"])
-            return gridsim.GridSpec(
-                points_per_axis=o["points"], box_center=tuple(o["center"]),
-                box_half_width=o["half_width"], dt=dt,
-                steps=int(math.ceil(duration / dt)), kinetic_scale=kappa,
-            )
-
         # main run at the reference kinetic scale
-        spec = make_spec(preset_kappa, o["duration"])
+        spec, initial = preset_oracle.spec, preset_oracle.initial
+        series, fit = preset_oracle.series, preset_oracle.fit
+        assert spec.points_per_axis == o["points"] and spec.kinetic_scale == preset_kappa
         packet = packets.WavePacket(center=tuple(o["center"]), width=o["packet_width"])
-        state = gridsim.initialize(
-            packet, uu, spec, momentum_z=o["momentum_kick"],
-            edge_ramp_cells=o["edge_ramp_cells"],
-        )
-        p0 = gridsim.expect_momentum_z(state, spec)
-        moments = gridsim.moments_from_state(state, spec, dfl.required_tuples_for(uu))
+        p0 = gridsim.expect_momentum_z(initial, spec)
+        moments = gridsim.moments_from_state(initial, spec, dfl.required_tuples_for(uu))
         a_pred = dfl.contract_force(uu, moments, coupling_sign=sign).a_z
-        operator = gridsim.GridOperator(spec, gridsim.GridHamiltonian(coupling_sign=sign))
-        _, series = gridsim.run(state, spec, operator)
-        fit = gridsim.fit_acceleration(series.t, series.z_expect)
 
         # (a) fitted acceleration within 5% of the contraction
         rel = abs(fit.a - a_pred) / abs(a_pred)
@@ -172,29 +155,13 @@ def test_criterion_7_grid_oracle(preset_cfg, preset_kappa):
         assert series.max_norm_drift() < 1e-8
 
         # (d) uniform field leaves the fitted acceleration unchanged
-        ham_b = gridsim.GridHamiltonian(
-            coupling_sign=sign, zeeman_particle=o["zeeman"][0], zeeman_loop=o["zeeman"][1]
-        )
-        state_b = gridsim.initialize(
-            packet, uu, spec, momentum_z=o["momentum_kick"],
-            edge_ramp_cells=o["edge_ramp_cells"],
-        )
-        _, series_b = gridsim.run(state_b, spec, gridsim.GridOperator(spec, ham_b))
-        fit_b = gridsim.fit_acceleration(series_b.t, series_b.z_expect)
+        fit_b, series_b = preset_oracle.zeeman_fit, preset_oracle.zeeman_series
         assert abs(fit_b.a - fit.a) <= fit.sigma_a
         assert series_b.max_norm_drift() < 1e-8
 
         # (e) beyond-quadratic remainder scales as t^3
         r = o["remainder"]
-        spec_r = make_spec(r["kinetic_scale"], r["duration"])
-        packet_r = packets.WavePacket(center=tuple(o["center"]), width=r["packet_width"])
-        state_r = gridsim.initialize(
-            packet_r, uu, spec_r, momentum_z=r["momentum_kick"],
-            edge_ramp_cells=r["edge_ramp_cells"],
-        )
-        _, series_r = gridsim.run(
-            state_r, spec_r, gridsim.GridOperator(spec_r, gridsim.GridHamiltonian(coupling_sign=sign))
-        )
+        series_r = preset_oracle.remainder_series
         exponent = gridsim.remainder_scaling(series_r, r["windows"])
         assert exponent == pytest.approx(3.0, abs=0.3), f"remainder exponent {exponent}"
         assert series_r.max_norm_drift() < 1e-8

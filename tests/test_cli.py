@@ -328,20 +328,41 @@ class TestOracleInputErrors:
         assert err.startswith("error: config.oracle.") and err.endswith(": must be positive\n")
         assert not out.exists()
 
+    def test_oversized_grid_exit_code_and_message(self, tmp_path, capsys):
+        over = tmp_path / "cfg.json"
+        over.write_text(json.dumps({"oracle": {"points": 100000}}))
+        out = tmp_path / "out"
+        assert main(["oracle", "--config", str(over), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: grid of 100000^3 points")
+        assert err.endswith("GiB budget\n") and err.count("\n") == 1
+        assert not out.exists()
+
+
+def run_remainder_study(*args):
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    paths = [str(root / "src"), env.get("PYTHONPATH")]
+    env["PYTHONPATH"] = os.pathsep.join(p for p in paths if p)
+    return subprocess.run(
+        [sys.executable, str(root / "scripts" / "remainder_study.py"), *args],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
 
 class TestRemainderStudyScript:
     def test_packet_outside_box_is_one_line_error(self):
-        root = Path(__file__).resolve().parents[1]
-        env = dict(os.environ)
-        paths = [str(root / "src"), env.get("PYTHONPATH")]
-        env["PYTHONPATH"] = os.pathsep.join(p for p in paths if p)
-        done = subprocess.run(
-            [sys.executable, str(root / "scripts" / "remainder_study.py"), "--points", "16"],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
+        done = run_remainder_study("--points", "16")
         assert done.returncode == 1
         assert "Traceback" not in done.stderr
         assert done.stderr.startswith("error: packet outside box")
+        assert done.stderr.count("\n") == 1
+
+    def test_oversized_grid_is_one_line_error(self):
+        done = run_remainder_study("--points", "100000")
+        assert done.returncode == 1
+        assert "Traceback" not in done.stderr
+        assert done.stderr.startswith("error: grid of 100000^3 points")
         assert done.stderr.count("\n") == 1
 
 

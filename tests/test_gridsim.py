@@ -10,22 +10,17 @@ import numpy as np
 import pytest
 
 from spinloop import deflection as dfl
-from spinloop import config as cfgmod
 from spinloop import fields, gridsim, packets, spins
 from spinloop.errors import NumericalError, ValidationError
 
 KAPPA = 0.8773534162632591  # reference kinetic scale
+GEOMETRY = dict(points_per_axis=20, box_center=(0.0, 0.0, 0.4), box_half_width=0.05,
+                kinetic_scale=KAPPA)
+PROBE_DT = np.finfo(float).tiny  # a GridSpec built only to read stable_dt
 
 
 def small_spec(points=20, steps=60, kappa=KAPPA, theta=0.15, half_width=0.05):
-    probe = gridsim.GridSpec(
-        points_per_axis=points, box_center=(0.0, 0.0, 0.4), box_half_width=half_width,
-        dt=1e-30, steps=1, kinetic_scale=kappa,
-    )
-    return gridsim.GridSpec(
-        points_per_axis=points, box_center=(0.0, 0.0, 0.4), box_half_width=half_width,
-        dt=gridsim.stable_dt(probe, theta=theta), steps=steps, kinetic_scale=kappa,
-    )
+    return gridsim.Grid(points, (0.0, 0.0, 0.4), half_width, kappa).stepped(theta, steps=steps)
 
 
 @pytest.fixture(scope="module")
@@ -46,28 +41,75 @@ def uu():
 class TestGridSpec:
     def test_rejects_origin_in_box(self):
         with pytest.raises(ValidationError, match="origin"):
-            gridsim.GridSpec(
-                points_per_axis=16, box_center=(0.0, 0.0, 0.05), box_half_width=0.05,
-                dt=1e-9, steps=1, kinetic_scale=1.0,
-            )
+            gridsim.Grid(16, (0.0, 0.0, 0.05), 0.05, 1.0)
 
     def test_rejects_unstable_dt(self):
-        probe = small_spec()
         with pytest.raises(ValidationError, match="stability"):
-            gridsim.GridSpec(
-                points_per_axis=probe.points_per_axis,
-                box_center=probe.box_center,
-                box_half_width=probe.box_half_width,
-                dt=1000.0 * probe.dt,
-                steps=1,
-                kinetic_scale=probe.kinetic_scale,
-            )
+            gridsim.GridSpec(dt=1000.0 * small_spec().dt, steps=1, **GEOMETRY)
 
     def test_axes_cover_box(self, spec):
         ax, ay, az = spec.axes()
         assert ax[0] == pytest.approx(-spec.box_half_width)
         assert az[0] == pytest.approx(0.4 - spec.box_half_width)
         assert az[-1] == pytest.approx(0.4 + spec.box_half_width)
+
+
+class TestGrid:
+    def test_oversized_grid_rejected(self):
+        """Past the memory budget a grid is refused before any array exists."""
+        with pytest.raises(ValidationError, match=r"grid of 100000\^3 points .* GiB budget"):
+            gridsim.Grid(100000, (0.0, 0.0, 0.4), 0.05, KAPPA)
+
+    def test_stable_dt_ignores_stepping_fields(self):
+        """The benchmark's scan builds GridSpec(dt=<tiny>, steps=1, **geometry)
+        to read stable_dt: that must give the Grid's value bit for bit."""
+        grid = gridsim.Grid(**GEOMETRY)
+        for dt in (PROBE_DT, grid.stepped().dt):
+            spec = gridsim.GridSpec(dt=dt, steps=1, **GEOMETRY)
+            assert gridsim.stable_dt(spec) == gridsim.stable_dt(grid)
+            assert gridsim.stable_dt(spec, theta=0.3) == gridsim.stable_dt(grid, theta=0.3)
+
+    def test_spec_passes_for_its_grid(self, packet, uu):
+        grid = gridsim.Grid(**GEOMETRY)
+        spec = grid.stepped(steps=3)
+        assert isinstance(spec, gridsim.Grid) and spec.stepped(steps=3) == spec
+        state = gridsim.initialize(packet, uu, grid, momentum_z=2.0)
+        keys = dfl.required_tuples_for(uu)
+        for use in (
+            lambda g: (g.dx, g.min_radius(), gridsim.interaction_bound(g),
+                       gridsim.spectral_radius_bound(g)),
+            lambda g: g.meshes(),
+            lambda g: gridsim.initialize(packet, uu, g, momentum_z=2.0).stack,
+            lambda g: gridsim.expect_position(state, g),
+            lambda g: gridsim.expect_momentum_z(state, g),
+            lambda g: list(gridsim.moments_from_state(state, g, keys).values()),
+        ):
+            assert np.array_equal(use(spec), use(grid))
+
+    def test_stepped_covers_duration_with_floor(self):
+        grid = gridsim.Grid(**GEOMETRY)
+        dt = gridsim.stable_dt(grid, theta=0.1)
+        assert grid.stepped(0.1, duration=100.5 * dt).steps == 101
+        assert grid.stepped(0.1, duration=3 * dt).steps == 8
+        assert grid.stepped(0.1, steps=120).steps == 120
+
+    def test_preset_stepping_matches_probe_path(self, preset_cfg, preset_kappa, preset_oracle):
+        """The oracle's main and remainder runs step as the old GridSpec probe path did."""
+        o = preset_cfg["oracle"]
+        r = o["remainder"]
+        series_r = preset_oracle.remainder_series
+        for kappa, duration, dt, steps, expected in (
+            (preset_kappa, o["duration"], preset_oracle.spec.dt, preset_oracle.spec.steps, 169),
+            (r["kinetic_scale"], r["duration"], series_r.t[1], len(series_r.t) - 1, 79),
+        ):
+            probe = gridsim.GridSpec(
+                points_per_axis=o["points"], box_center=tuple(o["center"]),
+                box_half_width=o["half_width"], dt=PROBE_DT, steps=1, kinetic_scale=kappa,
+            )
+            probe_dt = gridsim.stable_dt(probe, theta=o["theta"])
+            assert dt == probe_dt
+            assert steps == max(math.ceil(duration / probe_dt), 8)
+            assert steps == math.ceil(duration / probe_dt) == expected
 
 
 class TestInitialize:
@@ -146,12 +188,8 @@ class TestEvolution:
     def test_unstable_step_raises(self, uu):
         # a legal dt near the stability limit plus a nearly-sharp packet
         # dissipates visibly within one step and must be refused
-        probe = small_spec(points=20)
-        bound = gridsim.spectral_radius_bound(probe)
-        spec = gridsim.GridSpec(
-            points_per_axis=20, box_center=(0.0, 0.0, 0.4), box_half_width=0.05,
-            dt=1.95 / bound, steps=5, kinetic_scale=KAPPA,
-        )
+        bound = gridsim.spectral_radius_bound(gridsim.Grid(**GEOMETRY))
+        spec = gridsim.GridSpec(dt=1.95 / bound, steps=5, **GEOMETRY)
         packet = packets.WavePacket(center=(0.0, 0.0, 0.4), width=0.03)
         state = gridsim.initialize(packet, uu, spec, edge_ramp_cells=0.51)
         op = gridsim.GridOperator(spec, gridsim.GridHamiltonian())
@@ -160,11 +198,8 @@ class TestEvolution:
                 state = gridsim.evolve(state, spec, op)
 
     def test_unstable_step_names_step_and_dt(self, uu):
-        probe = small_spec(points=20)
-        spec = gridsim.GridSpec(
-            points_per_axis=20, box_center=(0.0, 0.0, 0.4), box_half_width=0.05,
-            dt=1.95 / gridsim.spectral_radius_bound(probe), steps=5, kinetic_scale=KAPPA,
-        )
+        bound = gridsim.spectral_radius_bound(gridsim.Grid(**GEOMETRY))
+        spec = gridsim.GridSpec(dt=1.95 / bound, steps=5, **GEOMETRY)
         packet = packets.WavePacket(center=(0.0, 0.0, 0.4), width=0.03)
         state = gridsim.initialize(packet, uu, spec, edge_ramp_cells=0.51)
         op = gridsim.GridOperator(spec, gridsim.GridHamiltonian())
@@ -428,30 +463,10 @@ class TestStructuredKernel:
         assert np.array_equal(coupled.stack[:, 3], free.stack[:, 1])
         assert np.any(coupled.stack[:, :2] != 0.0)
 
-    def test_walls_stay_zero_on_preset_run(self, preset_cfg, preset_kappa):
+    def test_walls_stay_zero_on_preset_run(self, preset_oracle):
         """The wall layer is a fixed Dirichlet ghost: the simulated box is
-        the (n-2)^3 interior."""
-        o = preset_cfg["oracle"]
-        probe = gridsim.GridSpec(
-            points_per_axis=o["points"], box_center=tuple(o["center"]),
-            box_half_width=o["half_width"], dt=1e-30, steps=1, kinetic_scale=preset_kappa,
-        )
-        dt = gridsim.stable_dt(probe, theta=o["theta"])
-        spec = gridsim.GridSpec(
-            points_per_axis=o["points"], box_center=tuple(o["center"]),
-            box_half_width=o["half_width"], dt=dt,
-            steps=int(math.ceil(o["duration"] / dt)), kinetic_scale=preset_kappa,
-        )
-        packet = packets.WavePacket(center=tuple(o["center"]), width=o["packet_width"])
-        state = gridsim.initialize(
-            packet, spins.basis_state("up", "up"), spec, momentum_z=o["momentum_kick"],
-            edge_ramp_cells=o["edge_ramp_cells"],
-        )
-        ham = gridsim.GridHamiltonian(
-            coupling_sign=cfgmod.build_params(preset_cfg).coupling_sign,
-            zeeman_particle=o["zeeman"][0], zeeman_loop=o["zeeman"][1],
-        )
-        final, _ = gridsim.run(state, spec, gridsim.GridOperator(spec, ham))
+        the (n-2)^3 interior.  Checked on the preset's Zeeman run."""
+        final = preset_oracle.zeeman_final
         assert final.stack.shape[1] == 4
         assert np.all(wall_layer(final.stack) == 0.0)
         assert np.any(final.stack[..., 1:-1, 1:-1, 1:-1] != 0.0)
