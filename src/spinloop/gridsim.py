@@ -237,6 +237,18 @@ def _edge_profile(coords: np.ndarray, center: float, width: float, ramp: float) 
     return out
 
 
+def check_packet_fits(packet: WavePacket, grid: Grid, edge_ramp_cells: float) -> None:
+    """Refuse a packet that, edge ramps included, comes within 2 cells of the
+    box, so that the wall layer starts, and stays, exactly zero."""
+    if edge_ramp_cells <= 0:
+        raise ValidationError("edge_ramp_cells must be positive")
+    extent = packet.width / 2.0 + edge_ramp_cells * grid.dx
+    margin = 2.0 * grid.dx
+    for i in range(3):
+        if abs(packet.center[i] - grid.box_center[i]) + extent > grid.box_half_width - margin:
+            raise ValidationError("packet outside box (needs >= 2 cells of margin)")
+
+
 def initialize(
     packet: WavePacket,
     spin: np.ndarray,
@@ -250,20 +262,13 @@ def initialize(
     carries the range of magic components on which ``spin`` has weight.
     ``momentum_z`` applies a plane-wave factor exp(i k z) so that runs with
     a nonzero initial velocity can exercise the velocity and higher-order
-    checks.  The packet (including ramps) must sit at least 2 cells inside
-    the box, so the wall layer starts, and stays, exactly zero.
+    checks.  The packet must fit the box (see :func:`check_packet_fits`).
     """
     spin = np.asarray(spin, dtype=complex)
     if spin.shape != (4,):
         raise ValidationError("grid initialization needs a pure 4-component spin state")
-    if edge_ramp_cells <= 0:
-        raise ValidationError("edge_ramp_cells must be positive")
+    check_packet_fits(packet, grid, edge_ramp_cells)
     ramp = edge_ramp_cells * grid.dx
-    extent = packet.width / 2.0 + ramp
-    margin = 2.0 * grid.dx
-    for i in range(3):
-        if abs(packet.center[i] - grid.box_center[i]) + extent > grid.box_half_width - margin:
-            raise ValidationError("packet outside box (needs >= 2 cells of margin)")
     ax, ay, az = grid.axes()
     prof = (
         _edge_profile(ax, packet.center[0], packet.width, ramp)[:, None, None]
@@ -654,10 +659,14 @@ def run_oracle(cfg: dict) -> OracleResult:
     sign = config.build_params(cfg).coupling_sign
     center = tuple(o["center"])
 
-    def start(kappa: float, duration: float, run_cfg: dict) -> tuple[GridSpec, GridState]:
+    def placed(kappa: float, duration: float, run_cfg: dict) -> tuple[GridSpec, WavePacket]:
         spec = Grid(o["points"], center, o["half_width"], kappa).stepped(o["theta"], duration)
         packet = WavePacket(center=center, width=run_cfg["packet_width"])
-        return spec, initialize(
+        check_packet_fits(packet, spec, run_cfg["edge_ramp_cells"])
+        return spec, packet
+
+    def start(spec: GridSpec, packet: WavePacket, run_cfg: dict) -> GridState:
+        return initialize(
             packet, spins.basis_state("up", "up"), spec, momentum_z=run_cfg["momentum_kick"],
             edge_ramp_cells=run_cfg["edge_ramp_cells"],
         )
@@ -670,14 +679,18 @@ def run_oracle(cfg: dict) -> OracleResult:
         final, series = run(initial, spec, GridOperator(spec, ham))
         return final, series, fit_acceleration(series.t, series.z_expect)
 
-    spec, initial = start(config.build_kinetic_scale(cfg), o["duration"], o)
+    # Every run's grid and packet are checked before the first run starts.
+    spec, packet = placed(config.build_kinetic_scale(cfg), o["duration"], o)
+    r = o["remainder"]  # heavy-slow regime resolving the cubic term
+    if o["variant"] == "full":
+        spec_r, packet_r = placed(r["kinetic_scale"], r["duration"], r)
+    initial = start(spec, packet, o)
     if o["variant"] != "full":
         zeeman = o["zeeman"] if o["variant"] == "pure-zeeman" else (0.0, 0.0)
         return OracleResult(o["variant"], spec, initial, *fitted(zeeman, coupled=False)[1:])
     # The 4-component Zeeman run sets the peak memory: it runs last, holding no spare state.
     series, fit = fitted((0.0, 0.0))[1:]
-    r = o["remainder"]  # heavy-slow regime resolving the cubic term
-    spec_r, state_r = start(r["kinetic_scale"], r["duration"], r)
+    state_r = start(spec_r, packet_r, r)
     series_r = run(state_r, spec_r, GridOperator(spec_r, GridHamiltonian(coupling_sign=sign)))[1]
     del state_r
     zeeman_run = fitted(o["zeeman"])  # a uniform field must not change the fit

@@ -1,5 +1,6 @@
 """CLI contract: outputs, determinism, exit codes, config validation."""
 
+import copy
 import json
 import os
 import subprocess
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 from spinloop import config as cfgmod
-from spinloop import packets, spins
+from spinloop import gridsim, packets, spins
 from spinloop.cli import main
 from spinloop.errors import ValidationError
 
@@ -59,6 +60,15 @@ class TestConfig:
         bad.write_text(json.dumps({"epr": {"sweep_points": 0}}))
         with pytest.raises(ValidationError, match="sweep_points"):
             cfgmod.load_config(bad)
+
+    @pytest.mark.parametrize("section, key", [("figure2", "samples"), ("epr", "sweep_points")])
+    def test_sample_counts_capped(self, tmp_path, section, key):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({section: {key: cfgmod.MAX_SAMPLES}}))
+        assert cfgmod.load_config(path)[section][key] == 100_000
+        path.write_text(json.dumps({section: {key: cfgmod.MAX_SAMPLES + 1}}))
+        with pytest.raises(ValidationError, match=rf"^config\.{section}\.{key}: must be <= 100000$"):
+            cfgmod.load_config(path)
 
     @pytest.mark.parametrize(
         "override, key",
@@ -328,6 +338,16 @@ class TestOracleInputErrors:
         assert err.startswith("error: config.oracle.") and err.endswith(": must be positive\n")
         assert not out.exists()
 
+    def test_bad_remainder_fails_before_the_first_run(self, preset_cfg, monkeypatch):
+        def run(*args):
+            raise AssertionError("a grid run started before every packet was checked")
+
+        monkeypatch.setattr(gridsim, "run", run)
+        cfg = copy.deepcopy(preset_cfg)
+        cfg["oracle"]["remainder"]["packet_width"] = 0.09
+        with pytest.raises(ValidationError, match="^packet outside box"):
+            gridsim.run_oracle(cfg)
+
     def test_oversized_grid_exit_code_and_message(self, tmp_path, capsys):
         over = tmp_path / "cfg.json"
         over.write_text(json.dumps({"oracle": {"points": 100000}}))
@@ -396,8 +416,7 @@ class TestCachedParser:
         over.write_text(json.dumps({"epr": {"bell": "triplet0", "sweep_points": 7},
                                     "figure2": {"samples": 21}}))
         assert main(["figure2", "--out", str(tmp_path / "f1")]) == 0
-        assert main(["epr", "--config", str(over), "--seed", "3",
-                     "--out", str(tmp_path / "e1")]) == 0
+        assert main(["epr", "--config", str(over), "--out", str(tmp_path / "e1")]) == 0
         with pytest.raises(SystemExit) as exc:
             main(["figure2", "--bogus", "--out", str(tmp_path / "bad")])
         assert exc.value.code == 2
@@ -409,4 +428,4 @@ class TestCachedParser:
         assert self.files(tmp_path / "e1") == self.files(tmp_path / "e2")
         assert len(self.files(tmp_path / "f1")["figure2.csv"].splitlines()) == 202
         args = build_parser().parse_args(["figure2"])
-        assert (args.config, args.seed, args.out) == (None, None, ".")
+        assert (args.config, args.out) == (None, ".")
