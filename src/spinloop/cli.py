@@ -191,6 +191,7 @@ def cmd_oracle(cfg: dict, out_dir: Path) -> int:
         "fit": fit.__dict__,
         "norm_drift": drift,
         "grid": {"points": o["points"], "dt": spec.dt, "steps": spec.steps},
+        "walls": {"edge_density_ratio": result.edge_density_ratio},
     }
     if result.variant != "full":
         report["initial_momentum"] = p0

@@ -23,7 +23,13 @@ zeeman_particle != zeeman_loop mixes in S.  One RK4 stage is one
 Discretization: 2nd-order finite-difference Laplacian and classical RK4
 time stepping.  The outer layer of grid points is the Dirichlet wall: it
 is held at exactly zero, so the simulated box is the (n-2)^3 interior,
-one cell narrower per side than ``box_half_width``.  The momentum stencil
+one cell narrower per side than ``box_half_width``.  A wall pushes a
+packet that reaches it, and the fit then measures the wall as well as the
+coupling: at 32 points and half width 0.05 the ``free`` oracle variant
+fits a = -0.07 (6.7 sigma) where it should fit 0.
+:func:`edge_density_ratio` reads how much density sits next to the
+walls: 1.5e-4 there, and 2e-8 in the preset box (half width 0.0629),
+where the free fit is 3e-6, within its sigma.  The momentum stencil
 conjugate to this Laplacian is the plain central difference, which is
 what :func:`expect_momentum_z` measures, so the fitted velocity matches
 kappa * <p_z> exactly up to fit error.
@@ -38,7 +44,7 @@ as-initialized discrete density (same packet on both sides).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -71,10 +77,16 @@ _BLOCK_CELLS = 32**3
 
 
 # Bytes per cell for the size guard: operator fields and build temporaries
-# (20 rows) and five stacks of 2 x 4 rows (initial, current and grown states,
-# two RK4 buffers).  One 4-component run peaks at ~330 bytes per cell.
+# (20 rows) and five stacks of 2 x 4 rows (a run holds four: the caller's
+# initial state, its own and two RK4 buffers).  One 4-component run peaks at
+# ~330 bytes per cell.
 _CELL_BYTES = 8 * (20 + 5 * 8)
 GRID_BYTES_BUDGET = 2 * 2**30
+# Work bound of one oracle: n^3 times the steps of all its runs.  The preset
+# takes 32^3 x 265 = 8.7e6 cell-steps; this allows a 64-point oracle in the
+# preset's box (2.8e8 cell-steps at 0.24-0.35 us each on a 2-core Xeon,
+# about 80 s) and refuses 100 points (2.7e9).
+CELL_STEPS_BUDGET = 3 * 10**8
 
 
 @dataclass(frozen=True)
@@ -223,8 +235,10 @@ class GridState:
 
 
 def _squared_norm(stack: np.ndarray) -> float:
+    # numpy's own reduction: np.dot is BLAS ddot, whose last bits depend on
+    # the BLAS thread count
     flat = stack.reshape(-1)
-    return float(np.dot(flat, flat))
+    return float(np.einsum("i,i->", flat, flat))
 
 
 def _edge_profile(coords: np.ndarray, center: float, width: float, ramp: float) -> np.ndarray:
@@ -444,7 +458,25 @@ class GridOperator:
         return out
 
 
-def evolve(state: GridState, spec: GridSpec, operator: GridOperator) -> GridState:
+def _on_closure(state: GridState, operator: GridOperator) -> GridState:
+    """The state on the range of magic components that H reaches from its
+    own: the state itself, or a copy in a new, zero-padded stack."""
+    psi, first = state.stack, state.first
+    m = psi.shape[1]
+    lo, hi = operator.closure(first, first + m)
+    if (lo, hi) == (first, first + m):
+        return state
+    grown = np.zeros((2, hi - lo) + psi.shape[2:])
+    grown[:, first - lo : first - lo + m] = psi
+    return GridState(stack=grown, first=lo, norm2=state.norm2, step=state.step)
+
+
+def evolve(
+    state: GridState,
+    spec: GridSpec,
+    operator: GridOperator,
+    out: tuple[np.ndarray, np.ndarray] | None = None,
+) -> GridState:
     """One RK4 step of size ``spec.dt``; errors out on a norm jump.
 
     H is linear and time independent, so the classical four-stage step is
@@ -452,16 +484,13 @@ def evolve(state: GridState, spec: GridSpec, operator: GridOperator) -> GridStat
     y <- psi, then y <- psi + (-i dt H y) / j for j = 4, 3, 2, 1, each
     stage one :meth:`GridOperator.apply` that alternates between two
     buffers; the second holds the new state.  The stack first grows to the
-    range of magic components that H reaches from the state's.
+    range of magic components that H reaches from the state's.  ``out``
+    gives the two buffers (stacks of the grown shape, neither of them the
+    state's); without it they are allocated.
     """
+    state = _on_closure(state, operator)
     psi, first = state.stack, state.first
-    m = psi.shape[1]
-    lo, hi = operator.closure(first, first + m)
-    if (lo, hi) != (first, first + m):
-        grown = np.zeros((2, hi - lo) + psi.shape[2:])
-        grown[:, first - lo : first - lo + m] = psi
-        psi, first = grown, lo
-    work, y = np.empty_like(psi), np.empty_like(psi)
+    work, y = out if out is not None else (np.empty_like(psi), np.empty_like(psi))
     for j, src, dst in ((4, psi, work), (3, work, y), (2, y, work), (1, work, y)):
         operator.apply(src, psi, j, dst, first)
     before = state.norm2 if state.norm2 is not None else _squared_norm(psi)
@@ -490,16 +519,25 @@ def run(state: GridState, spec: GridSpec, operator: GridOperator) -> tuple[GridS
     """Evolve ``spec.steps`` steps recording <z> and the norm at every step.
 
     Both come from one |psi|^2 pass per step, contracted against (1, z).
+    Three stacks are allocated once and rotated through the steps: the
+    state's and two RK4 buffers.  ``state.stack`` is read, never written.
     """
     z = spec.meshes()[2].reshape(-1)
     weights = np.stack([np.ones_like(z), z])
 
     def observe(state: GridState) -> np.ndarray:
-        return weights @ state.density().reshape(-1)
+        # numpy's own reduction, not a BLAS gemv whose bits depend on the thread count
+        return np.einsum("ck,k->c", weights, state.density().reshape(-1))
 
     rows = [observe(state)]
+    grown = _on_closure(state, operator)
+    if grown is state:
+        grown = replace(state, stack=state.stack.copy())
+    state = grown
+    spare = (np.empty_like(state.stack), np.empty_like(state.stack))
     for _ in range(spec.steps):
-        state = evolve(state, spec, operator)
+        new = evolve(state, spec, operator, out=spare)
+        spare, state = (spare[0], state.stack), new
         rows.append(observe(state))
     norms, zs = np.array(rows).T
     ts = np.arange(spec.steps + 1) * spec.dt
@@ -523,6 +561,17 @@ def expect_momentum_z(state: GridState, grid: Grid) -> float:
     d[..., 1:-1] = (state.stack[..., 2:] - state.stack[..., :-2]) / (2.0 * grid.dx)
     val = np.sum(re * d[1]) - np.sum(im * d[0])
     return float(val) / state.norm() ** 2
+
+
+def edge_density_ratio(state: GridState) -> float:
+    """Largest |psi|^2 on the first interior layer, the cells next to the
+    Dirichlet wall, over the largest |psi|^2 anywhere.  Near 0 while the
+    packet stays clear of the walls; a packet that reaches them reads far
+    higher, and then the walls push it."""
+    dens = state.density()
+    inner = dens[1:-1, 1:-1, 1:-1]
+    faces = (inner[0], inner[-1], inner[:, 0], inner[:, -1], inner[:, :, 0], inner[:, :, -1])
+    return float(max(face.max() for face in faces) / dens.max())
 
 
 def moments_from_state(
@@ -633,13 +682,16 @@ def remainder_scaling(
 class OracleResult:
     """The runs of one grid oracle from an up-up packet: the main run (its
     spec, initial state, series and fit), and for the full variant the
-    Zeeman run from the same state and the unfitted remainder run."""
+    Zeeman run from the same state and the unfitted remainder run.
+    ``edge_density_ratio`` is the largest :func:`edge_density_ratio` over
+    the final states of all runs."""
 
     variant: str
     spec: GridSpec
     initial: GridState
     series: TimeSeries
     fit: QuadraticFit
+    edge_density_ratio: float
     zeeman_final: GridState | None = None
     zeeman_series: TimeSeries | None = None
     zeeman_fit: QuadraticFit | None = None
@@ -651,7 +703,9 @@ def run_oracle(cfg: dict) -> OracleResult:
 
     The main run is under the coupling for the ``full`` variant, under the
     Zeeman term alone for ``pure-zeeman`` and free for ``free``.  Every run
-    steps at stable_dt(theta) for max(ceil(duration / dt), 8) steps.
+    steps at stable_dt(theta) for max(ceil(duration / dt), 8) steps.  An
+    oracle whose runs together take more than :data:`CELL_STEPS_BUDGET`
+    cell-steps is refused before any state is built.
     """
     o = cfg["oracle"]
     if o["variant"] not in ("full", "pure-zeeman", "free"):
@@ -679,22 +733,37 @@ def run_oracle(cfg: dict) -> OracleResult:
         final, series = run(initial, spec, GridOperator(spec, ham))
         return final, series, fit_acceleration(series.t, series.z_expect)
 
-    # Every run's grid and packet are checked before the first run starts.
+    # Every run's grid and packet are checked, and their work summed, before
+    # the first run starts.
     spec, packet = placed(config.build_kinetic_scale(cfg), o["duration"], o)
     r = o["remainder"]  # heavy-slow regime resolving the cubic term
+    steps = spec.steps
     if o["variant"] == "full":
         spec_r, packet_r = placed(r["kinetic_scale"], r["duration"], r)
+        steps += spec_r.steps + spec.steps  # the remainder and Zeeman runs
+    if spec.points_per_axis**3 * steps > CELL_STEPS_BUDGET:
+        raise ValidationError(
+            f"oracle of {steps} steps over {spec.points_per_axis}^3 points takes "
+            f"{spec.points_per_axis**3 * steps:.3g} cell-steps, "
+            f"over the {CELL_STEPS_BUDGET:.3g} budget"
+        )
     initial = start(spec, packet, o)
     if o["variant"] != "full":
         zeeman = o["zeeman"] if o["variant"] == "pure-zeeman" else (0.0, 0.0)
-        return OracleResult(o["variant"], spec, initial, *fitted(zeeman, coupled=False)[1:])
+        final, series, fit = fitted(zeeman, coupled=False)
+        return OracleResult(o["variant"], spec, initial, series, fit, edge_density_ratio(final))
     # The 4-component Zeeman run sets the peak memory: it runs last, holding no spare state.
-    series, fit = fitted((0.0, 0.0))[1:]
+    final, series, fit = fitted((0.0, 0.0))
+    edge = edge_density_ratio(final)
+    del final
     state_r = start(spec_r, packet_r, r)
-    series_r = run(state_r, spec_r, GridOperator(spec_r, GridHamiltonian(coupling_sign=sign)))[1]
-    del state_r
+    ham_r = GridHamiltonian(coupling_sign=sign)
+    final, series_r = run(state_r, spec_r, GridOperator(spec_r, ham_r))
+    edge = max(edge, edge_density_ratio(final))
+    del state_r, final
     zeeman_run = fitted(o["zeeman"])  # a uniform field must not change the fit
-    return OracleResult("full", spec, initial, series, fit, *zeeman_run, series_r)
+    edge = max(edge, edge_density_ratio(zeeman_run[0]))
+    return OracleResult("full", spec, initial, series, fit, edge, *zeeman_run, series_r)
 
 
 def canonical_commutator_residual(

@@ -1,6 +1,7 @@
 """CLI contract: outputs, determinism, exit codes, config validation."""
 
 import copy
+import importlib.util
 import json
 import os
 import subprocess
@@ -300,7 +301,7 @@ class TestOracleVariants:
     def test_full_variant_report_small_grid(self, tmp_path):
         over = tmp_path / "cfg.json"
         over.write_text(
-            json.dumps({"oracle": {"points": 20, "packet_width": 0.045,
+            json.dumps({"oracle": {"points": 20, "half_width": 0.05, "packet_width": 0.045,
                                     "edge_ramp_cells": 2.0, "duration": 4e-5,
                                     "remainder": {"packet_width": 0.04,
                                                   "edge_ramp_cells": 2.5}}})
@@ -308,6 +309,7 @@ class TestOracleVariants:
         assert main(["oracle", "--config", str(over), "--out", str(tmp_path)]) == 0
         report = json.loads((tmp_path / "oracle_report.json").read_text())
         assert report["relative_error"] < 0.10  # coarse grid, loose band
+        assert report["walls"]["edge_density_ratio"] > 1e-4  # the packet fills this box
         assert report["remainder"]["exponent"] == pytest.approx(3.0, abs=0.4)
         assert report["norm_drift"] < 1e-8
         series = (tmp_path / "oracle_series.csv").read_text().splitlines()
@@ -318,13 +320,30 @@ class TestOracleVariants:
         # suppressed to the noise floor, so the exponent is unresolvable.
         over = tmp_path / "cfg.json"
         over.write_text(
-            json.dumps({"oracle": {"points": 20, "packet_width": 0.045,
+            json.dumps({"oracle": {"points": 20, "half_width": 0.05, "packet_width": 0.045,
                                     "edge_ramp_cells": 2.0, "duration": 4e-5,
                                     "remainder": {"packet_width": 0.04,
                                                   "edge_ramp_cells": 2.5,
                                                   "momentum_kick": 0.0}}})
         )
         assert main(["oracle", "--config", str(over), "--out", str(tmp_path)]) == 2
+
+
+class StateBuilt(Exception):
+    pass
+
+
+def refuse_state(*args, **kwargs):
+    """Stands in for gridsim.initialize where a test must build no grid state."""
+    raise StateBuilt
+
+
+def convergence_study():
+    path = Path(__file__).resolve().parents[1] / "scripts" / "convergence_study.py"
+    spec = importlib.util.spec_from_file_location("convergence_study", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 class TestOracleInputErrors:
@@ -347,6 +366,33 @@ class TestOracleInputErrors:
         cfg["oracle"]["remainder"]["packet_width"] = 0.09
         with pytest.raises(ValidationError, match="^packet outside box"):
             gridsim.run_oracle(cfg)
+
+    def test_work_guard_refuses_before_any_state(self, tmp_path, capsys, monkeypatch):
+        """164 points pass the memory guard but mean 7,237 steps over 164^3
+        cells: refused with one line before any state is built."""
+        monkeypatch.setattr(gridsim, "initialize", refuse_state)
+        over = tmp_path / "cfg.json"
+        over.write_text(json.dumps({"oracle": {"points": 164}}))
+        out = tmp_path / "out"
+        assert main(["oracle", "--config", str(over), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: oracle of 7237 steps over 164^3 points takes 3.19e+10 ")
+        assert err.endswith("cell-steps, over the 3e+08 budget\n") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("spare, allowed", [(0, True), (-1, False)])
+    def test_work_guard_bound_is_inclusive(self, preset_cfg, monkeypatch, spare, allowed):
+        """The preset's 32^3 x 265 cell-steps pass a budget of exactly that, and not one less."""
+        monkeypatch.setattr(gridsim, "initialize", refuse_state)
+        monkeypatch.setattr(gridsim, "CELL_STEPS_BUDGET", 32**3 * 265 + spare)
+        with pytest.raises(StateBuilt if allowed else ValidationError):
+            gridsim.run_oracle(preset_cfg)
+
+    @pytest.mark.parametrize("points", [24, 32, 40, 48])
+    def test_work_guard_passes_convergence_study(self, monkeypatch, points):
+        monkeypatch.setattr(gridsim, "initialize", refuse_state)
+        with pytest.raises(StateBuilt):
+            gridsim.run_oracle(convergence_study().study_config(points))
 
     def test_oversized_grid_exit_code_and_message(self, tmp_path, capsys):
         over = tmp_path / "cfg.json"

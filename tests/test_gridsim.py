@@ -4,7 +4,12 @@ Unit tests here run on deliberately small grids (16-24 points); the full
 32-point validation lives in the acceptance suite.
 """
 
+import copy
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -99,8 +104,8 @@ class TestGrid:
         r = o["remainder"]
         series_r = preset_oracle.remainder_series
         for kappa, duration, dt, steps, expected in (
-            (preset_kappa, o["duration"], preset_oracle.spec.dt, preset_oracle.spec.steps, 169),
-            (r["kinetic_scale"], r["duration"], series_r.t[1], len(series_r.t) - 1, 79),
+            (preset_kappa, o["duration"], preset_oracle.spec.dt, preset_oracle.spec.steps, 107),
+            (r["kinetic_scale"], r["duration"], series_r.t[1], len(series_r.t) - 1, 51),
         ):
             probe = gridsim.GridSpec(
                 points_per_axis=o["points"], box_center=tuple(o["center"]),
@@ -208,6 +213,52 @@ class TestEvolution:
         message = str(info.value)
         assert message.startswith("unstable step 1 ")
         assert f"dt {spec.dt:.3e}" in message
+
+    @pytest.mark.parametrize("ham, live", [
+        (gridsim.GridHamiltonian(include_interaction=False), 2),
+        (gridsim.GridHamiltonian(), 3),
+        (gridsim.GridHamiltonian(zeeman_particle=5.0), 4),
+    ])
+    def test_run_equals_evolve_steps_and_keeps_the_initial_stack(
+        self, spec, packet, uu, ham, live
+    ):
+        """run rotates three stacks through its steps: the same bits as fresh
+        evolve calls, whether the up-up stack (T_x, T_y) stays or grows, and
+        the caller's stack is never written."""
+        state = gridsim.initialize(packet, uu, spec, momentum_z=2.0)
+        before = state.stack.copy()
+        op = gridsim.GridOperator(spec, ham)
+        final, _ = gridsim.run(state, spec, op)
+        assert np.array_equal(state.stack, before)
+        ref = state
+        for _ in range(spec.steps):
+            ref = gridsim.evolve(ref, spec, op)
+        assert state.stack.shape[1] == 2 and final.stack.shape[1] == live
+        assert np.array_equal(final.stack, ref.stack) and final.step == ref.step == spec.steps
+
+    def test_same_bits_for_any_blas_thread_count(self):
+        """Norms and observables use numpy's own reductions, not BLAS ddot or
+        gemv, whose last bits can depend on the thread count (with np.dot
+        for the norm, this 18-point run differs between 1 and 2 threads)."""
+        code = (
+            "import sys; from spinloop import gridsim, packets, spins; "
+            "spec = gridsim.Grid(18, (0.0, 0.0, 0.4), 0.05, %r).stepped(steps=4); "
+            "state = gridsim.initialize(packets.WavePacket(center=(0.0, 0.0, 0.4), width=0.045), "
+            "spins.basis_state('up', 'up'), spec, momentum_z=3.0, edge_ramp_cells=2.0); "
+            "final, series = gridsim.run(state, spec, "
+            "gridsim.GridOperator(spec, gridsim.GridHamiltonian())); "
+            "sys.stdout.buffer.write(final.stack.tobytes() + series.z_expect.tobytes() "
+            "+ series.norm.tobytes())" % KAPPA
+        )
+        src = str(Path(gridsim.__file__).resolve().parents[1])
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+            done = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env,
+                                  timeout=120, check=True)
+            outputs.append(done.stdout)
+        assert len(outputs[0]) == 8 * (2 * 3 * 18**3 + 2 * 5) and outputs[0] == outputs[1]
 
     def test_fit_matches_contraction_coarse(self, spec, packet, uu):
         state = gridsim.initialize(packet, uu, spec)
@@ -470,6 +521,38 @@ class TestStructuredKernel:
         assert final.stack.shape[1] == 4
         assert np.all(wall_layer(final.stack) == 0.0)
         assert np.any(final.stack[..., 1:-1, 1:-1, 1:-1] != 0.0)
+
+
+class TestEdgeDensity:
+    def test_preset_oracle_stays_clear_of_the_walls(self, preset_oracle):
+        """The preset box leaves the packet wall-free: the cells next to the
+        wall hold under 1e-6 of the peak density at the end of every run."""
+        assert 0.0 < preset_oracle.edge_density_ratio < 1e-6
+
+    def test_oracle_keeps_the_largest_ratio_of_its_runs(self, preset_cfg, monkeypatch):
+        """Each of the main, remainder and Zeeman runs' final states is read,
+        and the largest value is kept (here the remainder's)."""
+        cfg = copy.deepcopy(preset_cfg)
+        cfg["oracle"].update(points=16, half_width=0.05, packet_width=0.03, edge_ramp_cells=2.0,
+                             duration=1e-5)
+        cfg["oracle"]["remainder"].update(packet_width=0.03, edge_ramp_cells=2.0, duration=1e-4)
+        values, seen = iter([0.1, 0.3, 0.2]), []
+
+        def reading(state):
+            seen.append(state.stack.shape[1])
+            return next(values)
+
+        monkeypatch.setattr(gridsim, "edge_density_ratio", reading)
+        assert gridsim.run_oracle(cfg).edge_density_ratio == 0.3
+        assert seen == [3, 3, 4]
+
+    def test_packet_that_reaches_the_walls_reads_high(self, spec, packet, uu):
+        """A packet packed into a 20-point box is clear of the walls at the
+        start and presses on them after 60 steps."""
+        state = gridsim.initialize(packet, uu, spec)
+        assert gridsim.edge_density_ratio(state) == 0.0
+        final, _ = gridsim.run(state, spec, gridsim.GridOperator(spec, gridsim.GridHamiltonian()))
+        assert gridsim.edge_density_ratio(final) > 1e-3
 
 
 class TestFitAcceleration:
