@@ -36,7 +36,6 @@ from .packets import (
 )
 from .deflection import (
     ForceExpectation,
-    antiparallel_closed_form,
     classical_dipole_force,
     contract_force,
     parallel_closed_form,
@@ -53,7 +52,6 @@ from .gridsim import (
     canonical_commutator_residual,
     evolve,
     expect_momentum_z,
-    expect_position,
     fit_acceleration,
     initialize,
     remainder_scaling,

@@ -11,14 +11,15 @@ in natural units is
 
 For a parallel-spin configuration only C_zz = 1/4 survives and the sum
 collapses to the closed form (3/16 pi) (3 M[0,0,1,5] - 5 M[0,0,3,7]).
-Correlators beyond C_zz (present for coherent superpositions) are kept
-and reported separately from the C_zz part, never dropped.
+The bracket is stated once, as the term table of :func:`_bracket_terms`.
+Correlators beyond C_zz (present for coherent superpositions) are kept,
+and ``ForceExpectation.extra_terms`` reports their part of a_z.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -56,32 +57,34 @@ def spin_correlators(state: np.ndarray, tol: float = 1e-14) -> np.ndarray:
     return C
 
 
-def _bracket_terms(C: np.ndarray) -> list[tuple[float, MomentKey]]:
-    """(coefficient, moment key) of every term of the bracket, correlator
-    included, for the nonzero entries of C; a_z is pref times their sum."""
+def _bracket_terms(C: np.ndarray) -> list[tuple[int, int, float, MomentKey]]:
+    """One (i, j, coefficient, moment key) entry per term of each nonzero
+    C_ij, so a_z = pref * sum C_ij coef M[key].  The terms of each C_ij run
+    d_iz, d_jz, quadratic, d_ij: C_zz-only sums depend on that order bitwise."""
     terms = []
     for i in range(3):
         for j in range(3):
-            cij = C[i, j]
-            if cij == 0.0:
+            if C[i, j] == 0.0:
                 continue
-            terms.append((-5.0 * cij, _QUADRATIC[i][j]))
             if i == 2:
-                terms.append((cij, _LINEAR[j]))
+                terms.append((i, j, 1.0, _LINEAR[j]))
             if j == 2:
-                terms.append((cij, _LINEAR[i]))
+                terms.append((i, j, 1.0, _LINEAR[i]))
+            terms.append((i, j, -5.0, _QUADRATIC[i][j]))
             if i == j:
-                terms.append((cij, _LINEAR[2]))
+                terms.append((i, j, 1.0, _LINEAR[2]))
     return terms
 
 
-def required_moment_tuples(C: np.ndarray) -> list[MomentKey]:
-    """Moment keys needed to contract the force against correlators C."""
-    return sorted({key for _, key in _bracket_terms(C)})
+def _require(moments: Mapping[MomentKey, float], keys: Iterable[MomentKey]) -> None:
+    missing = sorted(set(keys) - set(moments))
+    if missing:
+        raise ValidationError(f"missing moment tuples: {missing}")
 
 
 def required_tuples_for(state: np.ndarray) -> list[MomentKey]:
-    return required_moment_tuples(spin_correlators(state))
+    """Moment keys needed to contract the force against the state."""
+    return sorted({key for *_, key in _bracket_terms(spin_correlators(state))})
 
 
 def force_scale(state: np.ndarray, l1_moments: Mapping[MomentKey, float]):
@@ -91,9 +94,10 @@ def force_scale(state: np.ndarray, l1_moments: Mapping[MomentKey, float]):
     vanishes the terms cancel to rounding noise of order 1e-16 times it.
     Elementwise over array-valued moments, like :func:`contract_force`.
     """
+    C = spin_correlators(state)
     total = 0.0
-    for coef, key in _bracket_terms(spin_correlators(state)):
-        total = total + abs(coef) * l1_moments[key]
+    for i, j, coef, key in _bracket_terms(C):
+        total = total + abs(C[i, j] * coef) * l1_moments[key]
     return 3.0 / (4.0 * np.pi) * total
 
 
@@ -101,22 +105,12 @@ def force_scale(state: np.ndarray, l1_moments: Mapping[MomentKey, float]):
 class ForceExpectation:
     """Spin-contracted force expectation in natural units (l / tau^2).
 
-    ``decomposition`` holds the four bracket terms evaluated with the
-    C_zz correlator alone (the parallel/antiparallel closed-form content);
-    ``extra_terms`` is the total contribution of every other correlator.
-    a_z equals sum(decomposition.values()) + extra_terms.  With array-valued
-    moments (one entry per packet) every field is an array of the same shape.
+    ``extra_terms`` is the part of every correlator other than C_zz.  With
+    array-valued moments (one entry per packet) both are arrays of that shape.
     """
 
     a_z: float
-    decomposition: dict[str, float]
     extra_terms: float
-
-
-def _lookup(moments: Mapping[MomentKey, float], keys: list[MomentKey]) -> None:
-    missing = [k for k in keys if k not in moments]
-    if missing:
-        raise ValidationError(f"missing moment tuples: {missing}")
 
 
 def contract_force(
@@ -128,7 +122,7 @@ def contract_force(
     """Contract the force bracket against a spin state and packet moments.
 
     ``moments`` must contain every tuple required by the state's nonzero
-    correlators (see :func:`required_moment_tuples`); each value is a float
+    correlators (see :func:`required_tuples_for`); each value is a float
     or an array, and the contraction is elementwise.  The sign of the
     coupling comes from ``params`` when given, else ``coupling_sign``,
     else +1.
@@ -136,36 +130,16 @@ def contract_force(
     if coupling_sign is None:
         coupling_sign = params.coupling_sign if params is not None else 1
     C = spin_correlators(state)
-    _lookup(moments, required_moment_tuples(C))
-
+    terms = _bracket_terms(C)
+    _require(moments, (key for *_, key in terms))
     pref = coupling_sign * 3.0 / (4.0 * np.pi)
-    czz = C[2, 2]
-    m_z5 = moments.get((0, 0, 1, 5), 0.0)
-    m_z37 = moments.get((0, 0, 3, 7), 0.0)
-    decomposition = {
-        "sz_particle_radial_loop": pref * czz * m_z5,
-        "radial_particle_sz_loop": pref * czz * m_z5,
-        "double_radial_projection": pref * czz * (-5.0) * m_z37,
-        "spin_dot_z": pref * czz * m_z5,
-    }
-
-    extra = 0.0
-    for i in range(3):
-        for j in range(3):
-            cij = C[i, j]
-            if cij == 0.0 or (i == 2 and j == 2):
-                continue
-            term = -5.0 * moments[_QUADRATIC[i][j]]
-            if i == 2:
-                term += moments[_LINEAR[j]]
-            if j == 2:
-                term += moments[_LINEAR[i]]
-            if i == j:
-                term += m_z5
-            extra += pref * cij * term
-
-    a_z = sum(decomposition.values()) + extra
-    return ForceExpectation(a_z=a_z, decomposition=decomposition, extra_terms=extra)
+    a_z = extra = 0.0
+    for i, j, coef, key in terms:
+        term = pref * C[i, j] * coef * moments[key]
+        a_z = a_z + term
+        if (i, j) != (2, 2):
+            extra = extra + term
+    return ForceExpectation(a_z=a_z, extra_terms=extra)
 
 
 def parallel_closed_form(
@@ -173,22 +147,14 @@ def parallel_closed_form(
     params: PhysicalParams | None = None,
     coupling_sign: int | None = None,
 ) -> float:
-    """Closed form sign * (3/16 pi) (-5 M[0,0,3,7] + 3 M[0,0,1,5]), contact term omitted."""
+    """Closed form sign * (3/16 pi) (-5 M[0,0,3,7] + 3 M[0,0,1,5]), contact
+    term omitted: the independent reference for the up-up contraction."""
     if coupling_sign is None:
         coupling_sign = params.coupling_sign if params is not None else 1
-    _lookup(moments, list(PARALLEL_TUPLES))
+    _require(moments, PARALLEL_TUPLES)
     m_z5 = moments[(0, 0, 1, 5)]
     m_z37 = moments[(0, 0, 3, 7)]
     return coupling_sign * 3.0 / (16.0 * np.pi) * (-5.0 * m_z37 + 3.0 * m_z5)
-
-
-def antiparallel_closed_form(
-    moments: Mapping[MomentKey, float],
-    params: PhysicalParams | None = None,
-    coupling_sign: int | None = None,
-) -> float:
-    """Exactly the negative of the parallel closed form."""
-    return -parallel_closed_form(moments, params=params, coupling_sign=coupling_sign)
 
 
 def classical_dipole_force(m1: float, m2: float, z: float, mu0: float) -> float:

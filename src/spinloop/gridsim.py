@@ -544,13 +544,6 @@ def run(state: GridState, spec: GridSpec, operator: GridOperator) -> tuple[GridS
     return state, TimeSeries(t=ts, z_expect=zs, norm=norms)
 
 
-def expect_position(state: GridState, grid: Grid) -> np.ndarray:
-    dens = state.density()
-    dens = dens / dens.sum()
-    X, Y, Z = grid.meshes()
-    return np.array([np.sum(dens * X), np.sum(dens * Y), np.sum(dens * Z)])
-
-
 def expect_momentum_z(state: GridState, grid: Grid) -> float:
     """<p_z> with the central-difference stencil conjugate to the Laplacian.
 

@@ -35,6 +35,8 @@ _POINT_BUDGET = 2**14
 # |a_z| at or below this share of its L1 scale is rounding noise: the terms
 # of the contraction cancel to ~1e-16 of the scale where the force vanishes.
 ZERO_FLOOR = 1e-12
+# r**7 in the integrand overflows past max_float**(1/7) ~ 1.1e44 l.
+FAR_FIELD_RADIUS = 1e40
 
 
 def _check_packets(centers: np.ndarray, width: float) -> None:
@@ -43,6 +45,11 @@ def _check_packets(centers: np.ndarray, width: float) -> None:
         raise ValidationError("packet width must be positive")
     if not np.all(np.isfinite(centers)):
         raise ValidationError("packet center must be finite")
+    # hypot, not a norm: squaring a coordinate of 1e200 already overflows.
+    farthest = np.max(np.hypot.reduce(np.abs(centers) + width / 2.0, axis=1))
+    if farthest > FAR_FIELD_RADIUS:
+        raise ValidationError(f"packet lies beyond the far-field radius: its farthest point "
+                              f"is {farthest:.3g} l out, over {FAR_FIELD_RADIUS:.0e} l")
     # The closed ball around the cube must exclude the point dipole.
     if np.any(np.linalg.norm(centers, axis=1) <= math.sqrt(3.0) * width / 2.0):
         raise ValidationError("singular support: packet cube touches the origin")

@@ -35,7 +35,6 @@ PAULI = {
 }
 
 IDENTITY_2 = np.eye(2, dtype=complex)
-IDENTITY_4 = np.eye(4, dtype=complex)
 
 
 def spin_generator(axis: str) -> np.ndarray:

@@ -12,8 +12,7 @@ natural units and converted to SI through the derived length unit.
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from .errors import ValidationError
 from .units import PhysicalParams, derive_length_unit, from_natural
@@ -81,8 +80,3 @@ def separation_vs_packet(deflection: float, packet_width_si: float) -> float:
     if packet_width_si <= 0:
         raise ValidationError("packet width must be positive")
     return 2.0 * deflection / packet_width_si
-
-
-def estimate_json(est: DeflectionEstimate) -> str:
-    """Deterministic JSON rendering of the estimate (sorted keys)."""
-    return json.dumps(asdict(est), sort_keys=True, indent=2) + "\n"

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -228,6 +229,35 @@ class TestZeroForce:
         report = json.loads((tmp_path / "o" / "deflection.json").read_text())
         assert report["degenerate"] is True
         assert report["deflection_m"] == 0.0
+
+
+class TestFarField:
+    """The quadrature takes r**7, which overflows beyond about 1.1e44 l: a
+    packet that far out is refused, not integrated to a wrong sign (1e60)
+    or to a failed quadrature (1e200)."""
+
+    @pytest.mark.parametrize("command", ["figure2", "deflect"])
+    @pytest.mark.parametrize("z", [1e60, 1e200])
+    def test_refused_with_one_line(self, tmp_path, capsys, command, z):
+        over = tmp_path / "cfg.json"
+        over.write_text(json.dumps({"figure2": {"z": z}}))
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main([command, "--config", str(over), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: packet lies beyond the far-field radius")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    def test_inside_the_bound_runs(self, tmp_path):
+        over = tmp_path / "cfg.json"
+        over.write_text(json.dumps({"figure2": {"z": 1e40}}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["figure2", "--config", str(over), "--out", str(tmp_path)]) == 0
+        summary = json.loads((tmp_path / "figure2_summary.json").read_text())
+        assert summary["average_negative_region"] == pytest.approx(-1.19366e-161, rel=1e-5)
 
 
 class TestEprCommand:

@@ -1,13 +1,61 @@
 """Spin-contracted force expectations and the classical dipole limit."""
 
+from itertools import product
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from spinloop import deflection as dfl
 from spinloop import packets, spins, units
 from spinloop.errors import ValidationError
 
 POINT = -4.662742473395371  # (3/16 pi)(1/0.4^4)(3 - 5)
+EPS = np.finfo(float).eps
+LINEAR = [(1, 0, 0, 5), (0, 1, 0, 5), (0, 0, 1, 5)]  # M[e_j; 5]
+
+
+def quadratic(i, j):
+    """Key of M[e_i + e_j + e_z; 7]."""
+    k = [0, 0, 1]
+    k[i] += 1
+    k[j] += 1
+    return (*k, 7)
+
+
+ALL_KEYS = sorted(set(LINEAR) | {quadratic(i, j) for i, j in product(range(3), repeat=2)})
+
+
+def compact_bracket(C, moments, sign=1):
+    """sign (3/4 pi) [sum_j (C_zj + C_jz) M[e_j;5] - 5 sum_ij C_ij M[e_i+e_j+e_z;7]
+    + tr C M[e_z;5]], the form of perfbench/check.py."""
+    linear = sum((C[2, j] + C[j, 2]) * moments[LINEAR[j]] for j in range(3))
+    quad = sum(C[i, j] * moments[quadratic(i, j)] for i, j in product(range(3), repeat=2))
+    return sign * 3.0 / (4.0 * np.pi) * (linear - 5.0 * quad + np.trace(C) * moments[LINEAR[2]])
+
+
+@st.composite
+def density_matrices(draw):
+    """rho = A A^dagger / tr, A a random complex 4x4 matrix."""
+    parts = draw(st.lists(st.floats(-1.0, 1.0), min_size=32, max_size=32))
+    A = (np.array(parts[:16]) + 1j * np.array(parts[16:])).reshape(4, 4)
+    rho = A @ A.conj().T
+    trace = np.trace(rho).real
+    assume(trace > 1e-3)
+    return rho / trace
+
+
+spin_inputs = st.one_of(
+    density_matrices(),
+    st.sampled_from(["up-up", "down-down", "up-down", "down-up", "singlet", "parallel",
+                     "antiparallel", "parallel-coherent", "antiparallel-coherent"]
+                    ).map(spins.named_spin_input),
+    st.just(np.eye(4) / 4),  # maximally mixed: every C_ij is 0, no moment is needed
+)
+positive_moments = st.lists(
+    st.floats(1e-3, 1e3), min_size=len(ALL_KEYS), max_size=len(ALL_KEYS)
+).map(lambda values: dict(zip(ALL_KEYS, values)))
 
 
 @pytest.fixture(scope="module")
@@ -66,17 +114,6 @@ class TestContractForce:
         assert out.a_z == pytest.approx(POINT, rel=1e-6)
         assert out.extra_terms == 0.0
 
-    def test_decomposition_sums_to_total(self, off_axis_moments):
-        for state in (
-            spins.basis_state("up", "up"),
-            spins.parallel_coherent(),
-            spins.singlet(),
-            spins.antiparallel_coherent(),
-        ):
-            out = dfl.contract_force(state, off_axis_moments)
-            total = sum(out.decomposition.values()) + out.extra_terms
-            assert out.a_z == pytest.approx(total, abs=1e-12)
-
     def test_mixture_identical_to_pure_up_up(self, fig_moments):
         a_pure = dfl.contract_force(spins.basis_state("up", "up"), fig_moments).a_z
         a_mix = dfl.contract_force(spins.parallel_mixture(), fig_moments).a_z
@@ -117,6 +154,24 @@ class TestContractForce:
         a_coh = dfl.contract_force(spins.parallel_coherent(), fig_moments).a_z
         a_mix = dfl.contract_force(spins.parallel_mixture(), fig_moments).a_z
         assert a_coh == pytest.approx(a_mix, rel=1e-9)  # x<->y symmetric packet
+
+    @given(spin_inputs, positive_moments, st.sampled_from([1, -1]))
+    @settings(max_examples=200, deadline=None)
+    def test_table_matches_compact_bracket(self, state, moments, sign):
+        """The term table sums to the compact bracket, its non-C_zz part is
+        the bracket with C_zz = 0, and its keys are those of the nonzero C_ij."""
+        C = dfl.spin_correlators(state)
+        out = dfl.contract_force(state, moments, coupling_sign=sign)
+        tol = 8 * EPS * dfl.force_scale(state, moments)
+        assert abs(out.a_z - compact_bracket(C, moments, sign)) <= tol
+        C_rest = C.copy()
+        C_rest[2, 2] = 0.0
+        assert abs(out.extra_terms - compact_bracket(C_rest, moments, sign)) <= tol
+        keys = {quadratic(i, j) for i, j in zip(*np.nonzero(C))}
+        keys |= {LINEAR[j] for j in range(3) if C[2, j] or C[j, 2]}
+        if np.trace(np.abs(C)):
+            keys.add(LINEAR[2])
+        assert dfl.required_tuples_for(state) == sorted(keys)
 
     def test_missing_moments_listed(self):
         uu = spins.basis_state("up", "up")
@@ -160,14 +215,9 @@ class TestClosedForms:
         value = dfl.parallel_closed_form(fig_moments)
         assert value == pytest.approx(-3.0 / (8 * np.pi) * m15, rel=1e-5)
 
-    def test_antiparallel_negates(self, off_axis_moments):
-        assert dfl.antiparallel_closed_form(off_axis_moments) == pytest.approx(
-            -dfl.parallel_closed_form(off_axis_moments), rel=1e-15
-        )
-
-    def test_zero_moments(self):
-        moments = {(0, 0, 3, 7): 0.0, (0, 0, 1, 5): 0.0}
-        assert dfl.antiparallel_closed_form(moments) == 0.0
+    def test_missing_moments_listed(self):
+        with pytest.raises(ValidationError, match=r"missing moment tuples: \[\(0, 0, 3, 7\)\]"):
+            dfl.parallel_closed_form({(0, 0, 1, 5): 1.0})
 
 
 class TestClassicalDipoleForce:

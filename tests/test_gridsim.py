@@ -22,6 +22,13 @@ KAPPA = 0.8773534162632591  # reference kinetic scale
 GEOMETRY = dict(points_per_axis=20, box_center=(0.0, 0.0, 0.4), box_half_width=0.05,
                 kinetic_scale=KAPPA)
 PROBE_DT = np.finfo(float).tiny  # a GridSpec built only to read stable_dt
+POSITION_KEYS = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0))
+
+
+def position(state, grid):
+    """<x>, <y>, <z> of the as-discretized density."""
+    m = gridsim.moments_from_state(state, grid, POSITION_KEYS)
+    return np.array([m[k] for k in POSITION_KEYS])
 
 
 def small_spec(points=20, steps=60, kappa=KAPPA, theta=0.15, half_width=0.05):
@@ -79,13 +86,12 @@ class TestGrid:
         spec = grid.stepped(steps=3)
         assert isinstance(spec, gridsim.Grid) and spec.stepped(steps=3) == spec
         state = gridsim.initialize(packet, uu, grid, momentum_z=2.0)
-        keys = dfl.required_tuples_for(uu)
+        keys = dfl.required_tuples_for(uu) + list(POSITION_KEYS)
         for use in (
             lambda g: (g.dx, g.min_radius(), gridsim.interaction_bound(g),
                        gridsim.spectral_radius_bound(g)),
             lambda g: g.meshes(),
             lambda g: gridsim.initialize(packet, uu, g, momentum_z=2.0).stack,
-            lambda g: gridsim.expect_position(state, g),
             lambda g: gridsim.expect_momentum_z(state, g),
             lambda g: list(gridsim.moments_from_state(state, g, keys).values()),
         ):
@@ -124,7 +130,7 @@ class TestInitialize:
 
     def test_position_expectation_at_center(self, spec, packet, uu):
         state = gridsim.initialize(packet, uu, spec)
-        pos = gridsim.expect_position(state, spec)
+        pos = position(state, spec)
         assert np.allclose(pos, [0.0, 0.0, 0.4], atol=spec.dx)
 
     def test_spin_marginal_is_input(self, spec, packet):
@@ -153,7 +159,7 @@ class TestInitialize:
     def test_translated_packet_expectation(self, spec, uu):
         shifted = packets.WavePacket(center=(0.005, -0.005, 0.405), width=0.02)
         state = gridsim.initialize(shifted, uu, spec, edge_ramp_cells=2.0)
-        pos = gridsim.expect_position(state, spec)
+        pos = position(state, spec)
         assert np.allclose(pos, [0.005, -0.005, 0.405], atol=spec.dx)
 
 

@@ -1,7 +1,5 @@
 """Screen-deflection estimate pipeline."""
 
-import json
-
 import pytest
 
 from spinloop import packets, spins, trajectory, units
@@ -87,10 +85,3 @@ class TestScaleConsistency:
             )
             results.append(est.deflection_m)
         assert results[1] == pytest.approx(results[0], rel=1e-2)
-
-
-def test_json_roundtrip(preset_params):
-    est = trajectory.estimate(preset_params, 1e-3, 1e3, -2.22, 0.65)
-    payload = json.loads(trajectory.estimate_json(est))
-    assert payload["deflection_m"] == est.deflection_m
-    assert payload["speed_ms"] == 1e3
