@@ -30,10 +30,13 @@ RAMP_POINTS = 32  # the ramp is the preset's edge_ramp_cells cells of this grid
 
 
 def study_config(points: int) -> dict:
-    """The preset oracle at ``points`` per axis, its main packet's ramp at a fixed length."""
+    """The preset oracle at ``points`` per axis, its main packet's ramp at a
+    fixed length and its remainder run at about the 32-point grid's step,
+    so that every remainder window keeps its samples (dt ~ theta dx^2)."""
     cfg = config.load_config()
     o = cfg["oracle"]
     o["edge_ramp_cells"] *= (points - 1) / (RAMP_POINTS - 1)
+    o["remainder"]["theta"] *= ((points - 1) / (RAMP_POINTS - 1)) ** 2
     o["points"] = points
     return cfg
 

@@ -206,11 +206,17 @@ def cmd_oracle(cfg: dict, out_dir: Path) -> int:
         a_grid = dfl.contract_force(uu, grid_moments, coupling_sign=sign).a_z
         packet = packets.WavePacket(center=tuple(o["center"]), width=o["packet_width"])
         a_quad = dfl.contract_force(uu, packets.moments(packet, tuples), coupling_sign=sign).a_z
+        ham = gridsim.GridHamiltonian(coupling_sign=sign)
+        a_discrete = gridsim.discrete_acceleration(result.initial, spec, ham)
         r, series_r, kappa = o["remainder"], result.remainder_series, spec.kinetic_scale
         exponent = gridsim.remainder_scaling(series_r, r["windows"])
         report["grid"].update(half_width=o["half_width"], kinetic_scale=kappa)
         report.update({
-            "bch": {"a_from_grid_density": a_grid, "a_from_quadrature": a_quad},
+            "bch": {
+                "a_from_grid_density": a_grid,
+                "a_from_quadrature": a_quad,
+                "a_discrete": a_discrete,
+            },
             "relative_error": abs(fit.a - a_grid) / abs(a_grid),
             "velocity": {
                 "initial_momentum": p0,

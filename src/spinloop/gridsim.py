@@ -9,7 +9,9 @@ initial packet is evolved under the full Hamiltonian
 where positions are in l, times in tau, and coupling(r) is the natural-unit
 dipole-dipole operator of :mod:`spinloop.fields` (whose expectation gradient
 is the acceleration in l/tau^2).  A quadratic fit of <z>(t) then recovers
-the initial acceleration with no perturbative input.
+the initial acceleration with no perturbative input, and
+:func:`discrete_acceleration` gives the grid Hamiltonian's exact value of
+it, against which the time step's error is measured.
 
 Spin basis: the grid holds the coefficients on the "magic" basis
 (T_x, T_y, T_z, S) of :data:`MAGIC_BASIS`, in which the coupling is real:
@@ -83,9 +85,9 @@ _BLOCK_CELLS = 32**3
 _CELL_BYTES = 8 * (20 + 5 * 8)
 GRID_BYTES_BUDGET = 2 * 2**30
 # Work bound of one oracle: n^3 times the steps of all its runs.  The preset
-# takes 32^3 x 265 = 8.7e6 cell-steps; this allows a 64-point oracle in the
-# preset's box (2.8e8 cell-steps at 0.24-0.35 us each on a 2-core Xeon,
-# about 80 s) and refuses 100 points (2.7e9).
+# takes 32^3 x 159 = 5.2e6 cell-steps; this allows a 64-point oracle in the
+# preset's box (645 steps, 1.7e8 cell-steps at 0.24-0.35 us each on a 2-core
+# Xeon, about 50 s) and refuses 100 points (1,586 steps, 1.6e9).
 CELL_STEPS_BUDGET = 3 * 10**8
 
 
@@ -157,6 +159,10 @@ class GridSpec(Grid):
             raise ValidationError(
                 f"dt {self.dt} exceeds the RK4 stability bound {RK4_STABILITY_LIMIT / bound:.3e}"
             )
+
+    def times(self) -> np.ndarray:
+        """The times of the ``steps + 1`` states of a run, from 0."""
+        return np.arange(self.steps + 1) * self.dt
 
 
 @dataclass(frozen=True)
@@ -234,11 +240,14 @@ class GridState:
         return flat @ flat.conj().T
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    # numpy's own reduction, with no temporary: np.dot is BLAS ddot, whose
+    # last bits depend on the BLAS thread count
+    return float(np.einsum("i,i->", a.reshape(-1), b.reshape(-1)))
+
+
 def _squared_norm(stack: np.ndarray) -> float:
-    # numpy's own reduction: np.dot is BLAS ddot, whose last bits depend on
-    # the BLAS thread count
-    flat = stack.reshape(-1)
-    return float(np.einsum("i,i->", flat, flat))
+    return _dot(stack, stack)
 
 
 def _edge_profile(coords: np.ndarray, center: float, width: float, ramp: float) -> np.ndarray:
@@ -540,8 +549,17 @@ def run(state: GridState, spec: GridSpec, operator: GridOperator) -> tuple[GridS
         spare, state = (spare[0], state.stack), new
         rows.append(observe(state))
     norms, zs = np.array(rows).T
-    ts = np.arange(spec.steps + 1) * spec.dt
-    return state, TimeSeries(t=ts, z_expect=zs, norm=norms)
+    return state, TimeSeries(t=spec.times(), z_expect=zs, norm=norms)
+
+
+def _central_difference_z(stack: np.ndarray, dx: float) -> np.ndarray:
+    """D = d/dz by the central difference on every row of a stack, 0 on the
+    z walls: p_h = -i D is the momentum conjugate to the Laplacian."""
+    d = np.zeros_like(stack)
+    inner = d[..., 1:-1]
+    np.subtract(stack[..., 2:], stack[..., :-2], out=inner)
+    inner /= 2.0 * dx
+    return d
 
 
 def expect_momentum_z(state: GridState, grid: Grid) -> float:
@@ -550,10 +568,31 @@ def expect_momentum_z(state: GridState, grid: Grid) -> float:
     With psi = a + i b per component, Re(psi* (-i d/dz) psi) = a db - b da.
     """
     re, im = state.stack
-    d = np.zeros_like(state.stack)
-    d[..., 1:-1] = (state.stack[..., 2:] - state.stack[..., :-2]) / (2.0 * grid.dx)
+    d = _central_difference_z(state.stack, grid.dx)
     val = np.sum(re * d[1]) - np.sum(im * d[0])
     return float(val) / state.norm() ** 2
+
+
+def discrete_acceleration(state: GridState, grid: Grid, ham: GridHamiltonian) -> float:
+    """The grid Hamiltonian's exact d^2<z>/dt^2 at ``state``: kappa <i[V, p_h]>.
+
+    kappa p_h = i[H, z] holds exactly on the grid, and p_h commutes with the
+    Laplacian, so the Ehrenfest step one order up gives kappa i<[V, p_h]> =
+    -2 kappa Im<V psi | p_h psi> = 2 kappa Re<V psi | D psi>, over the
+    squared norm.  V, the potential part of ``ham``, is one
+    :meth:`GridOperator.apply` with the kinetic term off: from psi = 0 at
+    j = 1 it writes -i dt V psi.
+    """
+    spec = grid.stepped()
+    operator = GridOperator(spec, replace(ham, include_kinetic=False))
+    state = _on_closure(state, operator)
+    psi = state.stack
+    v = operator.apply(psi, np.zeros_like(psi), 1, np.empty_like(psi), state.first)
+    del operator  # its fields go before D psi is built
+    d = _central_difference_z(psi, grid.dx)
+    # V psi = i v / dt, so Re<V psi | D psi> = (v_re . d_im - v_im . d_re) / dt
+    val = _dot(v[0], d[1]) - _dot(v[1], d[0])
+    return 2.0 * grid.kinetic_scale * val / (spec.dt * _squared_norm(psi))
 
 
 def edge_density_ratio(state: GridState) -> float:
@@ -631,13 +670,28 @@ def fit_acceleration(t: np.ndarray, z: np.ndarray) -> QuadraticFit:
     )
 
 
+def _window(t: np.ndarray, end: float) -> np.ndarray:
+    """The samples t <= ``end`` of a remainder window; at least 8."""
+    mask = t <= end * (1.0 + 1e-12)
+    if mask.sum() < 8:
+        raise ValidationError(f"window {end} holds fewer than 8 samples")
+    return mask
+
+
+def check_windows(t: np.ndarray, windows: Sequence[float]) -> None:
+    """Refuse remainder windows over the sample times ``t`` that cannot
+    give a scaling: fewer than two, or one holding fewer than 8 samples."""
+    if len(windows) < 2:
+        raise ValidationError("remainder scaling needs at least two windows")
+    for end in windows:
+        _window(t, end)
+
+
 def remainder_residuals(series: TimeSeries, windows: Sequence[float]) -> list[float]:
     """RMS residual of a windowed quadratic fit, per window end time."""
     out = []
     for T in windows:
-        mask = series.t <= T * (1.0 + 1e-12)
-        if mask.sum() < 8:
-            raise ValidationError(f"window {T} holds fewer than 8 samples")
+        mask = _window(series.t, T)
         fit = fit_acceleration(series.t[mask], series.z_expect[mask])
         out.append(fit.residual_rms)
     return out
@@ -657,8 +711,7 @@ def remainder_scaling(
     noise and an error is raised.
     """
     windows = sorted(windows)
-    if len(windows) < 2:
-        raise ValidationError("remainder scaling needs at least two windows")
+    check_windows(series.t, windows)
     residuals = remainder_residuals(series, windows)
     if length_scale is None:
         length_scale = float(np.max(np.abs(series.z_expect)))
@@ -696,9 +749,13 @@ def run_oracle(cfg: dict) -> OracleResult:
 
     The main run is under the coupling for the ``full`` variant, under the
     Zeeman term alone for ``pure-zeeman`` and free for ``free``.  Every run
-    steps at stable_dt(theta) for max(ceil(duration / dt), 8) steps.  An
-    oracle whose runs together take more than :data:`CELL_STEPS_BUDGET`
-    cell-steps is refused before any state is built.
+    steps at stable_dt(theta) for max(ceil(duration / dt), 8) steps, with the
+    ``theta`` of its own section: ``oracle`` for the main and Zeeman runs,
+    ``oracle.remainder`` for the remainder run.  Before any state is built,
+    it refuses an oracle whose runs together take more than
+    :data:`CELL_STEPS_BUDGET` cell-steps, a Zeeman term that puts the step
+    beyond the RK4 stability limit, and remainder windows that
+    :func:`check_windows` refuses.
     """
     o = cfg["oracle"]
     if o["variant"] not in ("full", "pure-zeeman", "free"):
@@ -707,7 +764,8 @@ def run_oracle(cfg: dict) -> OracleResult:
     center = tuple(o["center"])
 
     def placed(kappa: float, duration: float, run_cfg: dict) -> tuple[GridSpec, WavePacket]:
-        spec = Grid(o["points"], center, o["half_width"], kappa).stepped(o["theta"], duration)
+        grid = Grid(o["points"], center, o["half_width"], kappa)
+        spec = grid.stepped(run_cfg["theta"], duration)
         packet = WavePacket(center=center, width=run_cfg["packet_width"])
         check_packet_fits(packet, spec, run_cfg["edge_ramp_cells"])
         return spec, packet
@@ -733,7 +791,17 @@ def run_oracle(cfg: dict) -> OracleResult:
     steps = spec.steps
     if o["variant"] == "full":
         spec_r, packet_r = placed(r["kinetic_scale"], r["duration"], r)
+        check_windows(spec_r.times(), r["windows"])
         steps += spec_r.steps + spec.steps  # the remainder and Zeeman runs
+    if o["variant"] != "free":  # a run under the Zeeman term, at the main step
+        zp, zl = o["zeeman"]
+        # the Zeeman eigenvalues are +-(zp + zl) / 2 and +-(zp - zl) / 2
+        radius = spectral_radius_bound(spec) + (abs(zp) + abs(zl)) / 2.0
+        if spec.dt * radius > RK4_STABILITY_LIMIT:
+            raise ValidationError(
+                f"oracle.zeeman {[zp, zl]} puts dt {spec.dt:.3e} beyond the RK4 stability "
+                f"bound {RK4_STABILITY_LIMIT / radius:.3e}"
+            )
     if spec.points_per_axis**3 * steps > CELL_STEPS_BUDGET:
         raise ValidationError(
             f"oracle of {steps} steps over {spec.points_per_axis}^3 points takes "

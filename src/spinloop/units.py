@@ -80,7 +80,12 @@ def derive_length_unit(params: PhysicalParams, tau: float) -> NaturalUnits:
     """Length unit from the coupling: l = (mu0 |alpha beta| hbar^2 tau^2 / m)^(1/5)."""
     if tau <= 0:
         raise ValidationError("tau must be positive")
-    l5 = params.mu0 * abs(params.alpha * params.beta) * params.hbar**2 * tau**2 / params.mass
+    try:
+        l5 = params.mu0 * abs(params.alpha * params.beta) * params.hbar**2 * tau**2 / params.mass
+    except OverflowError:  # float ** raises where * returns inf
+        l5 = math.inf
+    if not math.isfinite(l5):
+        raise ValidationError(f"tau {tau:g} s puts the length unit beyond the float range")
     return NaturalUnits(l=l5**0.2, tau=tau)
 
 

@@ -81,6 +81,8 @@ class TestConfig:
             ({"duration": -1.0}, "oracle.duration"),
             ({"remainder": {"duration": 0.0}}, "oracle.remainder.duration"),
             ({"remainder": {"duration": -1e-3}}, "oracle.remainder.duration"),
+            ({"remainder": {"theta": 0.0}}, "oracle.remainder.theta"),
+            ({"remainder": {"theta": -0.3}}, "oracle.remainder.theta"),
         ],
     )
     def test_nonpositive_oracle_step_inputs_rejected(self, tmp_path, override, key):
@@ -260,6 +262,21 @@ class TestFarField:
         assert summary["average_negative_region"] == pytest.approx(-1.19366e-161, rel=1e-5)
 
 
+class TestHugeTau:
+    """tau**2 overflows past ~1.3e154 s: refused with one line, not a traceback."""
+
+    @pytest.mark.parametrize("command", ["deflect", "oracle", "selftest"])
+    def test_refused_with_one_line(self, tmp_path, capsys, monkeypatch, command):
+        monkeypatch.setattr(gridsim, "initialize", refuse_state)
+        over = tmp_path / "cfg.json"
+        over.write_text(json.dumps({"tau": 1e300}))
+        out = tmp_path / "out"
+        assert main([command, "--config", str(over), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: tau 1e+300 s puts the length unit beyond the float range\n"
+        assert not out.exists()
+
+
 class TestEprCommand:
     def test_preset_numbers(self, tmp_path):
         assert main(["epr", "--out", str(tmp_path)]) == 0
@@ -398,7 +415,7 @@ class TestOracleInputErrors:
             gridsim.run_oracle(cfg)
 
     def test_work_guard_refuses_before_any_state(self, tmp_path, capsys, monkeypatch):
-        """164 points pass the memory guard but mean 7,237 steps over 164^3
+        """164 points pass the memory guard but mean 4,291 steps over 164^3
         cells: refused with one line before any state is built."""
         monkeypatch.setattr(gridsim, "initialize", refuse_state)
         over = tmp_path / "cfg.json"
@@ -406,23 +423,64 @@ class TestOracleInputErrors:
         out = tmp_path / "out"
         assert main(["oracle", "--config", str(over), "--out", str(out)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: oracle of 7237 steps over 164^3 points takes 3.19e+10 ")
+        assert err.startswith("error: oracle of 4291 steps over 164^3 points takes 1.89e+10 ")
         assert err.endswith("cell-steps, over the 3e+08 budget\n") and err.count("\n") == 1
         assert not out.exists()
 
     @pytest.mark.parametrize("spare, allowed", [(0, True), (-1, False)])
     def test_work_guard_bound_is_inclusive(self, preset_cfg, monkeypatch, spare, allowed):
-        """The preset's 32^3 x 265 cell-steps pass a budget of exactly that, and not one less."""
+        """The preset's 32^3 x 159 cell-steps pass a budget of exactly that, and not one less."""
         monkeypatch.setattr(gridsim, "initialize", refuse_state)
-        monkeypatch.setattr(gridsim, "CELL_STEPS_BUDGET", 32**3 * 265 + spare)
+        monkeypatch.setattr(gridsim, "CELL_STEPS_BUDGET", 32**3 * 159 + spare)
         with pytest.raises(StateBuilt if allowed else ValidationError):
             gridsim.run_oracle(preset_cfg)
 
-    @pytest.mark.parametrize("points", [24, 32, 40, 48])
+    @pytest.mark.parametrize("points", [20, 24, 32, 40, 48])
     def test_work_guard_passes_convergence_study(self, monkeypatch, points):
         monkeypatch.setattr(gridsim, "initialize", refuse_state)
         with pytest.raises(StateBuilt):
             gridsim.run_oracle(convergence_study().study_config(points))
+
+    @pytest.mark.parametrize("variant", ["full", "pure-zeeman"])
+    def test_unstable_zeeman_refused_before_any_state(self, tmp_path, capsys, monkeypatch,
+                                                       variant):
+        """The Zeeman term counts in the RK4 stability bound: at 1e12 it would
+        blow up at the first step."""
+        monkeypatch.setattr(gridsim, "initialize", refuse_state)
+        over = tmp_path / "cfg.json"
+        over.write_text(json.dumps({"oracle": {"variant": variant, "zeeman": [1e12, 0.0]}}))
+        out = tmp_path / "out"
+        assert main(["oracle", "--config", str(over), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: oracle.zeeman [1000000000000.0, 0.0] puts dt ")
+        assert "beyond the RK4 stability bound" in err and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_free_variant_ignores_zeeman(self, preset_cfg, monkeypatch):
+        monkeypatch.setattr(gridsim, "initialize", refuse_state)
+        cfg = copy.deepcopy(preset_cfg)
+        cfg["oracle"].update(variant="free", zeeman=[1e12, 0.0])
+        with pytest.raises(StateBuilt):
+            gridsim.run_oracle(cfg)
+
+    @pytest.mark.parametrize(
+        "remainder, message",
+        [
+            ({"windows": [1e-5, 1e-3]}, "error: window 1e-05 holds fewer than 8 samples\n"),
+            ({"windows": [1e-3]}, "error: remainder scaling needs at least two windows\n"),
+            # 7 samples in the 2.5e-4 window at twice the step
+            ({"theta": 0.3}, "error: window 0.00025 holds fewer than 8 samples\n"),
+        ],
+    )
+    def test_bad_windows_refused_before_any_state(self, tmp_path, capsys, monkeypatch,
+                                                  remainder, message):
+        monkeypatch.setattr(gridsim, "initialize", refuse_state)
+        over = tmp_path / "cfg.json"
+        over.write_text(json.dumps({"oracle": {"remainder": remainder}}))
+        out = tmp_path / "out"
+        assert main(["oracle", "--config", str(over), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == message
+        assert not out.exists()
 
     def test_oversized_grid_exit_code_and_message(self, tmp_path, capsys):
         over = tmp_path / "cfg.json"

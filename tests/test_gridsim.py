@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from spinloop import config as cfgmod
 from spinloop import deflection as dfl
 from spinloop import fields, gridsim, packets, spins
 from spinloop.errors import NumericalError, ValidationError
@@ -109,15 +110,16 @@ class TestGrid:
         o = preset_cfg["oracle"]
         r = o["remainder"]
         series_r = preset_oracle.remainder_series
-        for kappa, duration, dt, steps, expected in (
-            (preset_kappa, o["duration"], preset_oracle.spec.dt, preset_oracle.spec.steps, 107),
-            (r["kinetic_scale"], r["duration"], series_r.t[1], len(series_r.t) - 1, 51),
+        for run_cfg, kappa, dt, steps, expected in (
+            (o, preset_kappa, preset_oracle.spec.dt, preset_oracle.spec.steps, 54),
+            (r, r["kinetic_scale"], series_r.t[1], len(series_r.t) - 1, 51),
         ):
+            duration = run_cfg["duration"]
             probe = gridsim.GridSpec(
                 points_per_axis=o["points"], box_center=tuple(o["center"]),
                 box_half_width=o["half_width"], dt=PROBE_DT, steps=1, kinetic_scale=kappa,
             )
-            probe_dt = gridsim.stable_dt(probe, theta=o["theta"])
+            probe_dt = gridsim.stable_dt(probe, theta=run_cfg["theta"])
             assert dt == probe_dt
             assert steps == max(math.ceil(duration / probe_dt), 8)
             assert steps == math.ceil(duration / probe_dt) == expected
@@ -541,7 +543,9 @@ class TestEdgeDensity:
         cfg = copy.deepcopy(preset_cfg)
         cfg["oracle"].update(points=16, half_width=0.05, packet_width=0.03, edge_ramp_cells=2.0,
                              duration=1e-5)
-        cfg["oracle"]["remainder"].update(packet_width=0.03, edge_ramp_cells=2.0, duration=1e-4)
+        # theta 0.1 leaves the 8 samples the 2.5e-4 window needs at 16 points
+        cfg["oracle"]["remainder"].update(packet_width=0.03, edge_ramp_cells=2.0, duration=1e-4,
+                                          theta=0.1)
         values, seen = iter([0.1, 0.3, 0.2]), []
 
         def reading(state):
@@ -591,6 +595,45 @@ class TestFitAcceleration:
             res.append(gridsim.fit_acceleration(t[m], z[m]).residual_rms)
         slope = np.polyfit(np.log([1e-4, 2e-4, 4e-4]), np.log(res), 1)[0]
         assert slope == pytest.approx(3.0, abs=0.3)
+
+
+class TestDiscreteAcceleration:
+    def test_preset_cubic_fit_matches(self, preset_cfg, preset_oracle):
+        """The preset main run's time error: a cubic fit of <z>(t) reads the
+        grid's exact initial acceleration to 6e-6 relative at theta 0.3
+        (1.4e-5 at 0.45)."""
+        sign = cfgmod.build_params(preset_cfg).coupling_sign
+        ham = gridsim.GridHamiltonian(coupling_sign=sign)
+        exact = gridsim.discrete_acceleration(preset_oracle.initial, preset_oracle.spec, ham)
+        series = preset_oracle.series
+        end = series.t[-1]
+        coef = np.polynomial.polynomial.polyfit(series.t / end, series.z_expect, 3)
+        cubic = 2.0 * coef[2] / end**2
+        assert abs(cubic - exact) <= 1e-5 * abs(exact), f"cubic fit {cubic} vs {exact}"
+
+    def test_matches_momentum_rate(self, packet, uu):
+        """kappa d<p_h>/dt at t = 0 from two RK4 steps, second-order one-sided."""
+        spec = small_spec(steps=2, theta=0.05)
+        state = gridsim.initialize(packet, uu, spec, momentum_z=3.0)
+        ham = gridsim.GridHamiltonian()
+        op = gridsim.GridOperator(spec, ham)
+        one = gridsim.evolve(state, spec, op)
+        p = [gridsim.expect_momentum_z(s, spec) for s in (state, one, gridsim.evolve(one, spec, op))]
+        rate = KAPPA * (-3.0 * p[0] + 4.0 * p[1] - p[2]) / (2.0 * spec.dt)
+        exact = gridsim.discrete_acceleration(state, spec, ham)
+        assert exact == pytest.approx(rate, rel=1e-7)
+
+    def test_coupling_off_sign_and_uniform_field(self, spec, packet, uu):
+        state = gridsim.initialize(packet, uu, spec)
+        a = gridsim.discrete_acceleration(state, spec, gridsim.GridHamiltonian())
+        assert a < 0
+        off = gridsim.GridHamiltonian(include_interaction=False)
+        assert gridsim.discrete_acceleration(state, spec, off) == 0.0
+        flipped = gridsim.GridHamiltonian(coupling_sign=-1)
+        assert gridsim.discrete_acceleration(state, spec, flipped) == -a
+        # a uniform field commutes with p_h
+        zeeman = gridsim.GridHamiltonian(zeeman_particle=5.0, zeeman_loop=3.0)
+        assert gridsim.discrete_acceleration(state, spec, zeeman) == pytest.approx(a, rel=1e-12)
 
 
 class TestRemainderScaling:
