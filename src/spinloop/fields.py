@@ -1,4 +1,4 @@
-"""Position-dependent spin operators: dipole field, interaction, force.
+"""Position-dependent spin operators: the dipole coupling and its force.
 
 The two operator fields built here are dimensionless natural-unit forms
 evaluated at positions measured in l:
@@ -9,8 +9,7 @@ evaluated at positions measured in l:
   is directly an acceleration in l / tau^2.
 
 Both are 4x4 Hermitian matrices at every position away from the origin.
-The point-dipole contact (Dirac delta) pieces are tracked only as the
-``includes_delta_term`` flag and never contribute numerically; every
+The point-dipole contact (Dirac delta) pieces are excluded; every
 supported wavepacket lives away from the origin.
 """
 
@@ -22,8 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ValidationError
-from .spins import SPIN_PAIR, spin_dot, embed, spin_generator
-from .units import PhysicalParams
+from .spins import SPIN_PAIR, spin_dot
 
 _SPIN_DOT = spin_dot()
 
@@ -40,28 +38,12 @@ def _radial_bilinears(x: float, y: float, z: float):
     return r, r2, rv, pr_lr
 
 
-def dipole_field(moment: np.ndarray, at: np.ndarray, mu0: float) -> np.ndarray:
-    """Magnetic field (tesla) of a point dipole ``moment`` (A m^2) at ``at`` (m).
-
-    B = (mu0 / 4 pi r^3) [3 (m . rhat) rhat - m]; the delta contribution at
-    the origin is excluded, and evaluation at the origin is an error.
-    """
-    moment = np.asarray(moment, dtype=float)
-    at = np.asarray(at, dtype=float)
-    r = np.linalg.norm(at)
-    if r == 0.0:
-        raise ValidationError("dipole singularity: field requested at the dipole position")
-    rhat = at / r
-    return mu0 / (4 * np.pi * r**3) * (3.0 * np.dot(moment, rhat) * rhat - moment)
-
-
 @dataclass(frozen=True)
 class OperatorField:
     """Rule mapping a position (natural units) to a 4x4 spin operator."""
 
     rule: Callable[[float, float, float], np.ndarray]
     label: str = ""
-    includes_delta_term: bool = False  # symbolic only, never evaluated
 
     def at(self, x: float, y: float, z: float) -> np.ndarray:
         if x * x + y * y + z * z == 0.0:
@@ -84,7 +66,7 @@ def interaction_hamiltonian(coupling_sign: int = 1) -> OperatorField:
         r, r2, _, pr_lr = _radial_bilinears(x, y, z)
         return (-coupling_sign / (4 * np.pi * r**3)) * ((3.0 / r2) * pr_lr - _SPIN_DOT)
 
-    return OperatorField(rule=rule, label="dipole-dipole coupling", includes_delta_term=True)
+    return OperatorField(rule=rule, label="dipole-dipole coupling")
 
 
 def force_operator(coupling_sign: int = 1) -> OperatorField:
@@ -111,15 +93,5 @@ def force_operator(coupling_sign: int = 1) -> OperatorField:
         bracket = szp_lr + pr_szl - (5.0 / r2) * pr_lr * z + _SPIN_DOT * z
         return (coupling_sign * 3.0 / (4 * np.pi * r**5)) * bracket
 
-    return OperatorField(rule=rule, label="deflection force", includes_delta_term=True)
+    return OperatorField(rule=rule, label="deflection force")
 
-
-def zeeman_term(params: PhysicalParams) -> np.ndarray:
-    """Uniform-field term -(alpha S_z_p + beta S_z_l) B0 in SI joules.
-
-    Position independent, hence absent from the force; carried here for
-    the full Hamiltonian and the grid cross-checks.
-    """
-    szp = embed(spin_generator("z"), "particle")
-    szl = embed(spin_generator("z"), "loop")
-    return -params.b0 * params.hbar * (params.alpha * szp + params.beta * szl)

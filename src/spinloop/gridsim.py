@@ -234,11 +234,6 @@ class GridState:
         basis = MAGIC_BASIS[:, self.first : self.first + len(re)]
         return np.tensordot(basis, re + 1j * im, axes=1)
 
-    def spin_marginal(self) -> np.ndarray:
-        """Reduced 4x4 spin density matrix (trace over position), product basis."""
-        flat = self.amplitudes().reshape(4, -1)
-        return flat @ flat.conj().T
-
 
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
     # numpy's own reduction, with no temporary: np.dot is BLAS ddot, whose
@@ -754,7 +749,8 @@ def run_oracle(cfg: dict) -> OracleResult:
     ``oracle.remainder`` for the remainder run.  Before any state is built,
     it refuses an oracle whose runs together take more than
     :data:`CELL_STEPS_BUDGET` cell-steps, a Zeeman term that puts the step
-    beyond the RK4 stability limit, and remainder windows that
+    beyond the RK4 stability limit or the first step past the norm budget
+    :data:`STEP_NORM_DRIFT_LIMIT`, and remainder windows that
     :func:`check_windows` refuses.
     """
     o = cfg["oracle"]
@@ -801,6 +797,17 @@ def run_oracle(cfg: dict) -> OracleResult:
             raise ValidationError(
                 f"oracle.zeeman {[zp, zl]} puts dt {spec.dt:.3e} beyond the RK4 stability "
                 f"bound {RK4_STABILITY_LIMIT / radius:.3e}"
+            )
+        # By Weyl's inequality every eigenvalue of H lies at least this far
+        # from zero, and RK4 keeps |R(ix)|^2 = 1 - x^6/72 + x^8/576 of each
+        # eigencomponent, a loss that grows with x up to sqrt(6) (x <= 2
+        # here): past the norm budget the first step is certain to fail.
+        x = spec.dt * (min(abs(zp + zl), abs(zp - zl)) / 2.0 - spectral_radius_bound(spec))
+        loss = x**6 / 72.0 - x**8 / 576.0
+        if x > 0 and loss > STEP_NORM_DRIFT_LIMIT:
+            raise ValidationError(
+                f"oracle.zeeman {[zp, zl]} puts dt {spec.dt:.3e} past the per-step norm "
+                f"budget: RK4 loses at least {loss:.3e} of it, over {STEP_NORM_DRIFT_LIMIT:g}"
             )
     if spec.points_per_axis**3 * steps > CELL_STEPS_BUDGET:
         raise ValidationError(

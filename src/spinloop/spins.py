@@ -21,8 +21,6 @@ import numpy as np
 
 from .errors import ValidationError
 
-# Centralized tolerances (single source of truth for tests).
-HERMITICITY_TOL = 1e-12
 NORM_TOL = 1e-12
 REALITY_TOL = 1e-10
 
@@ -74,11 +72,6 @@ def spin_dot() -> np.ndarray:
 
 def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b - b @ a
-
-
-def is_hermitian(m: np.ndarray, tol: float = HERMITICITY_TOL) -> bool:
-    m = np.asarray(m)
-    return bool(np.max(np.abs(m - m.conj().T)) <= tol)
 
 
 def basis_state(particle: str, loop: str) -> np.ndarray:
@@ -174,17 +167,6 @@ def parallel_mixture() -> np.ndarray:
 
 def antiparallel_mixture() -> np.ndarray:
     return mixture([basis_state("up", "down"), basis_state("down", "up")], [0.5, 0.5])
-
-
-def check_density(rho: np.ndarray, tol: float = HERMITICITY_TOL) -> None:
-    """Validate Hermiticity, unit trace and positivity of a density matrix."""
-    rho = np.asarray(rho)
-    if not is_hermitian(rho, tol):
-        raise ValidationError("density matrix is not Hermitian")
-    if abs(np.trace(rho).real - 1.0) > tol:
-        raise ValidationError("density matrix trace differs from 1")
-    if np.min(np.linalg.eigvalsh(rho)) < -tol:
-        raise ValidationError("density matrix has a negative eigenvalue")
 
 
 _SPIN_ALIASES = {

@@ -12,6 +12,7 @@ natural units and converted to SI through the derived length unit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import ValidationError
@@ -58,6 +59,12 @@ def estimate(
     a_si = from_natural(avg_acceleration_natural, "acceleration", units)
     width_si = from_natural(region_width_natural, "length", units)
     t_int = width_si / speed
+    try:
+        deflection = 0.5 * abs(a_si) * t_int**2
+    except OverflowError:  # float ** raises where * returns inf
+        deflection = math.inf
+    if not math.isfinite(deflection):
+        raise ValidationError(f"speed {speed:g} m/s puts the deflection beyond the float range")
     return DeflectionEstimate(
         length_unit_m=units.l,
         tau_s=tau,
@@ -67,7 +74,7 @@ def estimate(
         avg_acceleration_ms2=a_si,
         region_width_m=width_si,
         interaction_time_s=t_int,
-        deflection_m=0.5 * abs(a_si) * t_int**2,
+        deflection_m=deflection,
     )
 
 

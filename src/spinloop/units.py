@@ -17,14 +17,11 @@ from dataclasses import dataclass
 
 from .errors import ValidationError
 
-# CODATA 2018 values. e, k_B and h are exact SI definitions since the 2019
+# CODATA 2018 values. e and h are exact SI definitions since the 2019
 # redefinition; hbar = h / (2 pi) to double precision.
 ELEMENTARY_CHARGE = 1.602176634e-19  # C (exact)
 ELECTRON_MASS = 9.1093837015e-31  # kg
 PROTON_MASS = 1.67262192369e-27  # kg
-ATOMIC_MASS = 1.66053906660e-27  # kg
-HYDROGEN_MASS = 1.00782503207 * ATOMIC_MASS  # kg (1H atomic mass)
-BOLTZMANN = 1.380649e-23  # J/K (exact)
 VACUUM_PERMEABILITY = 1.25663706212e-6  # N/A^2
 HBAR = 1.054571817e-34  # J s
 
@@ -58,11 +55,6 @@ class PhysicalParams:
     def coupling_sign(self) -> int:
         return 1 if self.alpha * self.beta > 0 else -1
 
-    @classmethod
-    def natural(cls) -> "PhysicalParams":
-        """Dimensionless stand-in with every constant set to 1 and b0 = 0."""
-        return cls(alpha=1.0, beta=1.0, mass=1.0, b0=0.0, mu0=1.0, hbar=1.0)
-
 
 @dataclass(frozen=True)
 class NaturalUnits:
@@ -93,46 +85,36 @@ def beta_from_loop(current: float, radius: float, hbar: float = HBAR) -> float:
     """Moment-per-spin ratio of a current loop: (I pi R^2) / (hbar/2)."""
     if current <= 0 or radius <= 0:
         raise ValidationError("loop current and radius must be positive")
-    moment = current * math.pi * radius**2
-    return moment / (hbar / 2.0)
-
-
-def thermal_speed(temperature: float, mass: float) -> float:
-    """RMS thermal speed sqrt(3 k_B T / m)."""
-    if temperature <= 0:
-        raise ValidationError("temperature must be positive")
-    if mass <= 0:
-        raise ValidationError("mass must be positive")
-    return math.sqrt(3.0 * BOLTZMANN * temperature / mass)
+    try:
+        moment = current * math.pi * radius**2
+    except OverflowError:  # float ** raises where * returns inf
+        moment = math.inf
+    beta = moment / (hbar / 2.0)
+    if not math.isfinite(beta):
+        raise ValidationError(
+            f"loop current {current:g} A and radius {radius:g} m put beta beyond the float range"
+        )
+    return beta
 
 
 # dimension tag -> (power of l, power of tau)
-_DIMENSIONS = {
-    "length": (1, 0),
-    "time": (0, 1),
-    "speed": (1, -1),
-    "acceleration": (1, -2),
-}
+_DIMENSIONS = {"length": (1, 0), "acceleration": (1, -2)}
 
 
-def _si_factor(dimension: str, units: NaturalUnits) -> float:
+def from_natural(value: float, dimension: str, units: NaturalUnits) -> float:
+    """Convert a natural-unit value back to SI."""
     try:
         pl, pt = _DIMENSIONS[dimension]
     except KeyError:
         raise ValidationError(
             f"unknown dimension {dimension!r}; options: {sorted(_DIMENSIONS)}"
         ) from None
-    return units.l**pl * units.tau**pt
-
-
-def to_natural(value: float, dimension: str, units: NaturalUnits) -> float:
-    """Convert an SI value into natural (l, tau) units."""
-    return value / _si_factor(dimension, units)
-
-
-def from_natural(value: float, dimension: str, units: NaturalUnits) -> float:
-    """Convert a natural-unit value back to SI."""
-    return value * _si_factor(dimension, units)
+    try:
+        return value * (units.l**pl * units.tau**pt)
+    except OverflowError:  # float ** raises where * returns inf
+        raise ValidationError(
+            f"tau {units.tau:g} s puts the {dimension} unit beyond the float range"
+        ) from None
 
 
 def kinetic_scale(params: PhysicalParams, units: NaturalUnits) -> float:

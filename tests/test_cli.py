@@ -277,6 +277,45 @@ class TestHugeTau:
         assert not out.exists()
 
 
+class TestFloatRange:
+    """float ** raises OverflowError where * returns inf: a beam too slow for
+    t_int**2, a loop too wide for radius**2, or a tau too short for tau**-2
+    is refused with one line."""
+
+    @pytest.mark.parametrize("speed", [1e-160, 1e-300])
+    def test_slow_beam_refused(self, tmp_path, capsys, speed):
+        over = tmp_path / "cfg.json"
+        over.write_text(json.dumps({"deflect": {"speed": speed}}))
+        out = tmp_path / "out"
+        assert main(["deflect", "--config", str(over), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: speed {speed:g} m/s puts the deflection beyond the float range\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["deflect", "figure2"])
+    def test_wide_loop_refused(self, tmp_path, capsys, command):
+        over = tmp_path / "cfg.json"
+        over.write_text(json.dumps({"params": {"loop_radius": 1e200}}))
+        out = tmp_path / "out"
+        assert main([command, "--config", str(over), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == (
+            "error: loop current 1e-06 A and radius 1e+200 m put beta beyond the float range\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["deflect", "selftest"])
+    def test_short_tau_refused(self, tmp_path, capsys, command):
+        # a strong coupling keeps the length unit positive at this tau
+        over = tmp_path / "cfg.json"
+        over.write_text(json.dumps({"tau": 1e-160, "params": {"alpha": -1e200}}))
+        out = tmp_path / "out"
+        assert main([command, "--config", str(over), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: tau 1e-160 s puts the acceleration unit beyond the float range\n"
+        assert not out.exists()
+
+
 class TestEprCommand:
     def test_preset_numbers(self, tmp_path):
         assert main(["epr", "--out", str(tmp_path)]) == 0
@@ -455,6 +494,32 @@ class TestOracleInputErrors:
         assert err.startswith("error: oracle.zeeman [1000000000000.0, 0.0] puts dt ")
         assert "beyond the RK4 stability bound" in err and err.count("\n") == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("variant", ["full", "pure-zeeman"])
+    @pytest.mark.parametrize("zeeman", [[1.5e6, 0.0], [3.5e6, 0.0]])
+    def test_zeeman_past_norm_budget_refused_before_any_state(self, tmp_path, capsys,
+                                                              monkeypatch, variant, zeeman):
+        """Inside the stability bound, but every eigenvalue lies so far from
+        zero that RK4's first step loses more of the norm than the budget:
+        these used to exit 2 at the first Zeeman step."""
+        monkeypatch.setattr(gridsim, "initialize", refuse_state)
+        over = tmp_path / "cfg.json"
+        over.write_text(json.dumps({"oracle": {"variant": variant, "zeeman": zeeman}}))
+        out = tmp_path / "out"
+        assert main(["oracle", "--config", str(over), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: oracle.zeeman {zeeman} puts dt 9.385e-07 past the "
+                              "per-step norm budget")
+        assert err.endswith("over 1e-06\n") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("variant", ["full", "pure-zeeman"])
+    def test_zeeman_inside_norm_budget_accepted(self, preset_cfg, monkeypatch, variant):
+        monkeypatch.setattr(gridsim, "initialize", refuse_state)
+        cfg = copy.deepcopy(preset_cfg)
+        cfg["oracle"].update(variant=variant, zeeman=[4e5, 0.0])
+        with pytest.raises(StateBuilt):
+            gridsim.run_oracle(cfg)
 
     def test_free_variant_ignores_zeeman(self, preset_cfg, monkeypatch):
         monkeypatch.setattr(gridsim, "initialize", refuse_state)

@@ -1,4 +1,4 @@
-"""Operator fields: dipole field, coupling term, force term."""
+"""Operator fields: coupling term, force term."""
 
 import math
 
@@ -9,45 +9,6 @@ from hypothesis import strategies as st
 
 from spinloop import fields, spins
 from spinloop.errors import ValidationError
-from spinloop.units import VACUUM_PERMEABILITY as MU0
-
-
-def biot_savart_loop(current, radius, at, segments=4000):
-    """Independent oracle: numerically integrated field of a circular loop
-    in the x-y plane centered at the origin (moment = I pi R^2 z-hat)."""
-    phi = (np.arange(segments) + 0.5) / segments * 2 * np.pi
-    pts = radius * np.stack([np.cos(phi), np.sin(phi), np.zeros_like(phi)], axis=1)
-    tang = np.stack([-np.sin(phi), np.cos(phi), np.zeros_like(phi)], axis=1)
-    dl = tang * (2 * np.pi * radius / segments)
-    rvec = np.asarray(at)[None, :] - pts
-    rnorm = np.linalg.norm(rvec, axis=1)[:, None]
-    integrand = np.cross(dl, rvec) / rnorm**3
-    return MU0 * current / (4 * np.pi) * integrand.sum(axis=0)
-
-
-class TestDipoleField:
-    def test_on_axis(self):
-        m, d = 2.5e-18, 1e-4
-        B = fields.dipole_field([0, 0, m], [0, 0, d], MU0)
-        assert np.allclose(B, [0, 0, MU0 * m / (2 * np.pi * d**3)], rtol=1e-12)
-
-    def test_equatorial(self):
-        m, d = 2.5e-18, 1e-4
-        B = fields.dipole_field([0, 0, m], [d, 0, 0], MU0)
-        assert np.allclose(B, [0, 0, -MU0 * m / (4 * np.pi * d**3)], rtol=1e-12)
-
-    def test_against_biot_savart(self):
-        # point-dipole formula versus a real loop far away (R << d)
-        current, radius = 1e-6, 1e-6
-        moment = current * np.pi * radius**2
-        at = np.array([0.0, 1e-4, 1e-4])
-        exact = fields.dipole_field([0, 0, moment], at, MU0)
-        loop = biot_savart_loop(current, radius, at)
-        assert np.linalg.norm(loop - exact) <= 1e-4 * np.linalg.norm(exact)
-
-    def test_singularity(self):
-        with pytest.raises(ValidationError, match="dipole singularity"):
-            fields.dipole_field([0, 0, 1.0], [0, 0, 0], MU0)
 
 
 class TestInteractionHamiltonian:
@@ -58,7 +19,7 @@ class TestInteractionHamiltonian:
             if np.linalg.norm(r) < 0.1:
                 continue
             H = field.at(*r)
-            assert spins.is_hermitian(H)
+            assert np.max(np.abs(H - H.conj().T)) <= 1e-12
 
     def test_hand_expanded_on_axis(self):
         # At r = (0,0,1): (S.r)(S.r) = Sz Sz, so the 4x4 is
@@ -93,9 +54,6 @@ class TestInteractionHamiltonian:
             direction /= np.linalg.norm(direction)
             values.append(spins.expectation(field.at(*(r * direction)), s))
         assert np.max(np.abs(values)) < 1e-12  # singlet sees no dipole coupling
-
-    def test_delta_flag(self):
-        assert fields.interaction_hamiltonian().includes_delta_term is True
 
     def test_origin_rejected(self):
         with pytest.raises(ValidationError):
@@ -168,29 +126,3 @@ class TestForceOperator:
         a_plus = spins.expectation(fields.force_operator(1).at(*r), uu)
         a_minus = spins.expectation(fields.force_operator(-1).at(*r), uu)
         assert a_minus == pytest.approx(-a_plus, rel=1e-14)
-
-
-class TestZeemanTerm:
-    def test_zero_field(self, preset_params):
-        import dataclasses
-
-        params = dataclasses.replace(preset_params, b0=0.0)
-        assert np.max(np.abs(fields.zeeman_term(params))) == 0.0
-
-    def test_diagonal_entries(self, preset_params):
-        import dataclasses
-
-        params = dataclasses.replace(preset_params, b0=1e-4)
-        Z = fields.zeeman_term(params)
-        a, b, h, B = params.alpha, params.beta, params.hbar, params.b0
-        expected = -B * h / 2 * np.array([a + b, a - b, -a + b, -a - b])
-        assert np.allclose(np.diag(Z), expected, rtol=1e-14)
-        assert np.allclose(Z, np.diag(np.diag(Z)))
-
-    def test_commutes_with_szsz(self, preset_params):
-        import dataclasses
-
-        params = dataclasses.replace(preset_params, b0=2e-4)
-        Z = fields.zeeman_term(params)
-        szsz = spins.SPIN_PAIR[2][2]
-        assert np.max(np.abs(spins.commutator(Z, szsz))) == 0.0

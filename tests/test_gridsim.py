@@ -140,7 +140,8 @@ class TestInitialize:
             [spins.basis_state("up", "up"), spins.basis_state("down", "down")], [1, 1j]
         )
         state = gridsim.initialize(packet, spin, spec)
-        rho = state.spin_marginal()
+        flat = state.amplitudes().reshape(4, -1)
+        rho = flat @ flat.conj().T  # trace over position
         assert np.allclose(rho, np.outer(spin, spin.conj()), atol=1e-12)
 
     def test_zero_momentum_for_real_packet(self, spec, packet, uu):

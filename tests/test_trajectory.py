@@ -69,9 +69,9 @@ class TestScaleConsistency:
         results = []
         for u, tau in ((u1, tau1), (u2, tau2)):
             # identical physical sweep, expressed in each unit system
-            z_nat = units.to_natural(0.4 * u1.l, "length", u)
-            width_nat = units.to_natural(1e-3 * u1.l, "length", u)
-            y_max = units.to_natural(0.5 * u1.l, "length", u)
+            z_nat = 0.4 * u1.l / u.l
+            width_nat = 1e-3 * u1.l / u.l
+            y_max = 0.5 * u1.l / u.l
             prof = packets.acceleration_profile(
                 spin, z=z_nat, x=0.0, y_range=(-y_max, y_max),
                 n_samples=151, width=width_nat,
