@@ -7,13 +7,20 @@ orders agree to a relative tolerance; the integrand is smooth on the cube
 (the origin is excluded by construction) so convergence is spectral.
 
 The quadrature is batched: one kernel evaluates the moments of many packet
-centres at once as ``(samples, o, o, o)`` arrays, in blocks of at most
-``_POINT_BUDGET`` nodes, and each centre escalates its own order.  An
-a_z(y) profile is one kernel call and one elementwise contraction; the
-scalar :func:`moments` is the one-centre call of the same kernel.  The
-kernel also returns each moment's L1 value (the quadrature sum of
-|integrand|), which sets the convergence scale and the noise floor below
-which a profile sample counts as zero.
+centres at once, in blocks of at most ``_POINT_BUDGET`` nodes, and each
+centre escalates its own order.  An a_z(y) profile is one kernel call and
+one elementwise contraction; the scalar :func:`moments` is the one-centre
+call of the same kernel.
+
+The kernel is a separable contraction.  The integrand x^a y^b z^c r^-n is a
+product of 1-D node factors, which carry the weights, and r^-n, which is
+built without ``pow``: r^-2 = 1/(x^2 + y^2 + z^2) once per block, then one
+sqrt for odd n and products.  Each r^-n is contracted over z once per
+distinct (n, c), and the result over y and x.  The kernel also returns each
+moment's L1 value (the quadrature sum of |integrand|), which sets the
+convergence scale and the noise floor below which a profile sample counts
+as zero.  Since r^-n and the weights are positive, the L1 value factorises
+too: it is the same contraction with the absolute 1-D factors.
 """
 
 from __future__ import annotations
@@ -35,7 +42,7 @@ _POINT_BUDGET = 2**14
 # |a_z| at or below this share of its L1 scale is rounding noise: the terms
 # of the contraction cancel to ~1e-16 of the scale where the force vanishes.
 ZERO_FLOOR = 1e-12
-# r**7 in the integrand overflows past max_float**(1/7) ~ 1.1e44 l.
+# r^-7 in the integrand underflows past min_float**(-1/7) ~ 1.1e44 l.
 FAR_FIELD_RADIUS = 1e40
 
 
@@ -71,41 +78,94 @@ def _leggauss(order: int):
     return np.polynomial.legendre.leggauss(order)
 
 
+def _inverse_powers(inv_r2: np.ndarray, exponents: Sequence[int], out: np.ndarray) -> None:
+    """Fill ``out[i]`` with r^-n for the i-th of the ascending ``exponents``,
+    from r^-2 by one sqrt (odd n only) and products: each power is the one
+    below it of the same parity times r^-2, with no ``pow`` on the cube."""
+    below: dict[int, tuple[int, np.ndarray]] = {}
+    for n, p in zip(exponents, out):
+        if n % 2 in below:
+            m, base = below[n % 2]
+            np.multiply(base, inv_r2, out=p)
+            m += 2
+        elif n % 2:
+            m = 1
+            np.sqrt(inv_r2, out=p)
+        else:
+            m = 0
+            p.fill(1.0)
+        for _ in range((n - m) // 2):
+            np.multiply(p, inv_r2, out=p)
+        below[n % 2] = (n, p)
+
+
+@lru_cache(maxsize=64)
+def _plan(tuples: tuple[MomentKey, ...]):
+    """Which factor rows each contraction of :func:`_sums` takes.
+
+    A block's factor table holds, per axis, w/2 q^e for e = 0..top and then
+    the same rows in absolute value.  The sums take every tuple's signed
+    factors first, then its absolute ones: moments, then L1 moments.  The z
+    contractions fill one stack, n by n in ascending order, with the z rows
+    each n needs; ``z_picks`` are the stack rows the x-y contraction takes.
+    """
+    top = max((max(k[:3]) for k in tuples), default=0)
+    shifts = (0, top + 1)
+    x_rows = [a + d for d in shifts for a, _, _, _ in tuples]
+    y_rows = [b + d for d in shifts for _, b, _, _ in tuples]
+    z_keys = sorted({(n, c + d) for _, _, c, n in tuples for d in shifts})
+    z_picks = [z_keys.index((n, c + d)) for d in shifts for _, _, c, n in tuples]
+    z_rows = {n: [row for m, row in z_keys if m == n] for n, _ in z_keys}
+    return top, x_rows, y_rows, z_rows, z_picks
+
+
 def _sums(
     centers: np.ndarray, width: float, tuples: Sequence[MomentKey], order: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Quadrature sums at one order for every centre: (moments, L1 moments),
     each shaped (len(tuples), len(centers)).
 
-    The L1 value sets the convergence scale so that moments that vanish by
-    symmetry are not compared against their own rounding noise.
+    The integrand x^a y^b z^c r^-n is a product of 1-D node factors and
+    r^-n, so each r^-n is contracted over z once per distinct (n, c) and the
+    (centre, x, y) results are contracted with the x and y factors.  The L1
+    value sets the convergence scale so that moments that vanish by symmetry
+    are not compared against their own rounding noise; r^-n >= 0 and the
+    weights are positive, so it is the same contraction with |factor|.
+    Every sum is an ``einsum`` at its default ``optimize=False``, which
+    calls no BLAS: its bits do not depend on the BLAS thread count.
     """
+    top, x_rows, y_rows, z_rows, z_picks = _plan(tuple(tuples))
     nodes, wts = _leggauss(order)
-    # Weights normalized so that moment(0,0,0,0) == 1 exactly.
-    W = np.einsum("i,j,k->ijk", wts, wts, wts) / 8.0
     offsets = 0.5 * width * nodes
-    values = np.empty((len(tuples), len(centers)))
-    l1 = np.empty_like(values)
     block = max(1, _POINT_BUDGET // order**3)
+    # One workspace for every block: r^-2, then r^-n per n, each laid out
+    # (centre, z, x, y) so the z contraction runs over contiguous x-y planes.
+    # Reusing it keeps the allocator from returning and refaulting its pages.
+    work = np.empty((1 + len(z_rows), min(block, len(centers))) + (order,) * 3)
+    stacked = sum(len(rows) for rows in z_rows.values())
+    sums = np.empty((len(x_rows), len(centers)))
     for lo in range(0, len(centers), block):
-        c = centers[lo : lo + block]
-        X = (c[:, 0, None] + offsets)[:, :, None, None]
-        Y = (c[:, 1, None] + offsets)[:, None, :, None]
-        Z = (c[:, 2, None] + offsets)[:, None, None, :]
-        R = np.sqrt(X * X + Y * Y + Z * Z)
-        r_pow = {}
-        for k, (a, b, cz, n) in enumerate(tuples):
-            # One full-size array per moment, updated in place.
-            weighted = X**a * Y**b * Z**cz
-            if n:
-                if n not in r_pow:
-                    r_pow[n] = R**n
-                weighted /= r_pow[n]
-            weighted *= W
-            flat = weighted.reshape(len(c), -1)
-            values[k, lo : lo + block] = flat.sum(axis=1)
-            l1[k, lo : lo + block] = np.abs(flat, out=flat).sum(axis=1)
-    return values, l1
+        q = centers[lo : lo + block].T[:, :, None] + offsets  # (axis, centre, node)
+        inv_r2, inv_rn = work[0, : q.shape[1]], work[1:, : q.shape[1]]
+        # Each 1-D factor carries w/2, so moment(0,0,0,0) is 1 to rounding.
+        table = np.empty((2 * (top + 1),) + q.shape)  # (row, axis, centre, node)
+        table[0] = 0.5 * wts
+        for e in range(1, top + 1):
+            np.multiply(table[e - 1], q, out=table[e])
+        np.abs(table[: top + 1], out=table[top + 1 :])
+        q2 = q * q
+        xy2 = q2[0, :, :, None] + q2[1, :, None, :]
+        np.add(q2[2, :, :, None, None], xy2[:, None], out=inv_r2)
+        np.divide(1.0, inv_r2, out=inv_r2)
+        _inverse_powers(inv_r2, list(z_rows), inv_rn)
+        z_summed = np.empty((stacked, q.shape[1], order, order))
+        done = 0
+        for p, rows in zip(inv_rn, z_rows.values()):
+            np.einsum("skij,msk->msij", p, table[rows, 2], out=z_summed[done : done + len(rows)])
+            done += len(rows)
+        yz_summed = np.einsum("tsij,tsj->tsi", z_summed[z_picks], table[y_rows, 1])
+        np.einsum("tsi,tsi->ts", yz_summed, table[x_rows, 0], out=sums[:, lo : lo + block])
+    return sums[: len(tuples)], sums[len(tuples) :]
 
 
 def _batch_moments(
@@ -232,13 +292,12 @@ def _runs(profile: AccelerationProfile) -> list[tuple[int, int, int]]:
     a = profile.a_z
     floor = 0.0 if profile.scale is None else ZERO_FLOOR * profile.scale
     signs = np.where(np.abs(a) <= floor, 0, np.sign(a)).astype(int)
-    runs: list[tuple[int, int, int]] = []
-    for i, s in enumerate(signs.tolist()):
-        if s and runs and runs[-1][1] == i - 1 and runs[-1][2] == s:
-            runs[-1] = (runs[-1][0], i, s)
-        elif s:
-            runs.append((i, i, s))
-    return runs
+    # A run starts wherever the sign changes; sentinels that match no sign
+    # bound the first and the last run.
+    edges = np.flatnonzero(np.diff(np.concatenate(([2], signs, [2]))))
+    starts, stops = edges[:-1], edges[1:] - 1
+    live = signs[starts] != 0
+    return list(zip(starts[live].tolist(), stops[live].tolist(), signs[starts[live]].tolist()))
 
 
 def _run_average(profile: AccelerationProfile, start: int, stop: int) -> float:

@@ -219,58 +219,92 @@ class TestPathEquivalence:
 
 
 # ---------------------------------------------------------------------------
-# Batched quadrature against the per-sample path it replaced.  The reference
-# below is that path written out: one packet at a time on meshgrid nodes,
-# escalating until two consecutive orders agree, then one contraction per
-# sample.  The arithmetic is the same, so the results must be equal bit for
-# bit.
+# Batched quadrature against per-sample paths.  Each reference below takes one
+# packet at a time, escalating until two consecutive orders agree, then does
+# one contraction per sample.
+#
+# `separable_sums` is the kernel's arithmetic written out for one centre:
+# w/2-weighted 1-D factors by products, r^-n from one sqrt and products of
+# r^-2, and the same einsum reductions.  The batched results must equal it bit
+# for bit, so it pins the blocking, the per-centre escalation and the
+# contraction.
+#
+# `pow_sums` is the earlier kernel, kept as an independent reference: `pow`
+# on meshgrid nodes and full-cube sums.  The kernel must agree with it to a
+# few ulps of each moment's L1 value, at the same order for every sample.
 # ---------------------------------------------------------------------------
 
 REFERENCE_ORDERS = (6, 10, 14, 20, 28, 40, 56)
 
 
-def per_sample_moments(center, width, tuples, rel_tol=1e-10):
-    """(moments, order reached) of one packet."""
+def separable_sums(center, width, tuples, order):
+    """({key: moment}, {key: L1 moment}) of one packet at one order."""
+    nodes, wts = np.polynomial.legendre.leggauss(order)
+    x, y, z = (q + 0.5 * width * nodes for q in center)
+    inv_r2 = 1.0 / (z[:, None, None] * z[:, None, None] + (x[:, None] * x[:, None] + y * y))
 
-    def evaluate(order):
-        nodes, wts = np.polynomial.legendre.leggauss(order)
-        half = 0.5 * width
-        X, Y, Z = np.meshgrid(
-            center[0] + half * nodes, center[1] + half * nodes, center[2] + half * nodes,
-            indexing="ij",
-        )
-        W = np.einsum("i,j,k->ijk", wts, wts, wts) / 8.0
-        R = np.sqrt(X * X + Y * Y + Z * Z)
-        out = {}
-        for a, b, c, n in tuples:
-            integrand = X**a * Y**b * Z**c
-            if n:
-                integrand = integrand / R**n
-            out[(a, b, c, n)] = (
-                float(np.sum(W * integrand)),
-                float(np.sum(np.abs(W * integrand))),
-            )
-        return out
+    def factor(q, e):
+        f = 0.5 * wts
+        for _ in range(e):
+            f = f * q
+        return f
 
-    prev = evaluate(REFERENCE_ORDERS[0])
+    values, l1 = {}, {}
+    for a, b, c, n in tuples:
+        inv_rn = np.sqrt(inv_r2) if n % 2 else np.ones_like(inv_r2)
+        for _ in range(n // 2):
+            inv_rn = inv_rn * inv_r2
+        fx, fy, fz = factor(x, a), factor(y, b), factor(z, c)
+        for out, f in ((values, np.array), (l1, np.abs)):
+            along_z = np.einsum("kij,k->ij", inv_rn, f(fz))
+            along_zy = np.einsum("ij,j->i", along_z, f(fy))
+            out[(a, b, c, n)] = float(np.einsum("i,i->", along_zy, f(fx)))
+    return values, l1
+
+
+def pow_sums(center, width, tuples, order):
+    """({key: moment}, {key: L1 moment}) of one packet at one order."""
+    nodes, wts = np.polynomial.legendre.leggauss(order)
+    half = 0.5 * width
+    X, Y, Z = np.meshgrid(
+        center[0] + half * nodes, center[1] + half * nodes, center[2] + half * nodes,
+        indexing="ij",
+    )
+    W = np.einsum("i,j,k->ijk", wts, wts, wts) / 8.0
+    R = np.sqrt(X * X + Y * Y + Z * Z)
+    values, l1 = {}, {}
+    for a, b, c, n in tuples:
+        integrand = X**a * Y**b * Z**c
+        if n:
+            integrand = integrand / R**n
+        values[(a, b, c, n)] = float(np.sum(W * integrand))
+        l1[(a, b, c, n)] = float(np.sum(np.abs(W * integrand)))
+    return values, l1
+
+
+def per_sample_moments(center, width, tuples, sums=separable_sums, rel_tol=1e-10):
+    """(moments, L1 moments, order reached) of one packet."""
+    prev, _ = sums(center, width, tuples, REFERENCE_ORDERS[0])
     for order in REFERENCE_ORDERS[1:]:
-        cur = evaluate(order)
-        if all(abs(cur[k][0] - prev[k][0]) <= rel_tol * max(cur[k][1], 1e-300) for k in tuples):
-            return {k: v[0] for k, v in cur.items()}, order
+        cur, cur_l1 = sums(center, width, tuples, order)
+        if all(abs(cur[k] - prev[k]) <= rel_tol * max(cur_l1[k], 1e-300) for k in tuples):
+            return cur, cur_l1, order
         prev = cur
     raise NumericalError("per-sample reference did not converge")
 
 
-def per_sample_profile(spin, z, x, y_range, n_samples, width, coupling_sign=1):
-    """(a_z array, order reached per sample) from one contraction per sample."""
+def per_sample_profile(spin, z, x, y_range, n_samples, width, coupling_sign=1,
+                       sums=separable_sums):
+    """(a_z, L1 scale, order reached) per sample, one contraction per sample."""
     tuples = dfl.required_tuples_for(spin)
     ys = np.linspace(y_range[0], y_range[1], n_samples)
-    a_z, orders = np.empty_like(ys), []
+    a_z, scale, orders = np.empty_like(ys), np.empty_like(ys), []
     for k, y in enumerate(ys):
-        m, order = per_sample_moments((x, float(y), z), width, tuples)
+        m, l1, order = per_sample_moments((x, float(y), z), width, tuples, sums=sums)
         a_z[k] = dfl.contract_force(spin, m, coupling_sign=coupling_sign).a_z
+        scale[k] = dfl.force_scale(spin, l1)
         orders.append(order)
-    return a_z, orders
+    return a_z, scale, orders
 
 
 # One chunk of the lowest order holds this many samples.
@@ -296,11 +330,12 @@ class TestBatchedProfile:
         prof = packets.acceleration_profile(
             spin, z=z, x=x, y_range=y_range, n_samples=n, width=width, coupling_sign=sign
         )
-        ref, _ = per_sample_profile(spin, z, x, y_range, n, width, coupling_sign=sign)
+        ref, scale, _ = per_sample_profile(spin, z, x, y_range, n, width, coupling_sign=sign)
         assert prof.a_z.tobytes() == ref.tobytes()
+        assert prof.scale.tobytes() == scale.tobytes()
 
     def test_wide_packet_mixes_orders_within_a_chunk(self):
-        _, orders = per_sample_profile(
+        *_, orders = per_sample_profile(
             spins.parallel_coherent(), 0.25, 0.01, (-0.5, 0.5), 101, 0.1
         )
         block = packets._POINT_BUDGET // REFERENCE_ORDERS[1] ** 3
@@ -309,7 +344,7 @@ class TestBatchedProfile:
     def test_scalar_moments_equal_per_sample_path(self):
         pk = packets.WavePacket(center=(0.02, 0.1, 0.3), width=0.05)
         keys = sorted(dfl.required_tuples_for(spins.parallel_coherent()))
-        ref, _ = per_sample_moments(pk.center, pk.width, keys)
+        ref, _, _ = per_sample_moments(pk.center, pk.width, keys)
         assert packets.moments(pk, keys) == ref
 
     def test_non_convergence_raises(self):
@@ -324,6 +359,44 @@ class TestBatchedProfile:
     def test_singular_sample_rejected(self):
         with pytest.raises(ValidationError, match="singular support"):
             packets.acceleration_profile(spins.basis_state("up", "up"), z=0.04, width=0.05)
+
+
+# The preset figure2 profile, with every EQUIVALENCE_CASES entry.
+POW_CASES = EQUIVALENCE_CASES + [("parallel", 0.4, 0.0, (-0.5, 0.5), 201, 1e-3, 1)]
+POW_TOL = 1e-14  # share of the L1 moment; measured worst 4.4e-16
+
+
+class TestAgainstPowKernel:
+    @pytest.mark.parametrize("name,z,x,y_range,n,width,sign", POW_CASES)
+    def test_moments_orders_and_runs(self, monkeypatch, name, z, x, y_range, n, width, sign):
+        spin = spins.named_spin_input(name)
+        tuples = dfl.required_tuples_for(spin)
+        reached = {}
+        kernel = packets._sums
+
+        def spy(centers, width, tuples, order):
+            reached.update({float(c[1]): order for c in centers})  # y tells the samples apart
+            return kernel(centers, width, tuples, order)
+
+        monkeypatch.setattr(packets, "_sums", spy)
+        prof = packets.acceleration_profile(
+            spin, z=z, x=x, y_range=y_range, n_samples=n, width=width, coupling_sign=sign
+        )
+        monkeypatch.undo()
+        centers = np.column_stack([np.full(n, x), prof.y, np.full(n, z)])
+        values, l1 = packets._batch_moments(centers, width, tuples)
+        a_z, scale = np.empty(n), np.empty(n)
+        for s, center in enumerate(centers):
+            m, m_l1, order = per_sample_moments(tuple(center), width, tuples, sums=pow_sums)
+            assert reached[center[1]] == order
+            for k, key in enumerate(tuples):
+                assert abs(values[k, s] - m[key]) <= POW_TOL * m_l1[key]
+                assert abs(l1[k, s] - m_l1[key]) <= POW_TOL * m_l1[key]
+            a_z[s] = dfl.contract_force(spin, m, coupling_sign=sign).a_z
+            scale[s] = dfl.force_scale(spin, m_l1)
+        pow_prof = packets.AccelerationProfile(y=prof.y, a_z=a_z, x=x, z=z, width=width,
+                                               scale=scale)
+        assert packets._runs(prof) == packets._runs(pow_prof)
 
 
 class TestNoiseFloor:
@@ -413,6 +486,35 @@ class TestRegionWidth:
     def test_no_negative_run_raises(self):
         with pytest.raises(ValidationError):
             packets.region_width(_synthetic(np.arange(3.0), [1, 2, 1]))
+
+
+def runs_by_loop(profile):
+    """The per-sample loop that `_runs` replaced, kept as its reference."""
+    a = profile.a_z
+    floor = 0.0 if profile.scale is None else packets.ZERO_FLOOR * profile.scale
+    signs = np.where(np.abs(a) <= floor, 0, np.sign(a)).astype(int)
+    runs = []
+    for i, s in enumerate(signs.tolist()):
+        if s and runs and runs[-1][1] == i - 1 and runs[-1][2] == s:
+            runs[-1] = (runs[-1][0], i, s)
+        elif s:
+            runs.append((i, i, s))
+    return runs
+
+
+class TestRuns:
+    # +-1e-13 is noise against a unit scale and signal without one
+    @given(st.lists(st.sampled_from([-2.0, -1e-13, 0.0, 1e-13, 3.0]), max_size=40),
+           st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_loop(self, a_z, scaled):
+        prof = packets.AccelerationProfile(
+            y=np.arange(float(len(a_z))), a_z=np.array(a_z), x=0.0, z=0.4, width=1e-3,
+            scale=np.ones(len(a_z)) if scaled else None,
+        )
+        runs = packets._runs(prof)
+        assert runs == runs_by_loop(prof)
+        assert all(type(v) is int for run in runs for v in run)
 
 
 # ---------------------------------------------------------------------------
