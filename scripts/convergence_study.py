@@ -22,8 +22,7 @@ Usage:  python scripts/convergence_study.py [--points 24 32 40 48] [--csv PATH]
 import argparse
 import sys
 
-from spinloop import config, gridsim, spins
-from spinloop import deflection as dfl
+from spinloop import config, gridsim
 from spinloop.errors import NumericalError, ValidationError
 
 RAMP_POINTS = 32  # the ramp is the preset's edge_ramp_cells cells of this grid
@@ -44,10 +43,7 @@ def study_config(points: int) -> dict:
 def gap_row(points: int) -> dict:
     cfg = study_config(points)
     result = gridsim.run_oracle(cfg)
-    uu = spins.basis_state("up", "up")
-    moments = gridsim.moments_from_state(result.initial, result.spec, dfl.required_tuples_for(uu))
-    sign = config.build_params(cfg).coupling_sign
-    a_grid = dfl.contract_force(uu, moments, coupling_sign=sign).a_z
+    a_grid = result.a_from_grid_density
     return {
         "points": points, "dx": result.spec.dx, "fit": result.fit.a, "contraction": a_grid,
         "gap": 1.0 - result.fit.a / a_grid, "edge": result.edge_density_ratio,

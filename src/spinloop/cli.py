@@ -183,8 +183,7 @@ def cmd_epr(cfg: dict, out_dir: Path) -> int:
 def cmd_oracle(cfg: dict, out_dir: Path) -> int:
     o = cfg["oracle"]
     result = gridsim.run_oracle(cfg)
-    spec, series, fit = result.spec, result.series, result.fit
-    p0 = gridsim.expect_momentum_z(result.initial, spec)
+    spec, series, fit, p0 = result.spec, result.series, result.fit, result.initial_momentum
     drift = series.max_norm_drift()
     report = {
         "variant": result.variant,
@@ -198,24 +197,13 @@ def cmd_oracle(cfg: dict, out_dir: Path) -> int:
         summary = (f"oracle[{result.variant}]: fitted a = {fit.a:.3e} (expect ~0), "
                    f"norm drift {drift:.2e}")
     else:
-        # the fit against the contraction of the grid density's and the nominal packet's moments
-        sign = cfgmod.build_params(cfg).coupling_sign
-        uu = spins.basis_state("up", "up")
-        tuples = dfl.required_tuples_for(uu)
-        grid_moments = gridsim.moments_from_state(result.initial, spec, tuples)
-        a_grid = dfl.contract_force(uu, grid_moments, coupling_sign=sign).a_z
-        packet = packets.WavePacket(center=tuple(o["center"]), width=o["packet_width"])
-        a_quad = dfl.contract_force(uu, packets.moments(packet, tuples), coupling_sign=sign).a_z
-        ham = gridsim.GridHamiltonian(coupling_sign=sign)
-        a_discrete = gridsim.discrete_acceleration(result.initial, spec, ham)
-        r, series_r, kappa = o["remainder"], result.remainder_series, spec.kinetic_scale
-        exponent = gridsim.remainder_scaling(series_r, r["windows"])
+        a_grid, kappa = result.a_from_grid_density, spec.kinetic_scale
         report["grid"].update(half_width=o["half_width"], kinetic_scale=kappa)
         report.update({
             "bch": {
                 "a_from_grid_density": a_grid,
-                "a_from_quadrature": a_quad,
-                "a_discrete": a_discrete,
+                "a_from_quadrature": result.a_from_quadrature,
+                "a_discrete": result.a_discrete,
             },
             "relative_error": abs(fit.a - a_grid) / abs(a_grid),
             "velocity": {
@@ -231,16 +219,16 @@ def cmd_oracle(cfg: dict, out_dir: Path) -> int:
                 "sigma_a": fit.sigma_a,
             },
             "remainder": {
-                "windows": list(r["windows"]),
-                "residuals": gridsim.remainder_residuals(series_r, r["windows"]),
-                "exponent": exponent,
-                "norm_drift": series_r.max_norm_drift(),
+                "windows": list(o["remainder"]["windows"]),
+                "residuals": result.remainder_residuals,
+                "exponent": result.remainder_exponent,
+                "norm_drift": result.remainder_series.max_norm_drift(),
             },
         })
         summary = (
             f"oracle: fitted a={fit.a:.5g} vs contraction {a_grid:.5g} "
-            f"({100 * report['relative_error']:.2f}%), remainder exponent {exponent:.2f}, "
-            f"norm drift {drift:.2e}"
+            f"({100 * report['relative_error']:.2f}%), "
+            f"remainder exponent {result.remainder_exponent:.2f}, norm drift {drift:.2e}"
         )
     _write(out_dir, "oracle_series.csv", gridsim.series_csv(series))
     _write_json(out_dir, "oracle_report.json", report)

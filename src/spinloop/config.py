@@ -33,9 +33,9 @@ Schema (types in parentheses; all keys optional in user files):
         points (int), half_width (float), center (list[3])
         packet_width, edge_ramp_cells, theta, duration, momentum_kick (float)
         zeeman (list[2])           dimensionless [alpha B0 tau, beta B0 tau]
-        remainder:                 heavy-slow run resolving the cubic term
+        remainder:                 heavy-slow run to its last window, for the t^3 term
             kinetic_scale, packet_width, edge_ramp_cells, momentum_kick,
-            theta, duration (float), windows (list[float])
+            theta (float), windows (list[float])
 
 ``oracle.theta`` sets the time step of the main and Zeeman runs, and
 ``oracle.remainder.theta`` that of the remainder run: each run steps at
@@ -112,7 +112,6 @@ _SCHEMA: dict[str, Any] = {
             "edge_ramp_cells": float,
             "momentum_kick": float,
             "theta": float,
-            "duration": float,
             "windows": [float],
         },
     },
@@ -185,7 +184,6 @@ def preset_config() -> dict[str, Any]:
                 # (dt 3.57e-5, 28 steps) the residual, 8.6e-11, is under the
                 # noise floor, 1.7e-10.
                 "theta": 0.15,
-                "duration": 1e-3,
                 "windows": [2.5e-4, 3.3e-4, 4.35e-4, 5.75e-4, 7.6e-4, 1.0e-3],
             },
         },
@@ -259,7 +257,6 @@ def load_config(path: str | Path | None = None, preset: str = PRESET_NAME) -> di
         ("oracle.theta", o["theta"]),
         ("oracle.duration", o["duration"]),
         ("oracle.remainder.theta", o["remainder"]["theta"]),
-        ("oracle.remainder.duration", o["remainder"]["duration"]),
     ):
         if value <= 0:
             raise ValidationError(f"config.{key}: must be positive")

@@ -52,9 +52,9 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import config, spins
-from .deflection import MomentKey
+from .deflection import MomentKey, contract_force, required_tuples_for
 from .errors import NumericalError, ValidationError
-from .packets import WavePacket
+from .packets import WavePacket, moments as quadrature_moments
 
 _R = 1.0 / math.sqrt(2.0)
 # Columns: the magic basis T_x = (dd - uu)/sqrt2, T_y = i(uu + dd)/sqrt2,
@@ -135,8 +135,16 @@ class Grid:
     def stepped(
         self, theta: float = DEFAULT_THETA, duration: float = 0.0, steps: int = 8
     ) -> GridSpec:
-        """This grid at dt = stable_dt(theta), for max(ceil(duration / dt), steps) steps."""
+        """This grid at dt = stable_dt(theta), for max(ceil(duration / dt), steps) steps.
+
+        A duration of more steps than :data:`CELL_STEPS_BUDGET` is refused
+        before the steps are counted: such a run is over the budget on any
+        grid, and duration / dt can overflow to inf."""
         dt = stable_dt(self, theta)
+        if duration / dt > CELL_STEPS_BUDGET:
+            raise ValidationError(f"a run of {duration:g} tau takes {duration / dt:.3g} steps "
+                                  f"of dt {dt:.3e}, over the {CELL_STEPS_BUDGET:.3g} cell-steps "
+                                  "budget")
         geometry = {f.name: getattr(self, f.name) for f in fields(Grid)}
         return GridSpec(**geometry, dt=dt, steps=max(math.ceil(duration / dt), steps))
 
@@ -692,25 +700,18 @@ def remainder_residuals(series: TimeSeries, windows: Sequence[float]) -> list[fl
     return out
 
 
-def remainder_scaling(
-    series: TimeSeries,
-    windows: Sequence[float],
-    length_scale: float | None = None,
-) -> float:
+def remainder_scaling(series: TimeSeries, windows: Sequence[float]) -> float:
     """Log-log slope of the beyond-quadratic residual versus window length.
 
     The residual left after the best quadratic fit grows like the cube of
     the window when the leading correction is a t^3 term.  If even the
     largest window's residual sits below 10x the norm-conservation error
-    (scaled by ``length_scale``, default max |<z>|), the measurement is
-    noise and an error is raised.
+    (scaled by max |<z>|), the measurement is noise and an error is raised.
     """
     windows = sorted(windows)
     check_windows(series.t, windows)
     residuals = remainder_residuals(series, windows)
-    if length_scale is None:
-        length_scale = float(np.max(np.abs(series.z_expect)))
-    floor = 10.0 * series.max_norm_drift() * length_scale
+    floor = 10.0 * series.max_norm_drift() * float(np.max(np.abs(series.z_expect)))
     if max(residuals) < floor:
         raise NumericalError(
             f"below resolution: residual {max(residuals):.3e} under noise floor {floor:.3e}"
@@ -721,9 +722,9 @@ def remainder_scaling(
 
 @dataclass(frozen=True)
 class OracleResult:
-    """The runs of one grid oracle from an up-up packet: the main run (its
-    spec, initial state, series and fit), and for the full variant the
-    Zeeman run from the same state and the unfitted remainder run.
+    """One grid oracle from an up-up packet: the main run and its initial
+    <p_z>; for the full variant also the Zeeman and remainder runs, both
+    contractions, ``a_discrete``, and the remainder residuals and exponent.
     ``edge_density_ratio`` is the largest :func:`edge_density_ratio` over
     the final states of all runs."""
 
@@ -733,21 +734,28 @@ class OracleResult:
     series: TimeSeries
     fit: QuadraticFit
     edge_density_ratio: float
+    initial_momentum: float
     zeeman_final: GridState | None = None
     zeeman_series: TimeSeries | None = None
     zeeman_fit: QuadraticFit | None = None
     remainder_series: TimeSeries | None = None
+    a_from_grid_density: float | None = None
+    a_from_quadrature: float | None = None
+    a_discrete: float | None = None
+    remainder_residuals: list[float] | None = None
+    remainder_exponent: float | None = None
 
 
 def run_oracle(cfg: dict) -> OracleResult:
-    """Run the grid oracle that a validated config's ``oracle`` section sets up.
+    """Run and measure the grid oracle that a config's ``oracle`` section sets up.
 
     The main run is under the coupling for the ``full`` variant, under the
     Zeeman term alone for ``pure-zeeman`` and free for ``free``.  Every run
-    steps at stable_dt(theta) for max(ceil(duration / dt), 8) steps, with the
+    steps at stable_dt(theta) for ceil(duration / dt) steps, with the
     ``theta`` of its own section: ``oracle`` for the main and Zeeman runs,
-    ``oracle.remainder`` for the remainder run.  Before any state is built,
-    it refuses an oracle whose runs together take more than
+    ``oracle.remainder`` for the remainder run, which lasts until its last
+    window ends.  Before any state is built, it refuses a main run of fewer
+    than 8 steps, an oracle whose runs together take more than
     :data:`CELL_STEPS_BUDGET` cell-steps, a Zeeman term that puts the step
     beyond the RK4 stability limit or the first step past the norm budget
     :data:`STEP_NORM_DRIFT_LIMIT`, and remainder windows that
@@ -758,17 +766,18 @@ def run_oracle(cfg: dict) -> OracleResult:
         raise ValidationError(f"unknown oracle variant {o['variant']!r}")
     sign = config.build_params(cfg).coupling_sign
     center = tuple(o["center"])
+    uu = spins.basis_state("up", "up")
 
     def placed(kappa: float, duration: float, run_cfg: dict) -> tuple[GridSpec, WavePacket]:
         grid = Grid(o["points"], center, o["half_width"], kappa)
-        spec = grid.stepped(run_cfg["theta"], duration)
+        spec = grid.stepped(run_cfg["theta"], duration, steps=1)
         packet = WavePacket(center=center, width=run_cfg["packet_width"])
         check_packet_fits(packet, spec, run_cfg["edge_ramp_cells"])
         return spec, packet
 
     def start(spec: GridSpec, packet: WavePacket, run_cfg: dict) -> GridState:
         return initialize(
-            packet, spins.basis_state("up", "up"), spec, momentum_z=run_cfg["momentum_kick"],
+            packet, uu, spec, momentum_z=run_cfg["momentum_kick"],
             edge_ramp_cells=run_cfg["edge_ramp_cells"],
         )
 
@@ -783,11 +792,16 @@ def run_oracle(cfg: dict) -> OracleResult:
     # Every run's grid and packet are checked, and their work summed, before
     # the first run starts.
     spec, packet = placed(config.build_kinetic_scale(cfg), o["duration"], o)
+    if spec.steps < 8:
+        raise ValidationError(
+            f"oracle.duration {o['duration']:g} is under 8 steps of dt {spec.dt:.3e}: "
+            "the fit needs at least 8"
+        )
     r = o["remainder"]  # heavy-slow regime resolving the cubic term
     steps = spec.steps
     if o["variant"] == "full":
-        spec_r, packet_r = placed(r["kinetic_scale"], r["duration"], r)
-        check_windows(spec_r.times(), r["windows"])
+        # fewer than two windows reach check_windows below, which refuses them
+        spec_r, packet_r = placed(r["kinetic_scale"], max(r["windows"], default=0.0), r)
         steps += spec_r.steps + spec.steps  # the remainder and Zeeman runs
     if o["variant"] != "free":  # a run under the Zeeman term, at the main step
         zp, zl = o["zeeman"]
@@ -815,23 +829,40 @@ def run_oracle(cfg: dict) -> OracleResult:
             f"{spec.points_per_axis**3 * steps:.3g} cell-steps, "
             f"over the {CELL_STEPS_BUDGET:.3g} budget"
         )
+    if o["variant"] == "full":
+        check_windows(spec_r.times(), r["windows"])
     initial = start(spec, packet, o)
+    # Measurements follow the runs, so their temporaries do not shape the runs' heap.
     if o["variant"] != "full":
         zeeman = o["zeeman"] if o["variant"] == "pure-zeeman" else (0.0, 0.0)
         final, series, fit = fitted(zeeman, coupled=False)
-        return OracleResult(o["variant"], spec, initial, series, fit, edge_density_ratio(final))
+        return OracleResult(o["variant"], spec, initial, series, fit, edge_density_ratio(final),
+                            expect_momentum_z(initial, spec))
     # The 4-component Zeeman run sets the peak memory: it runs last, holding no spare state.
     final, series, fit = fitted((0.0, 0.0))
     edge = edge_density_ratio(final)
     del final
     state_r = start(spec_r, packet_r, r)
-    ham_r = GridHamiltonian(coupling_sign=sign)
-    final, series_r = run(state_r, spec_r, GridOperator(spec_r, ham_r))
+    ham = GridHamiltonian(coupling_sign=sign)
+    final, series_r = run(state_r, spec_r, GridOperator(spec_r, ham))
     edge = max(edge, edge_density_ratio(final))
     del state_r, final
     zeeman_run = fitted(o["zeeman"])  # a uniform field must not change the fit
     edge = max(edge, edge_density_ratio(zeeman_run[0]))
-    return OracleResult("full", spec, initial, series, fit, edge, *zeeman_run, series_r)
+    tuples = required_tuples_for(uu)
+
+    def contraction(moments: dict[MomentKey, float]) -> float:
+        return contract_force(uu, moments, coupling_sign=sign).a_z
+
+    return OracleResult(
+        "full", spec, initial, series, fit, edge, expect_momentum_z(initial, spec),
+        *zeeman_run, series_r,
+        a_from_grid_density=contraction(moments_from_state(initial, spec, tuples)),
+        a_from_quadrature=contraction(quadrature_moments(packet, tuples)),
+        a_discrete=discrete_acceleration(initial, spec, ham),
+        remainder_exponent=remainder_scaling(series_r, r["windows"]),
+        remainder_residuals=remainder_residuals(series_r, r["windows"]),
+    )
 
 
 def canonical_commutator_residual(

@@ -44,6 +44,8 @@ _POINT_BUDGET = 2**14
 ZERO_FLOOR = 1e-12
 # r^-7 in the integrand underflows past min_float**(-1/7) ~ 1.1e44 l.
 FAR_FIELD_RADIUS = 1e40
+# and overflows inside max_float**(-1/7) ~ 9e-45 l.
+NEAR_FIELD_RADIUS = 1e-40
 
 
 def _check_packets(centers: np.ndarray, width: float) -> None:
@@ -52,14 +54,18 @@ def _check_packets(centers: np.ndarray, width: float) -> None:
         raise ValidationError("packet width must be positive")
     if not np.all(np.isfinite(centers)):
         raise ValidationError("packet center must be finite")
-    # hypot, not a norm: squaring a coordinate of 1e200 already overflows.
+    # hypot, not a norm: squaring a coordinate of 1e200 overflows, and of 1e-200 underflows.
     farthest = np.max(np.hypot.reduce(np.abs(centers) + width / 2.0, axis=1))
     if farthest > FAR_FIELD_RADIUS:
         raise ValidationError(f"packet lies beyond the far-field radius: its farthest point "
                               f"is {farthest:.3g} l out, over {FAR_FIELD_RADIUS:.0e} l")
     # The closed ball around the cube must exclude the point dipole.
-    if np.any(np.linalg.norm(centers, axis=1) <= math.sqrt(3.0) * width / 2.0):
+    if np.any(np.hypot.reduce(centers, axis=1) <= math.sqrt(3.0) * width / 2.0):
         raise ValidationError("singular support: packet cube touches the origin")
+    nearest = np.min(np.hypot.reduce(np.maximum(np.abs(centers) - width / 2.0, 0.0), axis=1))
+    if nearest < NEAR_FIELD_RADIUS:
+        raise ValidationError(f"packet lies inside the near-field radius: its nearest point is "
+                              f"{nearest:.3g} l from the dipole, under {NEAR_FIELD_RADIUS:.0e} l")
 
 
 @dataclass(frozen=True)

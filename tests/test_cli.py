@@ -79,8 +79,6 @@ class TestConfig:
             ({"theta": -0.1}, "oracle.theta"),
             ({"duration": 0.0}, "oracle.duration"),
             ({"duration": -1.0}, "oracle.duration"),
-            ({"remainder": {"duration": 0.0}}, "oracle.remainder.duration"),
-            ({"remainder": {"duration": -1e-3}}, "oracle.remainder.duration"),
             ({"remainder": {"theta": 0.0}}, "oracle.remainder.theta"),
             ({"remainder": {"theta": -0.3}}, "oracle.remainder.theta"),
         ],
@@ -260,6 +258,31 @@ class TestFarField:
             assert main(["figure2", "--config", str(over), "--out", str(tmp_path)]) == 0
         summary = json.loads((tmp_path / "figure2_summary.json").read_text())
         assert summary["average_negative_region"] == pytest.approx(-1.19366e-161, rel=1e-5)
+
+
+class TestNearField:
+    """The quadrature's r^-7 overflows inside about 9e-45 l: a packet that
+    close is refused, not reported as a failed quadrature after numpy's
+    invalid-value warnings."""
+
+    @pytest.mark.parametrize("command", ["figure2", "deflect"])
+    @pytest.mark.parametrize("z", [1e-50, 8e-45, 1e-200])  # z^2 underflows at 1e-200
+    def test_refused_with_one_line(self, tmp_path, capsys, command, z):
+        over = tmp_path / "cfg.json"
+        over.write_text(json.dumps({"figure2": {"z": z, "width": z / 10}}))
+        out = tmp_path / "out"
+        assert main([command, "--config", str(over), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: packet lies inside the near-field radius")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    def test_inside_the_bound_runs(self, tmp_path):
+        over = tmp_path / "cfg.json"
+        over.write_text(json.dumps({"figure2": {"z": 2e-40, "width": 2e-41}}))
+        assert main(["figure2", "--config", str(over), "--out", str(tmp_path)]) == 0
+        summary = json.loads((tmp_path / "figure2_summary.json").read_text())
+        assert -np.inf < summary["a_z_at_y0"] < 0.0
 
 
 class TestHugeTau:
@@ -535,6 +558,8 @@ class TestOracleInputErrors:
             ({"windows": [1e-3]}, "error: remainder scaling needs at least two windows\n"),
             # 7 samples in the 2.5e-4 window at twice the step
             ({"theta": 0.3}, "error: window 0.00025 holds fewer than 8 samples\n"),
+            # max() of no windows must not raise
+            ({"windows": []}, "error: remainder scaling needs at least two windows\n"),
         ],
     )
     def test_bad_windows_refused_before_any_state(self, tmp_path, capsys, monkeypatch,
@@ -546,6 +571,58 @@ class TestOracleInputErrors:
         assert main(["oracle", "--config", str(over), "--out", str(out)]) == 1
         assert capsys.readouterr().err == message
         assert not out.exists()
+
+    def test_remainder_duration_is_not_a_key(self, tmp_path, capsys):
+        """The remainder run lasts until its last window; a duration of its
+        own could only disagree with the windows."""
+        over = tmp_path / "cfg.json"
+        over.write_text(json.dumps({"oracle": {"remainder": {"duration": 5e-4}}}))
+        out = tmp_path / "out"
+        assert main(["oracle", "--config", str(over), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: config.oracle.remainder: unknown keys ['duration']\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("duration", [1e-300, 6.5 * 9.385e-07])  # 6.5 steps round up to 7
+    def test_main_run_under_8_steps_refused_before_any_state(self, tmp_path, capsys,
+                                                             monkeypatch, duration):
+        """A duration under 8 main steps used to run the 8-step floor and
+        report a fit for a duration nobody asked for."""
+        monkeypatch.setattr(gridsim, "initialize", refuse_state)
+        over = tmp_path / "cfg.json"
+        over.write_text(json.dumps({"oracle": {"duration": duration}}))
+        out = tmp_path / "out"
+        assert main(["oracle", "--config", str(over), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (f"error: oracle.duration {duration:g} is under 8 steps "
+                                           "of dt 9.385e-07: the fit needs at least 8\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("oracle", [
+        {"duration": 1e300},
+        {"remainder": {"windows": [1e-3, 1e300]}},
+        {"remainder": {"windows": [1e-3, 1e300], "kinetic_scale": 1e10}},  # 1e300 / dt is inf
+    ])
+    def test_run_over_the_budget_in_steps_alone_is_one_line(self, tmp_path, capsys, monkeypatch,
+                                                            oracle):
+        """A run whose step count alone is over the cell-steps budget is
+        refused before its steps are counted: an int of 1e306 steps used to
+        overflow the budget message, and 1e300 / dt can be inf."""
+        monkeypatch.setattr(gridsim, "initialize", refuse_state)
+        over = tmp_path / "cfg.json"
+        over.write_text(json.dumps({"oracle": oracle}))
+        out = tmp_path / "out"
+        assert main(["oracle", "--config", str(over), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: a run of 1e+300 tau takes ")
+        assert err.endswith(", over the 3e+08 cell-steps budget\n") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_main_run_of_8_steps_accepted(self, preset_cfg, preset_oracle, monkeypatch):
+        monkeypatch.setattr(gridsim, "initialize", refuse_state)
+        cfg = copy.deepcopy(preset_cfg)
+        cfg["oracle"]["duration"] = 7.5 * preset_oracle.spec.dt
+        with pytest.raises(StateBuilt):
+            gridsim.run_oracle(cfg)
 
     def test_oversized_grid_exit_code_and_message(self, tmp_path, capsys):
         over = tmp_path / "cfg.json"

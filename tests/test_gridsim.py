@@ -110,18 +110,16 @@ class TestGrid:
         o = preset_cfg["oracle"]
         r = o["remainder"]
         series_r = preset_oracle.remainder_series
-        for run_cfg, kappa, dt, steps, expected in (
-            (o, preset_kappa, preset_oracle.spec.dt, preset_oracle.spec.steps, 54),
-            (r, r["kinetic_scale"], series_r.t[1], len(series_r.t) - 1, 51),
+        for run_cfg, kappa, duration, dt, steps, expected in (
+            (o, preset_kappa, o["duration"], preset_oracle.spec.dt, preset_oracle.spec.steps, 54),
+            (r, r["kinetic_scale"], max(r["windows"]), series_r.t[1], len(series_r.t) - 1, 51),
         ):
-            duration = run_cfg["duration"]
             probe = gridsim.GridSpec(
                 points_per_axis=o["points"], box_center=tuple(o["center"]),
                 box_half_width=o["half_width"], dt=PROBE_DT, steps=1, kinetic_scale=kappa,
             )
             probe_dt = gridsim.stable_dt(probe, theta=run_cfg["theta"])
             assert dt == probe_dt
-            assert steps == max(math.ceil(duration / probe_dt), 8)
             assert steps == math.ceil(duration / probe_dt) == expected
 
 
@@ -543,10 +541,10 @@ class TestEdgeDensity:
         and the largest value is kept (here the remainder's)."""
         cfg = copy.deepcopy(preset_cfg)
         cfg["oracle"].update(points=16, half_width=0.05, packet_width=0.03, edge_ramp_cells=2.0,
-                             duration=1e-5)
+                             duration=2.5e-5)
         # theta 0.1 leaves the 8 samples the 2.5e-4 window needs at 16 points
-        cfg["oracle"]["remainder"].update(packet_width=0.03, edge_ramp_cells=2.0, duration=1e-4,
-                                          theta=0.1)
+        cfg["oracle"]["remainder"].update(packet_width=0.03, edge_ramp_cells=2.0,
+                                          windows=[2.5e-4, 2.8e-4], theta=0.1)
         values, seen = iter([0.1, 0.3, 0.2]), []
 
         def reading(state):
@@ -598,14 +596,57 @@ class TestFitAcceleration:
         assert slope == pytest.approx(3.0, abs=0.3)
 
 
+class TestOracleMeasurements:
+    def test_preset_fields_equal_the_library_calls(self, preset_cfg, preset_oracle):
+        """Each measurement of the preset oracle equals, bit for bit, the
+        library call that reads it off the runs."""
+        o, result = preset_cfg["oracle"], preset_oracle
+        sign = cfgmod.build_params(preset_cfg).coupling_sign
+        uu = spins.basis_state("up", "up")
+        tuples = dfl.required_tuples_for(uu)
+        packet = packets.WavePacket(center=tuple(o["center"]), width=o["packet_width"])
+        grid_moments = gridsim.moments_from_state(result.initial, result.spec, tuples)
+        windows, series_r = o["remainder"]["windows"], result.remainder_series
+        ham = gridsim.GridHamiltonian(coupling_sign=sign)
+        for field, expected in (
+            ("initial_momentum", gridsim.expect_momentum_z(result.initial, result.spec)),
+            ("a_from_grid_density", dfl.contract_force(uu, grid_moments, coupling_sign=sign).a_z),
+            ("a_from_quadrature",
+             dfl.contract_force(uu, packets.moments(packet, tuples), coupling_sign=sign).a_z),
+            ("a_discrete", gridsim.discrete_acceleration(result.initial, result.spec, ham)),
+            ("remainder_residuals", gridsim.remainder_residuals(series_r, windows)),
+            ("remainder_exponent", gridsim.remainder_scaling(series_r, windows)),
+        ):
+            assert getattr(result, field) == expected, field
+
+    @pytest.mark.parametrize("windows", [[2.5e-4, 5e-4], [2.5e-4, 6.1e-4, 4e-4]])
+    def test_remainder_run_ends_at_its_last_window(self, preset_cfg, monkeypatch, windows):
+        """The remainder run ends within one step after its last window,
+        whatever the windows: it is checked before any state is built."""
+        class Checked(Exception):
+            pass
+
+        times = []
+
+        def check(t, w):
+            times.append(t)
+            raise Checked
+
+        monkeypatch.setattr(gridsim, "check_windows", check)
+        cfg = copy.deepcopy(preset_cfg)
+        cfg["oracle"]["remainder"]["windows"] = windows
+        with pytest.raises(Checked):
+            gridsim.run_oracle(cfg)
+        (t,) = times
+        assert t[-2] < max(windows) <= t[-1]
+
+
 class TestDiscreteAcceleration:
-    def test_preset_cubic_fit_matches(self, preset_cfg, preset_oracle):
+    def test_preset_cubic_fit_matches(self, preset_oracle):
         """The preset main run's time error: a cubic fit of <z>(t) reads the
         grid's exact initial acceleration to 6e-6 relative at theta 0.3
         (1.4e-5 at 0.45)."""
-        sign = cfgmod.build_params(preset_cfg).coupling_sign
-        ham = gridsim.GridHamiltonian(coupling_sign=sign)
-        exact = gridsim.discrete_acceleration(preset_oracle.initial, preset_oracle.spec, ham)
+        exact = preset_oracle.a_discrete
         series = preset_oracle.series
         end = series.t[-1]
         coef = np.polynomial.polynomial.polyfit(series.t / end, series.z_expect, 3)
