@@ -132,6 +132,14 @@ def cmd_deflect(cfg: dict, out_dir: Path) -> int:
         avg_acceleration_natural=average,
         region_width_natural=width_nat,
     )
+    # Past the sweep line's closest approach to the dipole the packet would
+    # cross the source of the force: the constant-acceleration model is void.
+    closest = math.hypot(cfg["figure2"]["x"], cfg["figure2"]["z"]) * est.length_unit_m
+    if est.deflection_m >= closest:
+        raise ValidationError(
+            f"deflection {est.deflection_m:.4g} m is not below the sweep line's distance "
+            f"to the dipole, {closest:.4g} m: the constant-acceleration estimate cannot hold"
+        )
     payload = {
         "estimate": est.__dict__,
         "separation_ratio": trajectory.separation_vs_packet(

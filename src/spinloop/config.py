@@ -1,13 +1,15 @@
-"""Run configuration: JSON schema, validation, and the built-in preset.
+"""Run configuration: the preset, the schema derived from it, and validation.
 
-A configuration is a nested JSON document; user files are validated
-against the schema below (unknown keys are rejected, types must match)
-and then merged over the preset defaults.  The ``paper-sec4`` preset is
-the reference configuration: a hydrogen-mass particle (proton-mass scale),
+A configuration is a nested JSON document merged over the preset.  A user
+file must match the preset's shape: unknown keys are rejected at every
+level, and each value must have the preset's type there, except that an
+int is accepted for a float (a bool never is) and ``null`` (the preset's
+``params.beta``) means float or null.  The ``paper-sec4`` preset is the
+reference configuration: a hydrogen-mass particle (proton-mass scale),
 electron-type gyromagnetic factor, a 1 uA / 1 um superconducting loop and
 a 1 ms time unit.
 
-Schema (types in parentheses; all keys optional in user files):
+Keys (types in parentheses; all keys optional in user files):
 
     tau (float)                    time unit in seconds
     params:
@@ -65,61 +67,10 @@ PRESET_NAME = "paper-sec4"
 # figure2.samples and epr.sweep_points set the length of a sample loop
 MAX_SAMPLES = 100_000
 
-_SCHEMA: dict[str, Any] = {
-    "tau": float,
-    "params": {
-        "alpha": float,
-        "beta": (float, type(None)),
-        "loop_current": float,
-        "loop_radius": float,
-        "mass": float,
-        "b0": float,
-    },
-    "figure2": {
-        "z": float,
-        "x": float,
-        "width": float,
-        "y_min": float,
-        "y_max": float,
-        "samples": int,
-        "spin": str,
-    },
-    "deflect": {
-        "speed": float,
-        "packet_width_si": float,
-    },
-    "epr": {
-        "bell": str,
-        "p1_up": float,
-        "p2_up": float,
-        "representation": str,
-        "sweep_points": int,
-    },
-    "oracle": {
-        "variant": str,
-        "points": int,
-        "half_width": float,
-        "center": [float],
-        "packet_width": float,
-        "edge_ramp_cells": float,
-        "theta": float,
-        "duration": float,
-        "momentum_kick": float,
-        "zeeman": [float],
-        "remainder": {
-            "kinetic_scale": float,
-            "packet_width": float,
-            "edge_ramp_cells": float,
-            "momentum_kick": float,
-            "theta": float,
-            "windows": [float],
-        },
-    },
-}
-
 
 def preset_config() -> dict[str, Any]:
-    """Defaults reproducing the reference estimates end to end."""
+    """Defaults reproducing the reference estimates end to end; each value
+    also sets its key's type (write ``1e3``, not ``1000``, for a float)."""
     return {
         "tau": 1e-3,
         "params": {
@@ -188,6 +139,21 @@ def preset_config() -> dict[str, Any]:
             },
         },
     }
+
+
+def _schema_of(value: Any) -> Any:
+    """Schema of a preset value: a list's is its first element's, null's
+    is float or null, and any other scalar's is its type."""
+    if isinstance(value, dict):
+        return {k: _schema_of(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_schema_of(value[0])]
+    if value is None:
+        return (float, type(None))
+    return type(value)
+
+
+_SCHEMA: dict[str, Any] = _schema_of(preset_config())
 
 
 def _type_name(t) -> str:

@@ -11,7 +11,7 @@ in natural units is
 
 For a parallel-spin configuration only C_zz = 1/4 survives and the sum
 collapses to the closed form (3/16 pi) (3 M[0,0,1,5] - 5 M[0,0,3,7]).
-The bracket is stated once, as the term table of :func:`_bracket_terms`.
+The bracket is stated once, as the term table of :func:`bracket_terms`.
 Correlators beyond C_zz (present for coherent superpositions) are kept,
 and ``ForceExpectation.extra_terms`` reports their part of a_z.
 """
@@ -57,7 +57,7 @@ def spin_correlators(state: np.ndarray, tol: float = 1e-14) -> np.ndarray:
     return C
 
 
-def _bracket_terms(C: np.ndarray) -> list[tuple[int, int, float, MomentKey]]:
+def bracket_terms(C: np.ndarray) -> list[tuple[int, int, float, MomentKey]]:
     """One (i, j, coefficient, moment key) entry per term of each nonzero
     C_ij, so a_z = pref * sum C_ij coef M[key].  The terms of each C_ij run
     d_iz, d_jz, quadratic, d_ij: C_zz-only sums depend on that order bitwise."""
@@ -84,7 +84,7 @@ def _require(moments: Mapping[MomentKey, float], keys: Iterable[MomentKey]) -> N
 
 def required_tuples_for(state: np.ndarray) -> list[MomentKey]:
     """Moment keys needed to contract the force against the state."""
-    return sorted({key for *_, key in _bracket_terms(spin_correlators(state))})
+    return sorted({key for *_, key in bracket_terms(spin_correlators(state))})
 
 
 def force_scale(state: np.ndarray, l1_moments: Mapping[MomentKey, float]):
@@ -96,7 +96,7 @@ def force_scale(state: np.ndarray, l1_moments: Mapping[MomentKey, float]):
     """
     C = spin_correlators(state)
     total = 0.0
-    for i, j, coef, key in _bracket_terms(C):
+    for i, j, coef, key in bracket_terms(C):
         total = total + abs(C[i, j] * coef) * l1_moments[key]
     return 3.0 / (4.0 * np.pi) * total
 
@@ -130,7 +130,7 @@ def contract_force(
     if coupling_sign is None:
         coupling_sign = params.coupling_sign if params is not None else 1
     C = spin_correlators(state)
-    terms = _bracket_terms(C)
+    terms = bracket_terms(C)
     _require(moments, (key for *_, key in terms))
     pref = coupling_sign * 3.0 / (4.0 * np.pi)
     a_z = extra = 0.0

@@ -683,11 +683,13 @@ def _window(t: np.ndarray, end: float) -> np.ndarray:
 
 def check_windows(t: np.ndarray, windows: Sequence[float]) -> None:
     """Refuse remainder windows over the sample times ``t`` that cannot
-    give a scaling: fewer than two, or one holding fewer than 8 samples."""
-    if len(windows) < 2:
-        raise ValidationError("remainder scaling needs at least two windows")
-    for end in windows:
-        _window(t, end)
+    give a scaling: one holding fewer than 8 samples, or fewer than two
+    holding different samples (equal residuals would fit a slope of 0)."""
+    held = {int(_window(t, end).sum()) for end in windows}
+    if len(held) < 2:
+        raise ValidationError(
+            "remainder scaling needs at least two windows holding different samples"
+        )
 
 
 def remainder_residuals(series: TimeSeries, windows: Sequence[float]) -> list[float]:

@@ -198,6 +198,33 @@ class TestDeflectCommand:
         assert main(["deflect", "--config", str(over), "--out", str(tmp_path)]) == 1
         assert "not bracketed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("overrides, closest", [
+        # a packet just outside the near-field radius read 2.272e+138 m
+        ({"figure2": {"z": 2e-40, "width": 2e-41}}, "1.695e-45"),
+        ({"figure2": {"z": 1e-30, "width": 1e-31}}, "8.477e-36"),
+        # slow enough that the preset's 2.9e-16 m grows past 0.4 l = 3.39e-6 m
+        ({"deflect": {"speed": 9e-3}}, "3.391e-06"),
+    ])
+    def test_deflection_reaching_the_dipole_refused(self, tmp_path, capsys, overrides, closest):
+        """Past the sweep line's distance to the dipole the constant-acceleration
+        model cannot hold: one line, exit 1, no output."""
+        over = tmp_path / "cfg.json"
+        over.write_text(json.dumps(overrides))
+        out = tmp_path / "out"
+        assert main(["deflect", "--config", str(over), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: deflection ") and err.count("\n") == 1
+        assert f"the sweep line's distance to the dipole, {closest} m" in err
+        assert not out.exists()
+
+    def test_deflection_inside_the_dipole_distance_runs(self, tmp_path):
+        """At 1e-2 m/s the deflection, 2.894e-6 m, stays under 0.4 l = 3.391e-6 m."""
+        over = tmp_path / "cfg.json"
+        over.write_text(json.dumps({"deflect": {"speed": 1e-2}}))
+        assert main(["deflect", "--config", str(over), "--out", str(tmp_path)]) == 0
+        est = json.loads((tmp_path / "deflection.json").read_text())["estimate"]
+        assert 2.8e-6 < est["deflection_m"] < 0.4 * est["length_unit_m"]
+
 
 class TestZeroForce:
     """The singlet force vanishes: its profile is rounding noise, not signal."""
@@ -455,6 +482,9 @@ def convergence_study():
     return module
 
 
+ONE_SAMPLE_SET = "error: remainder scaling needs at least two windows holding different samples\n"
+
+
 class TestOracleInputErrors:
     @pytest.mark.parametrize("override", [{"theta": 0.0}, {"duration": -1.0}])
     def test_exit_code_and_message(self, tmp_path, capsys, override):
@@ -555,11 +585,16 @@ class TestOracleInputErrors:
         "remainder, message",
         [
             ({"windows": [1e-5, 1e-3]}, "error: window 1e-05 holds fewer than 8 samples\n"),
-            ({"windows": [1e-3]}, "error: remainder scaling needs at least two windows\n"),
+            ({"windows": [1e-3]}, ONE_SAMPLE_SET),
             # 7 samples in the 2.5e-4 window at twice the step
             ({"theta": 0.3}, "error: window 0.00025 holds fewer than 8 samples\n"),
             # max() of no windows must not raise
-            ({"windows": []}, "error: remainder scaling needs at least two windows\n"),
+            ({"windows": []}, ONE_SAMPLE_SET),
+            # one distinct window: polyfit would fit a slope through a single x
+            ({"windows": [1e-3, 1e-3]}, ONE_SAMPLE_SET),
+            ({"windows": [5e-4, 5e-4, 5e-4]}, ONE_SAMPLE_SET),
+            # two ends, one set of samples: equal residuals read exponent 0
+            ({"windows": [1e-3, 1.000001e-3]}, ONE_SAMPLE_SET),
         ],
     )
     def test_bad_windows_refused_before_any_state(self, tmp_path, capsys, monkeypatch,
