@@ -74,11 +74,9 @@ def cmd_figure2(cfg: dict, out_dir: Path) -> int:
     # A vanishing force (e.g. the singlet) has no region to average.
     average = None if packets.is_noise(profile) else packets.region_average(profile)
     f2 = cfg["figure2"]
-    center_packet = packets.WavePacket(center=(f2["x"], 0.0, f2["z"]), width=f2["width"])
     sign = cfgmod.build_params(cfg).coupling_sign
     spin_input = spins.named_spin_input(f2["spin"])
-    m = packets.moments(center_packet, dfl.required_tuples_for(spin_input))
-    peak = dfl.contract_force(spin_input, m, coupling_sign=sign).a_z
+    (peak,), _ = packets.accelerations(spin_input, [(f2["x"], 0.0, f2["z"])], f2["width"], sign)
     summary = {
         "average_negative_region": average,
         "reference_average": REFERENCE_NEGATIVE_AVERAGE,

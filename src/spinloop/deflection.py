@@ -87,20 +87,6 @@ def required_tuples_for(state: np.ndarray) -> list[MomentKey]:
     return sorted({key for *_, key in bracket_terms(spin_correlators(state))})
 
 
-def force_scale(state: np.ndarray, l1_moments: Mapping[MomentKey, float]):
-    """L1 scale of a_z: the contraction with every coefficient taken in
-    absolute value and every moment replaced by its L1 moment (the
-    quadrature sum of |integrand|).  It bounds |a_z|, and where the force
-    vanishes the terms cancel to rounding noise of order 1e-16 times it.
-    Elementwise over array-valued moments, like :func:`contract_force`.
-    """
-    C = spin_correlators(state)
-    total = 0.0
-    for i, j, coef, key in bracket_terms(C):
-        total = total + abs(C[i, j] * coef) * l1_moments[key]
-    return 3.0 / (4.0 * np.pi) * total
-
-
 @dataclass(frozen=True)
 class ForceExpectation:
     """Spin-contracted force expectation in natural units (l / tau^2).

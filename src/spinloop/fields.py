@@ -7,7 +7,8 @@ evaluated at positions measured in l:
   is an energy in units of m l^2 / tau^2,
 * ``force_operator()`` returns its negative z-gradient, whose expectation
   is directly an acceleration in l / tau^2.  Its bracket is the term table
-  of :func:`spinloop.deflection.bracket_terms`, which every profile uses.
+  of :func:`spinloop.deflection.bracket_terms`, which the moment
+  contraction uses.
 
 Both are 4x4 Hermitian matrices at every position away from the origin.
 The point-dipole contact (Dirac delta) pieces are excluded; every

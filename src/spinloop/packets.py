@@ -1,26 +1,49 @@
 """Square-wavepacket spatial moments and the transverse acceleration profile.
 
 A square packet has uniform probability density 1/width^3 over a cube.
-Moments < x^a y^b z^c / r^n > are evaluated with tensor-product
-Gauss-Legendre quadrature whose order is escalated until two consecutive
-orders agree to a relative tolerance; the integrand is smooth on the cube
-(the origin is excluded by construction) so convergence is spectral.
 
-The quadrature is batched: one kernel evaluates the moments of many packet
-centres at once, in blocks of at most ``_POINT_BUDGET`` nodes, and each
-centre escalates its own order.  An a_z(y) profile is one kernel call and
-one elementwise contraction; the scalar :func:`moments` is the one-centre
-call of the same kernel.
+Profiles.  The bracket of each correlator C_ij is (1/3) d_i d_j d_z (1/r),
+so a packet's z-acceleration is a_z = sign/(4 pi) sum_ij C_ij <T_ij> with
+T_ij = d_i d_j d_z (1/r) averaged over the cube.  1/r is harmonic, so
+T_zz = -T_xx - T_yy and the trace of C drops out: the diagonal enters as
+C_xx - C_zz and C_yy - C_zz only, and an isotropic C (the singlet) gives
+exactly 0.0.  Each sample takes one of two rules, by the packet width w
+against its centre's distance |c|:
 
-The kernel is a separable contraction.  The integrand x^a y^b z^c r^-n is a
-product of 1-D node factors, which carry the weights, and r^-n, which is
-built without ``pow``: r^-2 = 1/(x^2 + y^2 + z^2) once per block, then one
-sqrt for odd n and products.  Each r^-n is contracted over z once per
-distinct (n, c), and the result over y and x.  The kernel also returns each
-moment's L1 value (the quadrature sum of |integrand|), which sets the
-convergence scale and the noise floor below which a profile sample counts
-as zero.  Since r^-n and the weights are positive, the L1 value factorises
-too: it is the same contraction with the absolute 1-D factors.
+* w >= ``CORNER_SWITCH`` |c|: the exact cube average, (1/w^3) times the
+  eight-corner alternating sum of antiderivatives G_ij with
+  d_x d_y d_z G_ij = T_ij, as in the rectangular-prism formulas of geodesy
+  (Nagy, Geophysics 31, 362 (1966); Nagy, Papp & Benedek, J. Geodesy 74,
+  552 (2000)).  G_xy = 1/r, G_xx = -x [y/r] / (x^2 + z^2) and
+  G_xz = -z [y/r] / (x^2 + z^2), and G_yy, G_yz the same with x and y
+  swapped.  [y/r] is differenced along y in closed form, which neither
+  cancels nor divides by x^2 + z^2 where a corner lies on an axis.
+* w < ``CORNER_SWITCH`` |c|: a fixed 5-point tensor Gauss-Legendre rule of
+  the point integrand, with no order escalation.  There it is accurate to
+  a few 1e-14 of the L1 scale, while the corner sum cancels to (|c| / w)^2
+  times its rounding.
+
+Every sample also carries its L1 scale: the fixed rule's average of the
+integrand's two terms taken in absolute value.  A sample with
+|a_z| <= ``ZERO_FLOOR`` times it is rounding noise.  Each sample's
+arithmetic does not depend on the others, so a one-centre call returns the
+same bits as that centre inside a profile.
+
+Moments.  :func:`moments` evaluates < x^a y^b z^c / r^n > (for the
+oracle's contraction, the self-test and as the tests' independent
+reference) with tensor-product Gauss-Legendre quadrature whose order is
+escalated until two consecutive orders agree to a relative tolerance; the
+integrand is smooth on the cube (the origin is excluded by construction)
+so convergence is spectral.  The quadrature kernel is batched over
+centres, in blocks of at most ``_POINT_BUDGET`` nodes, and is a separable
+contraction: the integrand x^a y^b z^c r^-n is a product of 1-D node
+factors, which carry the weights, and r^-n, which is built without
+``pow``: r^-2 = 1/(x^2 + y^2 + z^2) once per block, then one sqrt for odd
+n and products.  Each r^-n is contracted over z once per distinct (n, c),
+and the result over y and x.  The kernel also returns each moment's L1
+value (the quadrature sum of |integrand|), which sets the convergence
+scale; since r^-n and the weights are positive, it is the same
+contraction with the absolute 1-D factors.
 """
 
 from __future__ import annotations
@@ -32,19 +55,24 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .deflection import MomentKey, contract_force, force_scale, required_tuples_for
+from .deflection import MomentKey, spin_correlators
 from .errors import NumericalError, ValidationError
 
 _GL_ORDERS = (6, 10, 14, 20, 28, 40, 56)
 # Quadrature nodes (centres x order^3) per vectorised block: bounds the
 # working set to a few hundred KiB per array whatever the sample count.
 _POINT_BUDGET = 2**14
-# |a_z| at or below this share of its L1 scale is rounding noise: the terms
-# of the contraction cancel to ~1e-16 of the scale where the force vanishes.
+# Profile samples whose width is at least this share of their centre's
+# distance take the corner sum; narrower ones the fixed rule of this order.
+CORNER_SWITCH = 0.1
+_RULE_ORDER = 5
+# |a_z| at or below this share of its L1 scale is rounding noise: both
+# rules' error stays under ~2e-13 of the scale, the worst near z = 0.
 ZERO_FLOOR = 1e-12
-# r^-7 in the integrand underflows past min_float**(-1/7) ~ 1.1e44 l.
+# The moment quadrature's r^-7 underflows past min_float**(-1/7) ~ 1.1e44 l
 FAR_FIELD_RADIUS = 1e40
-# and overflows inside max_float**(-1/7) ~ 9e-45 l.
+# and overflows inside max_float**(-1/7) ~ 9e-45 l; the profile rules have
+# more room on both sides (see README).
 NEAR_FIELD_RADIUS = 1e-40
 
 
@@ -229,12 +257,117 @@ def moment(packet: WavePacket, a: int, b: int, c: int, n: int, rel_tol: float = 
     return moments(packet, [(a, b, c, n)], rel_tol=rel_tol)[(a, b, c, n)]
 
 
+def _coefficients(C: np.ndarray) -> tuple[float, float, float, float, float]:
+    """(k_xx, k_yy, k_xy, k_xz, k_yz) with sum_ij C_ij T_ij = sum k_ab T_ab:
+    T_zz = -T_xx - T_yy takes the trace out by differences, exactly."""
+    return (C[0, 0] - C[2, 2], C[1, 1] - C[2, 2], C[0, 1] + C[1, 0],
+            C[0, 2] + C[2, 0], C[1, 2] + C[2, 1])
+
+
+def _rule_sums(k, centers: np.ndarray, width: float) -> np.ndarray:
+    """(sum k_ab <T_ab>, its L1 scale) per centre by the fixed rule, shaped (2, s).
+
+    The point integrand is (3 lin - 15 z quad / r^2) / r^5 with
+    lin = (k_xx + k_yy) z + k_xz x + k_yz y and
+    quad = k_xx x^2 + k_yy y^2 + k_xy x y + (k_xz x + k_yz y) z;
+    the scale averages its two terms in absolute value.  Node axes lead and
+    centres run along the last axis.  The weighted sum takes one node axis
+    at a time by elementwise products, so a centre's bits do not depend on
+    the centres that share its block, and no BLAS is called.
+    """
+    k_xx, k_yy, k_xy, k_xz, k_yz = k
+    n = _RULE_ORDER
+    nodes, wts = _leggauss(n)
+    offsets, half_weights = 0.5 * width * nodes, 0.5 * wts
+    block = _POINT_BUDGET // n**3
+    sums = np.empty((2, len(centers)))
+    for lo in range(0, len(centers), block):
+        q = offsets[:, None] + centers[lo : lo + block].T[:, None, :]  # (axis, node, centre)
+        x, y, z = q[0, :, None, None], q[1, None, :, None], q[2, None, None, :]
+        # The result rows hold r^-2 and r^-5 until each is last used: with
+        # `quad`, three node arrays at most are alive.
+        terms = np.empty((2, n, n, n, q.shape[2]))
+        inv_r2, inv_r5 = terms
+        np.add(x * x + y * y, z * z, out=inv_r2)
+        np.divide(1.0, inv_r2, out=inv_r2)
+        np.sqrt(inv_r2, out=inv_r5)
+        inv_r5 *= inv_r2
+        inv_r5 *= inv_r2
+        lin, quad = (k_xx + k_yy) * z, k_xx * (x * x) + k_yy * (y * y) + k_xy * (x * y)
+        if k_xz or k_yz:  # skipped when zero: that saves passes over the nodes, not values
+            lin = lin + (k_xz * x + k_yz * y)
+            quad = quad + (k_xz * x + k_yz * y) * z
+        quad = quad * (-15.0 * z)
+        quad *= inv_r2
+        lin = np.multiply(3.0 * lin, inv_r5, out=terms[0])
+        quad *= inv_r5
+        np.abs(lin, out=terms[1])
+        lin += quad
+        terms[1] += np.abs(quad, out=quad)
+        for _ in range(3):
+            terms = sum(w * t for w, t in zip(half_weights, terms.swapaxes(0, 1)))
+        sums[:, lo : lo + block] = terms
+    return sums
+
+
+def _pair(u0: np.ndarray, u1: np.ndarray, rho2: np.ndarray):
+    """(u1/r1 - u0/r0) / rho2 with r^2 = u^2 + rho2, and (r0, r1).
+
+    Ends of one sign take rho2 (u1^2 - u0^2) / (r0 r1 (u1 r0 + u0 r1)) for the
+    difference, which neither cancels nor needs rho2 > 0; otherwise the two
+    terms add, and rho2 > 0 because the cube avoids the origin.
+    """
+    r0, r1 = np.sqrt(u0 * u0 + rho2), np.sqrt(u1 * u1 + rho2)
+    same = u0 * u1 > 0
+    stable = (u1 - u0) * (u1 + u0) / np.where(same, r0 * r1 * (u1 * r0 + u0 * r1), 1.0)
+    return np.where(same, stable, (u1 / r1 - u0 / r0) / np.where(same, 1.0, rho2)), r0, r1
+
+
+def _corner_sums(k, centers: np.ndarray, width: float) -> np.ndarray:
+    """sum k_ab <T_ab> per centre, exactly, by the eight-corner sum.
+
+    G_xx, G_xz and G_xy = 1/r are differenced along y, G_yy and G_yz along
+    x; what remains alternates over the four corners of the other two axes.
+    """
+    k_xx, k_yy, k_xy, k_xz, k_yz = k
+    # (end, axis, centre), the upper end first: corners alternate +, -.
+    ends = np.stack([centers + 0.5 * width, centers - 0.5 * width]).transpose(0, 2, 1)
+    (x1, y1, z1), (x0, y0, z0) = ends
+    x, y, z = ends[:, None, 0], ends[:, None, 1], ends[None, :, 2]  # (end, end, centre)
+    p, r0, r1 = _pair(y0, y1, x * x + z * z)
+    inv_r = -(y1 - y0) * (y1 + y0) / (r0 * r1 * (r0 + r1))  # 1/r1 - 1/r0
+    along_y = k_xy * inv_r - (k_xx * x + k_xz * z) * p
+    along_x = -(k_yy * y + k_yz * z) * _pair(x0, x1, y * y + z * z)[0]
+    t = along_y + along_x
+    return ((t[0, 0] - t[0, 1]) - (t[1, 0] - t[1, 1])) / width**3
+
+
+def accelerations(
+    spin: np.ndarray, centers, width: float, coupling_sign: int = 1
+) -> tuple[np.ndarray, np.ndarray]:
+    """(a_z, L1 scale) of packets of one width at ``centers`` ((s, 3)).
+
+    Works for any spin input (pure state or density matrix).  Samples of
+    width at least ``CORNER_SWITCH`` times their centre's distance take the
+    corner sum, the rest the fixed rule (see the module docstring).
+    """
+    centers = np.asarray(centers, dtype=float)
+    _check_packets(centers, width)
+    k = _coefficients(spin_correlators(spin))
+    total, scale = _rule_sums(k, centers, width)
+    wide = width >= CORNER_SWITCH * np.hypot.reduce(centers, axis=1)
+    if np.any(wide):
+        total[wide] = _corner_sums(k, centers[wide], width)
+    # + 0.0 turns the -0.0 of a vanishing force under a negative sign into 0.0.
+    return coupling_sign / (4.0 * np.pi) * total + 0.0, scale / (4.0 * np.pi)
+
+
 @dataclass(frozen=True)
 class AccelerationProfile:
     """Sampled a_z(y) along a transverse sweep at fixed x, z and packet width.
 
-    ``scale`` is each sample's L1 scale (see :func:`deflection.force_scale`);
-    a sample with |a_z| <= ZERO_FLOOR * scale is rounding noise and counts
+    ``scale`` is each sample's L1 scale (see :func:`accelerations`); a
+    sample with |a_z| <= ZERO_FLOOR * scale is rounding noise and counts
     as zero.  Without it only exact zeros do.
     """
 
@@ -263,33 +396,15 @@ def acceleration_profile(
     width: float = 1e-3,
     coupling_sign: int = 1,
 ) -> AccelerationProfile:
-    """Sweep the packet center along y and contract the force at each sample.
-
-    Works for any spin input (pure state or density matrix); the moment
-    set is derived once from the state's nonzero correlators, every
-    sample's moments come from one batched quadrature, and one elementwise
-    contraction turns them into a_z.
-    """
+    """Sweep the packet center along y: :func:`accelerations` at every sample."""
     if n_samples < 2:
         raise ValidationError("need at least two profile samples")
     if y_range[1] <= y_range[0]:
         raise ValidationError("y_range must be increasing")
     ys = np.linspace(y_range[0], y_range[1], n_samples)
     centers = np.column_stack([np.full_like(ys, x), ys, np.full_like(ys, z)])
-    _check_packets(centers, width)
-    tuples = required_tuples_for(spin)
-    values, l1 = _batch_moments(centers, width, tuples)
-    a_z = contract_force(spin, dict(zip(tuples, values)), coupling_sign=coupling_sign).a_z
-    scale = force_scale(spin, dict(zip(tuples, l1)))
-    # Both are plain 0.0, not arrays, for a state with no nonzero correlator.
-    return AccelerationProfile(
-        y=ys,
-        a_z=np.array(np.broadcast_to(a_z, ys.shape), dtype=float),
-        x=x,
-        z=z,
-        width=width,
-        scale=np.array(np.broadcast_to(scale, ys.shape), dtype=float),
-    )
+    a_z, scale = accelerations(spin, centers, width, coupling_sign)
+    return AccelerationProfile(y=ys, a_z=a_z, x=x, z=z, width=width, scale=scale)
 
 
 def _runs(profile: AccelerationProfile) -> list[tuple[int, int, int]]:

@@ -109,6 +109,20 @@ class TestFigure2Command:
         crossings = summary["zero_crossings"]
         assert crossings[0] == pytest.approx(-0.3266, abs=5e-3)
 
+    def test_peak_is_the_profile_sample_at_y0(self, tmp_path, preset_cfg):
+        """a_z_at_y0 is the same kernel at the single centre (x, 0, z): at the
+        preset it equals the profile's y = 0 sample bit for bit."""
+        assert main(["figure2", "--out", str(tmp_path)]) == 0
+        summary = json.loads((tmp_path / "figure2_summary.json").read_text())
+        f2 = preset_cfg["figure2"]
+        prof = packets.acceleration_profile(
+            spins.named_spin_input(f2["spin"]), z=f2["z"], x=f2["x"],
+            y_range=(f2["y_min"], f2["y_max"]), n_samples=f2["samples"], width=f2["width"],
+            coupling_sign=cfgmod.build_params(preset_cfg).coupling_sign,
+        )
+        assert prof.y[100] == 0.0
+        assert summary["a_z_at_y0"] == prof.a_z[100]
+
     def test_antiparallel_mirror(self, tmp_path):
         over = tmp_path / "cfg.json"
         over.write_text(json.dumps({"figure2": {"spin": "antiparallel", "samples": 21}}))
@@ -258,10 +272,28 @@ class TestZeroForce:
         assert report["deflection_m"] == 0.0
 
 
+def run_just_inside(tmp_path, figure2):
+    """figure2 and deflect at a packet just inside a field radius: figure2
+    exits 0 with finite values and no RuntimeWarning, deflect exits 0 or 1
+    with one line."""
+    over = tmp_path / "cfg.json"
+    over.write_text(json.dumps({"figure2": figure2}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["figure2", "--config", str(over), "--out", str(tmp_path / "f")]) == 0
+        assert main(["deflect", "--config", str(over), "--out", str(tmp_path / "d")]) in (0, 1)
+    profile = np.loadtxt(tmp_path / "f" / "figure2.csv", delimiter=",", skiprows=1)
+    summary = json.loads((tmp_path / "f" / "figure2_summary.json").read_text())
+    assert np.all(np.isfinite(profile)) and np.all(profile[:, 1] != 0.0)
+    assert np.isfinite(summary["a_z_at_y0"]) and summary["a_z_at_y0"] != 0.0
+
+
 class TestFarField:
-    """The quadrature takes r**7, which overflows beyond about 1.1e44 l: a
-    packet that far out is refused, not integrated to a wrong sign (1e60)
-    or to a failed quadrature (1e200)."""
+    """The moment quadrature takes r**7, which underflows beyond about
+    1.1e44 l: a packet that far out is refused, not integrated to a wrong
+    sign (1e60) or to a failed quadrature (1e200).  The profile rules keep
+    working to ~1e61 l (r^-5 underflows there), so the radius holds for
+    them with room."""
 
     @pytest.mark.parametrize("command", ["figure2", "deflect"])
     @pytest.mark.parametrize("z", [1e60, 1e200])
@@ -286,11 +318,19 @@ class TestFarField:
         summary = json.loads((tmp_path / "figure2_summary.json").read_text())
         assert summary["average_negative_region"] == pytest.approx(-1.19366e-161, rel=1e-5)
 
+    @pytest.mark.parametrize("figure2", [
+        {"z": 9.9e39},  # fixed rule: farthest point 9.9e39 l
+        {"z": 9.2e39, "width": 1.2e39},  # corner sums: farthest point ~9.84e39 l
+    ])
+    def test_just_inside_runs_finite(self, tmp_path, figure2):
+        run_just_inside(tmp_path, figure2)
+
 
 class TestNearField:
-    """The quadrature's r^-7 overflows inside about 9e-45 l: a packet that
-    close is refused, not reported as a failed quadrature after numpy's
-    invalid-value warnings."""
+    """The moment quadrature's r^-7 overflows inside about 9e-45 l: a packet
+    that close is refused, not reported as a failed quadrature after numpy's
+    invalid-value warnings.  The profile rules keep working to ~7e-62 l (r^-5
+    overflows there), so the radius holds for them with room."""
 
     @pytest.mark.parametrize("command", ["figure2", "deflect"])
     @pytest.mark.parametrize("z", [1e-50, 8e-45, 1e-200])  # z^2 underflows at 1e-200
@@ -310,6 +350,13 @@ class TestNearField:
         assert main(["figure2", "--config", str(over), "--out", str(tmp_path)]) == 0
         summary = json.loads((tmp_path / "figure2_summary.json").read_text())
         assert -np.inf < summary["a_z_at_y0"] < 0.0
+
+    @pytest.mark.parametrize("figure2", [
+        {"z": 1.1e-40, "width": 1e-41},  # fixed rule: nearest point 1.05e-40 l
+        {"z": 1.6e-40, "width": 1e-40},  # corner sums at y = 0: nearest point 1.1e-40 l
+    ])
+    def test_just_inside_runs_finite(self, tmp_path, figure2):
+        run_just_inside(tmp_path, figure2)
 
 
 class TestHugeTau:

@@ -162,7 +162,9 @@ class TestContractForce:
         the bracket with C_zz = 0, and its keys are those of the nonzero C_ij."""
         C = dfl.spin_correlators(state)
         out = dfl.contract_force(state, moments, coupling_sign=sign)
-        tol = 8 * EPS * dfl.force_scale(state, moments)
+        tol = 8 * EPS * 3.0 / (4.0 * np.pi) * sum(
+            abs(C[i, j] * coef) * moments[key] for i, j, coef, key in dfl.bracket_terms(C)
+        )
         assert abs(out.a_z - compact_bracket(C, moments, sign)) <= tol
         C_rest = C.copy()
         C_rest[2, 2] = 0.0

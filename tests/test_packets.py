@@ -1,5 +1,9 @@
 """Wavepacket moments and the transverse acceleration profile."""
 
+import math
+from decimal import Decimal, localcontext
+from itertools import product
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -219,15 +223,15 @@ class TestPathEquivalence:
 
 
 # ---------------------------------------------------------------------------
-# Batched quadrature against per-sample paths.  Each reference below takes one
-# packet at a time, escalating until two consecutive orders agree, then does
-# one contraction per sample.
+# The moment quadrature against per-sample paths.  `packets.moments` serves
+# the oracle's contraction, the self-test and the references below.  Each
+# per-sample path takes one packet at a time, escalating until two
+# consecutive orders agree.
 #
 # `separable_sums` is the kernel's arithmetic written out for one centre:
 # w/2-weighted 1-D factors by products, r^-n from one sqrt and products of
 # r^-2, and the same einsum reductions.  The batched results must equal it bit
-# for bit, so it pins the blocking, the per-centre escalation and the
-# contraction.
+# for bit, so it pins the blocking and the per-centre escalation.
 #
 # `pow_sums` is the earlier kernel, kept as an independent reference: `pow`
 # on meshgrid nodes and full-cube sums.  The kernel must agree with it to a
@@ -293,22 +297,25 @@ def per_sample_moments(center, width, tuples, sums=separable_sums, rel_tol=1e-10
     raise NumericalError("per-sample reference did not converge")
 
 
-def per_sample_profile(spin, z, x, y_range, n_samples, width, coupling_sign=1,
-                       sums=separable_sums):
-    """(a_z, L1 scale, order reached) per sample, one contraction per sample."""
-    tuples = dfl.required_tuples_for(spin)
-    ys = np.linspace(y_range[0], y_range[1], n_samples)
-    a_z, scale, orders = np.empty_like(ys), np.empty_like(ys), []
-    for k, y in enumerate(ys):
-        m, l1, order = per_sample_moments((x, float(y), z), width, tuples, sums=sums)
-        a_z[k] = dfl.contract_force(spin, m, coupling_sign=coupling_sign).a_z
-        scale[k] = dfl.force_scale(spin, l1)
-        orders.append(order)
-    return a_z, scale, orders
+def reference_scale(spin, l1_moments):
+    """L1 scale of the moment contraction: every term of
+    deflection.bracket_terms with |coefficient| times its L1 moment."""
+    C = dfl.spin_correlators(spin)
+    total = 0.0
+    for i, j, coef, key in dfl.bracket_terms(C):
+        total = total + abs(C[i, j] * coef) * l1_moments[key]
+    return 3.0 / (4.0 * np.pi) * total
+
+
+def sweep_centers(x, z, y_range, n):
+    ys = np.linspace(y_range[0], y_range[1], n)
+    return np.column_stack([np.full(n, x), ys, np.full(n, z)])
 
 
 # One chunk of the lowest order holds this many samples.
 FIRST_CHUNK = packets._POINT_BUDGET // REFERENCE_ORDERS[0] ** 3
+# One block of the profile's fixed rule holds this many samples.
+RULE_BLOCK = packets._POINT_BUDGET // packets._RULE_ORDER**3
 
 EQUIVALENCE_CASES = [
     # spin, z, x, y_range, n_samples, width, coupling_sign
@@ -324,20 +331,34 @@ EQUIVALENCE_CASES = [
 
 
 class TestBatchedProfile:
-    @pytest.mark.parametrize("name,z,x,y_range,n,width,sign", EQUIVALENCE_CASES)
+    """Each profile sample equals a one-centre call of packets.accelerations
+    bit for bit; the moment quadrature's batches equal its per-sample path."""
+
+    @pytest.mark.parametrize("name,z,x,y_range,n,width,sign", EQUIVALENCE_CASES + [
+        # three fixed-rule blocks, and corner sums where |y| < 0.4
+        ("antiparallel-coherent", 0.3, 0.02, (-0.5, 0.5), 2 * RULE_BLOCK + 1, 0.05, -1),
+    ])
     def test_equals_per_sample_path(self, name, z, x, y_range, n, width, sign):
         spin = spins.named_spin_input(name)
         prof = packets.acceleration_profile(
             spin, z=z, x=x, y_range=y_range, n_samples=n, width=width, coupling_sign=sign
         )
-        ref, scale, _ = per_sample_profile(spin, z, x, y_range, n, width, coupling_sign=sign)
-        assert prof.a_z.tobytes() == ref.tobytes()
-        assert prof.scale.tobytes() == scale.tobytes()
+        singles = [packets.accelerations(spin, [c], width, sign)
+                   for c in sweep_centers(x, z, y_range, n)]
+        assert prof.a_z.tobytes() == np.concatenate([a for a, _ in singles]).tobytes()
+        assert prof.scale.tobytes() == np.concatenate([s for _, s in singles]).tobytes()
 
     def test_wide_packet_mixes_orders_within_a_chunk(self):
-        *_, orders = per_sample_profile(
-            spins.parallel_coherent(), 0.25, 0.01, (-0.5, 0.5), 101, 0.1
-        )
+        spin = spins.parallel_coherent()
+        tuples = dfl.required_tuples_for(spin)
+        centers = sweep_centers(0.01, 0.25, (-0.5, 0.5), 101)
+        values, l1 = packets._batch_moments(centers, 0.1, tuples)
+        orders = []
+        for s, center in enumerate(centers):
+            m, m_l1, order = per_sample_moments(tuple(center), 0.1, tuples)
+            assert values[:, s].tolist() == [m[k] for k in tuples]
+            assert l1[:, s].tolist() == [m_l1[k] for k in tuples]
+            orders.append(order)
         block = packets._POINT_BUDGET // REFERENCE_ORDERS[1] ** 3
         assert any(len(set(orders[i : i + block])) > 1 for i in range(0, 101, block))
 
@@ -348,17 +369,47 @@ class TestBatchedProfile:
         assert packets.moments(pk, keys) == ref
 
     def test_non_convergence_raises(self):
-        # the first sample's cube reaches to 1.7e-4 of the dipole
-        args = dict(z=0.0501, x=0.0501, y_range=(0.0501, 0.4), n_samples=3, width=0.1)
+        """The first sample's cube reaches to 1.7e-4 of the dipole: the moment
+        quadrature fails there, while the profile takes the exact corner sum."""
+        uu = spins.basis_state("up", "up")
+        tuples = dfl.required_tuples_for(uu)
+        near = packets.WavePacket(center=(0.0501, 0.0501, 0.0501), width=0.1)
         with pytest.raises(NumericalError, match="failed to converge"):
-            packets.acceleration_profile(spins.basis_state("up", "up"), **args)
+            packets.moments(near, tuples)
         with pytest.raises(NumericalError):
-            per_sample_profile(spins.basis_state("up", "up"), 0.0501, 0.0501,
-                               (0.0501, 0.4), 3, 0.1)
+            per_sample_moments(near.center, near.width, tuples)
+        prof = packets.acceleration_profile(
+            uu, z=0.0501, x=0.0501, y_range=(0.0501, 0.4), n_samples=3, width=0.1
+        )
+        ref = [decimal_corner_sum(uu, c, 0.1) for c in sweep_centers(0.0501, 0.0501,
+                                                                       (0.0501, 0.4), 3)]
+        assert np.all(np.abs(prof.a_z - ref) <= 1e-14 * np.abs(ref))
 
     def test_singular_sample_rejected(self):
         with pytest.raises(ValidationError, match="singular support"):
             packets.acceleration_profile(spins.basis_state("up", "up"), z=0.04, width=0.05)
+
+
+def decimal_corner_sum(spin, center, width, digits=40):
+    """sign-free a_z of one packet: the plain eight-corner sum of
+    G = k_xy / r - (k_xx x + k_xz z) y / ((x^2 + z^2) r)
+    - (k_yy y + k_yz z) x / ((y^2 + z^2) r) in 40-digit decimals, for
+    cubes with no corner on a coordinate axis."""
+    C = dfl.spin_correlators(spin)
+    k_xx, k_yy, k_xy, k_xz, k_yz = (Decimal(float(v)) for v in (
+        C[0, 0] - C[2, 2], C[1, 1] - C[2, 2], C[0, 1] + C[1, 0],
+        C[0, 2] + C[2, 0], C[1, 2] + C[2, 1]))
+    with localcontext() as ctx:
+        ctx.prec = digits
+        half = Decimal(width) / 2
+        total = Decimal(0)
+        for corner in product((1, -1), repeat=3):
+            x, y, z = (Decimal(float(c)) + s * half for c, s in zip(center, corner))
+            r = (x * x + y * y + z * z).sqrt()
+            g = (k_xy / r - (k_xx * x + k_xz * z) * y / ((x * x + z * z) * r)
+                 - (k_yy * y + k_yz * z) * x / ((y * y + z * z) * r))
+            total += corner[0] * corner[1] * corner[2] * g
+        return float(total / Decimal(width) ** 3 / (4 * Decimal(math.pi)))
 
 
 # The preset figure2 profile, with every EQUIVALENCE_CASES entry.
@@ -367,10 +418,14 @@ POW_TOL = 1e-14  # share of the L1 moment; measured worst 4.4e-16
 
 
 class TestAgainstPowKernel:
+    """The moment quadrature against the pow kernel, and the profile's sign
+    runs against those of the pow kernel's contraction."""
+
     @pytest.mark.parametrize("name,z,x,y_range,n,width,sign", POW_CASES)
     def test_moments_orders_and_runs(self, monkeypatch, name, z, x, y_range, n, width, sign):
         spin = spins.named_spin_input(name)
         tuples = dfl.required_tuples_for(spin)
+        centers = sweep_centers(x, z, y_range, n)
         reached = {}
         kernel = packets._sums
 
@@ -379,12 +434,8 @@ class TestAgainstPowKernel:
             return kernel(centers, width, tuples, order)
 
         monkeypatch.setattr(packets, "_sums", spy)
-        prof = packets.acceleration_profile(
-            spin, z=z, x=x, y_range=y_range, n_samples=n, width=width, coupling_sign=sign
-        )
-        monkeypatch.undo()
-        centers = np.column_stack([np.full(n, x), prof.y, np.full(n, z)])
         values, l1 = packets._batch_moments(centers, width, tuples)
+        monkeypatch.undo()
         a_z, scale = np.empty(n), np.empty(n)
         for s, center in enumerate(centers):
             m, m_l1, order = per_sample_moments(tuple(center), width, tuples, sums=pow_sums)
@@ -393,16 +444,95 @@ class TestAgainstPowKernel:
                 assert abs(values[k, s] - m[key]) <= POW_TOL * m_l1[key]
                 assert abs(l1[k, s] - m_l1[key]) <= POW_TOL * m_l1[key]
             a_z[s] = dfl.contract_force(spin, m, coupling_sign=sign).a_z
-            scale[s] = dfl.force_scale(spin, m_l1)
+            scale[s] = reference_scale(spin, m_l1)
+        prof = packets.acceleration_profile(
+            spin, z=z, x=x, y_range=y_range, n_samples=n, width=width, coupling_sign=sign
+        )
         pow_prof = packets.AccelerationProfile(y=prof.y, a_z=a_z, x=x, z=z, width=width,
                                                scale=scale)
         assert packets._runs(prof) == packets._runs(pow_prof)
 
 
+# ---------------------------------------------------------------------------
+# The profile kernel against the moment quadrature converged to 1e-13 and
+# contracted by deflection.contract_force.  Every sample must lie within
+# REFERENCE_TOL of its reference L1 scale, the profile's noise floor must
+# cover the difference, and no sample whose reference |a_z| exceeds 1e-10
+# of that scale may count as noise.
+# ---------------------------------------------------------------------------
+
+REFERENCE_TOL = 1e-13
+SPIN_NAMES = ("up-up", "down-down", "up-down", "down-up", "singlet", "parallel",
+              "antiparallel", "parallel-coherent", "antiparallel-coherent")
+# (width, z, samples) over the sweep workload's strata: widths 1e-3..0.1,
+# heights 0.25..0.55, 101-401 samples; 0.1 at 0.25 is all corner sums.
+SWEEP_STRATA = [(1e-3, 0.25, 101), (3.2e-3, 0.35, 201), (0.012, 0.45, 301),
+                (0.1, 0.55, 401), (0.1, 0.25, 401)]
+
+
+def assert_matches_moment_quadrature(spin, centers, width, sign=1):
+    a_z, scale = packets.accelerations(spin, centers, width, sign)
+    tuples = dfl.required_tuples_for(spin)
+    values, l1 = packets._batch_moments(centers, width, tuples, rel_tol=1e-13)
+    ref = dfl.contract_force(spin, dict(zip(tuples, values)), coupling_sign=sign).a_z
+    ref_scale = reference_scale(spin, dict(zip(tuples, l1)))
+    err = np.abs(a_z - ref)
+    assert np.all(err <= REFERENCE_TOL * ref_scale)
+    live = scale > 0.0  # 0 only where every coefficient is, and then a_z is exactly 0.0
+    assert np.all(err[live] <= packets.ZERO_FLOOR * scale[live])
+    assert np.all(a_z[~live] == 0.0)
+    signal = np.abs(ref) > 1e-10 * ref_scale
+    assert np.all(np.abs(a_z[signal]) > packets.ZERO_FLOOR * scale[signal])
+
+
+class TestAgainstMomentQuadrature:
+    @pytest.mark.parametrize("width,z,n", SWEEP_STRATA)
+    @pytest.mark.parametrize("name", SPIN_NAMES)
+    def test_sweep_strata(self, name, width, z, n):
+        spin = spins.named_spin_input(name)
+        assert_matches_moment_quadrature(spin, sweep_centers(0.0, z, (-0.5, 0.5), n), width)
+
+    @pytest.mark.parametrize("width", [1e-6, 1e-5, 1e-4, 0.3])
+    @pytest.mark.parametrize("name", SPIN_NAMES)
+    def test_widths(self, name, width):
+        spin = spins.named_spin_input(name)
+        assert_matches_moment_quadrature(spin, sweep_centers(0.02, 0.4, (-0.5, 0.5), 41),
+                                         width, sign=-1)
+
+    @pytest.mark.parametrize("side", [1 + 1e-9, 1 - 1e-9])  # fixed rule, corner sum
+    @pytest.mark.parametrize("name", SPIN_NAMES)
+    def test_either_side_of_the_switch(self, name, side):
+        width = 0.04
+        directions = np.array([[0.0, 0.0, 1.0], [0.6, 0.0, 0.8], [0.48, 0.6, 0.64],
+                               [-0.36, 0.48, 0.8], [0.0, -0.6, 0.8]])
+        centers = directions * side * width / packets.CORNER_SWITCH
+        wide = width >= packets.CORNER_SWITCH * np.hypot.reduce(centers, axis=1)
+        assert np.all(wide == (side < 1))
+        assert_matches_moment_quadrature(spins.named_spin_input(name), centers, width)
+
+    @pytest.mark.parametrize("name", SPIN_NAMES)
+    def test_corner_on_the_y_axis(self, name):
+        """figure2 {"x": 0.05, "z": 0.05, "width": 0.1, "y_min": 0.3,
+        "y_max": 0.6}: every cube has a corner on the y axis, where the plain
+        antiderivative -x y / ((x^2 + z^2) r) is 0/0."""
+        centers = sweep_centers(0.05, 0.05, (0.3, 0.6), 201)
+        (x0, _, z0), (_, y1, _) = (centers - 0.05).T, (centers + 0.05).T
+        with np.errstate(invalid="ignore"):
+            naive = -x0 * y1 / ((x0 * x0 + z0 * z0) * np.sqrt(x0 * x0 + y1 * y1 + z0 * z0))
+        assert np.all(np.isnan(naive))
+        assert_matches_moment_quadrature(spins.named_spin_input(name), centers, 0.1)
+
+    @pytest.mark.parametrize("name", SPIN_NAMES)
+    def test_axis_straddling_cube(self, name):
+        # x in [-0.05, 0.05] and z in [-0.04, 0.06] straddle 0: both pairings add
+        assert_matches_moment_quadrature(spins.named_spin_input(name),
+                                         np.array([[0.0, 0.5, 0.01]]), 0.1)
+
+
 class TestNoiseFloor:
     def test_singlet_profile_is_noise(self):
         prof = packets.acceleration_profile(spins.singlet(), z=0.4, n_samples=101, width=1e-3)
-        assert np.any(prof.a_z != 0.0)  # the raw rounding noise is kept
+        assert np.all(prof.a_z == 0.0)  # the trace drops out exactly
         assert np.all(np.abs(prof.a_z) <= packets.ZERO_FLOOR * prof.scale)
         assert packets.is_noise(prof)
         assert packets.zero_crossings(prof) == []
@@ -410,6 +540,26 @@ class TestNoiseFloor:
             packets.region_average(prof)
         with pytest.raises(ValidationError, match="no deflecting region"):
             packets.deflecting_lobe(prof)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("width", [1e-3, 0.2])  # fixed rule, corner sums
+    def test_singlet_is_exactly_zero_in_both_rules(self, width, sign):
+        prof = packets.acceleration_profile(spins.singlet(), z=0.4, n_samples=101,
+                                            width=width, coupling_sign=sign)
+        wide = width >= packets.CORNER_SWITCH * np.hypot(prof.y, 0.4)
+        assert np.all(wide) == (width > 0.1)
+        assert np.all(prof.a_z == 0.0) and not np.any(np.signbit(prof.a_z))
+        assert packets.is_noise(prof)
+
+    @pytest.mark.parametrize("width", [1e-3, 0.2])
+    def test_parallel_and_antiparallel_negate_exactly(self, width):
+        up_up, up_down = (
+            packets.acceleration_profile(spins.basis_state("up", loop), z=0.4, x=0.03,
+                                         n_samples=101, width=width)
+            for loop in ("up", "down")
+        )
+        assert np.array_equal(up_down.a_z, -up_up.a_z)
+        assert np.array_equal(up_down.scale, up_up.scale)
 
     def test_signal_profile_is_not_noise(self, fig_profile):
         assert not packets.is_noise(fig_profile)
@@ -526,7 +676,7 @@ kets = st.lists(unit, min_size=8, max_size=8).filter(lambda v: np.linalg.norm(v)
 packet_args = st.tuples(
     st.floats(0.2, 0.6), st.floats(-0.2, 0.2), st.floats(-0.3, 0.3), st.floats(1e-3, 0.05)
 )
-PROPERTY_TOL = 1e-8  # share of the L1 scale; quadrature orders may differ per state
+PROPERTY_TOL = 1e-8  # share of the L1 scale
 
 
 def _ket(v):
