@@ -621,6 +621,43 @@ class TestOracleInputErrors:
         with pytest.raises(StateBuilt):
             gridsim.run_oracle(cfg)
 
+    def test_zeeman_norm_budget_takes_only_the_pairs_the_run_reaches(self, tmp_path, capsys,
+                                                                     monkeypatch):
+        """A pure-zeeman run from up-up stays on (T_x, T_y), whose Zeeman
+        eigenvalues are +-(zp + zl) / 2: the (T_z, S) pair's 0 at zp = zl
+        must not hide them.  This used to exit 2 at the first step."""
+        monkeypatch.setattr(gridsim, "initialize", refuse_state)
+        over = tmp_path / "cfg.json"
+        over.write_text(json.dumps({"oracle": {"variant": "pure-zeeman",
+                                               "zeeman": [1.5e6, 1.5e6]}}))
+        out = tmp_path / "out"
+        assert main(["oracle", "--config", str(over), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: oracle.zeeman [1500000.0, 1500000.0] puts dt 9.385e-07 "
+                              "past the per-step norm budget")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    def test_full_variant_reaches_both_zeeman_pairs(self, preset_cfg, monkeypatch):
+        """The coupling takes up-up to T_z, whose pair is 0 at zp = zl."""
+        monkeypatch.setattr(gridsim, "initialize", refuse_state)
+        cfg = copy.deepcopy(preset_cfg)
+        cfg["oracle"].update(zeeman=[1.5e6, 1.5e6])
+        with pytest.raises(StateBuilt):
+            gridsim.run_oracle(cfg)
+
+    @pytest.mark.parametrize("zeeman", [[1e6, 0.0], [4e5, 4e5]])
+    def test_zeeman_inside_the_bound_can_still_fail_the_first_step(self, tmp_path, capsys,
+                                                                   zeeman):
+        """Refusing these needs the packet's kinetic spectrum, not a bound on
+        the operator: they pass validation and exit 2 at step 1."""
+        over = tmp_path / "cfg.json"
+        over.write_text(json.dumps({"oracle": {"variant": "pure-zeeman", "zeeman": zeeman}}))
+        assert main(["oracle", "--config", str(over), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "unstable step 1 (dt 9.385e-07): norm drifted by " in err
+        assert err.count("\n") == 1
+
     def test_free_variant_ignores_zeeman(self, preset_cfg, monkeypatch):
         monkeypatch.setattr(gridsim, "initialize", refuse_state)
         cfg = copy.deepcopy(preset_cfg)
