@@ -22,22 +22,26 @@ up-up packet under the coupling, four once a Zeeman term with
 zeeman_particle != zeeman_loop mixes in S.  One RK4 stage is one
 :meth:`GridOperator.apply`.
 
-Symmetry: a half-turn about the z axis, (x, y, z) -> (-x, -y, z), taken
-with the spin rotation diag(-1, -1, +1, +1) on (T_x, T_y, T_z, S),
-commutes with every term of H when the dipole sits on the axis: the
-Laplacian; the coupling, since the half-turn takes n_a n_b to
-d_a d_b n_a n_b with d = (-1, -1, +1), as it turns the triplet; and the
-Zeeman field along z, whose mixes stay inside (T_x, T_y) and inside
-(T_z, S).  A packet centred on the axis with a spin in span{uu, dd} or in
-span{ud, du} is an eigenstate of it, and H keeps it one: each component
-obeys psi_c(-x, -y, z) = p_c psi_c(x, y, z), with the parity
-p = (+, +, -, -) or (-, -, +, +) of :attr:`GridState.parity`.  For such
-a state in a box centred on the axis, :func:`evolve` computes only the
-x-planes n // 2 .. n - 1 and writes the others as their images.  This is
-exact up to rounding, because the points of plane i and y-row j are the
-mirror images of those of plane n - 1 - i and row n - 1 - j (to within
-an ulp of np.linspace).  Against the whole grid, the preset oracle's <z>
-moves by at most 1.1e-16 and its fitted acceleration by 1e-3 of its sigma.
+Symmetry: the quarter-turn R (x, y, z) -> (-y, x, z), taken with the spin
+rotation M: T_x -> T_y, T_y -> -T_x on (T_x, T_y, T_z, S), commutes with
+every term of H when the grid is centred on the z axis: the Laplacian,
+whose x and y axes are the same array; the coupling, since n turns as a
+vector, as the triplet does; and the Zeeman field along z, since total S_z
+generates the turn and S_z_p - S_z_l is invariant.  A packet centred on
+the axis is an eigenstate of it, U psi = lambda psi with U psi(r) =
+M psi(R^-1 r), when its spin is up-up (lambda = -i), down-down (+i) or in
+span{ud, du} (1): see :attr:`GridState.phase`.  H keeps an eigenstate
+one, so the quadrant x, y >= 0 fixes it: psi(r) = (M / lambda)^k
+psi(R^-k r).  For such a state :func:`evolve` runs every RK4 stage on the
+quadrant box, the cells i, j >= n // 2 plus one ghost plane on each cut
+face (i or j = n // 2 - 1), which the Laplacian reads across the cut and
+each stage fills as the turned image of the inner row next to the other
+face.  Any other state, a spin in span{uu, dd} other than up-up or
+down-down among them, steps on the whole grid.  This is exact up to
+rounding, because the points of plane i are the mirror images of those
+of plane n - 1 - i (to within an ulp of np.linspace).  Against the whole
+grid, the preset oracle's <z> moves by at most 2.8e-16 and its fitted
+acceleration by 2e-3 of its sigma.
 
 Discretization: 2nd-order finite-difference Laplacian and classical RK4
 time stepping.  The outer layer of grid points is the Dirichlet wall: it
@@ -62,6 +66,7 @@ as-initialized discrete density (same packet on both sides).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, fields, replace
 from typing import Iterable, Sequence
@@ -83,8 +88,8 @@ MAGIC_BASIS = np.array([
     [0.0, 0.0, _R, -_R],
     [_R, 1j * _R, 0.0, 0.0],
 ])
-# C2 parities on (T_x, T_y, T_z, S) of states in span{uu, dd} and span{ud, du}
-_C2_PARITY = ((1, 1, -1, -1), (-1, -1, 1, 1))
+# Spin part M of the quarter-turn on (T_x, T_y, T_z, S): T_x -> T_y, T_y -> -T_x
+_QUARTER_TURN = np.array([[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], dtype=complex)
 
 # RK4 is stable for |lambda| dt <= 2*sqrt(2) on the imaginary axis; specs
 # are rejected beyond 2.0 and defaults run far below that so that the
@@ -254,16 +259,16 @@ class GridState:
     ``norm2`` is the squared norm when a step has already computed it, and
     ``step`` counts the RK4 steps taken since :func:`initialize`.
 
-    ``parity`` is the C2 parity (p_Tx, p_Ty, p_Tz, p_S) of the module
-    docstring, psi_c(-x, -y, z) = p_c psi_c(x, y, z), or None (the
-    default) where none is known; :func:`initialize` sets it.
+    ``phase`` is the eigenvalue lambda of the quarter-turn of the module
+    docstring, -1j for up-up, 1j for down-down and 1 for span{ud, du}, or
+    None (the default) where none is known; :func:`initialize` sets it.
     """
 
     stack: np.ndarray
     first: int = 0
     norm2: float | None = None
     step: int = 0
-    parity: tuple[int, int, int, int] | None = None
+    phase: complex | None = None
 
     def norm(self) -> float:
         return math.sqrt(_squared_norm(self.stack))
@@ -331,9 +336,9 @@ def initialize(
     ``momentum_z`` applies a plane-wave factor exp(i k z) so that runs with
     a nonzero initial velocity can exercise the velocity and higher-order
     checks.  The packet must fit the box (see :func:`check_packet_fits`).
-    The state carries a C2 parity (see :class:`GridState`) when the packet
-    and the box are centred on the z axis and ``spin`` lies in span{uu, dd}
-    or in span{ud, du}.
+    The state carries its quarter-turn eigenvalue (see :class:`GridState`)
+    when the packet and the box are centred on the z axis and ``spin`` is
+    up-up, down-down or in span{ud, du}, up to a factor.
     """
     spin = np.asarray(spin, dtype=complex)
     if spin.shape != (4,):
@@ -359,10 +364,26 @@ def initialize(
     total = math.sqrt(_squared_norm(stack))
     if total == 0.0:
         raise ValidationError("packet has no support on the grid")
-    parity = None
-    if _on_axis(packet.center, grid.box_center) and (live[-1] < 2 or first >= 2):
-        parity = _C2_PARITY[first >= 2]
-    return GridState(stack=stack / total, first=first, parity=parity)
+    phase = None
+    if _on_axis(packet.center, grid.box_center):
+        turned = _QUARTER_TURN @ coef
+        phase = next((lam for lam in (1, 1j, -1j) if np.array_equal(turned, lam * coef)), None)
+    return GridState(stack=stack / total, first=first, phase=phase)
+
+
+@dataclass(frozen=True)
+class _Box:
+    """The fields of one box of cells that :meth:`GridOperator.apply` runs
+    its passes over, each flat over the box's cells."""
+
+    shape: tuple[int, int, int]
+    offsets: tuple[int, int, int]  # flat offsets of the z, y and x neighbours
+    span: int  # flat index of cell (1, 1, 1), where the neighbour sums start
+    diag: tuple  # (triplet, singlet) diagonal, each a field or a constant
+    potential: np.ndarray | None
+    masks: np.ndarray
+    dot: np.ndarray
+    tmp: np.ndarray
 
 
 class GridOperator:
@@ -375,7 +396,8 @@ class GridOperator:
     the sum of:
 
     * the six-neighbour sum of the Laplacian (flat offset slices +-1, +-n
-      and +-n^2), plus the diagonal field (3 kappa / dx^2 + G) / unit;
+      and +-n^2 on the whole grid), plus the diagonal field
+      (3 kappa / dx^2 + G) / unit;
     * on the triplet, the dipole coupling g/2 (delta_ab - 3 n_a n_b) with
       g = -sign * scale / (4 pi r^3 kappa), i.e. G u - sigma q (q . u) with
       G = g/2, q = n sqrt(3 |g| / 2) and sigma = sign(g); the singlet row
@@ -389,10 +411,15 @@ class GridOperator:
     Dirichlet ghost and is held at exactly zero, so the simulated box is
     the (n-2)^3 interior.
 
-    ``potential`` stacks the diagonal field and q / sqrt|unit| (shape
-    (4, n^3), or None without coupling).  The operator also holds the four
-    stage masks (4, n^3) and two n^3 scratch rows at 32^3 (up to four on
-    smaller grids): 2.5 MiB of fields at 32^3, of which ``potential`` is 1.0 MiB.
+    The passes run over a box of cells: the whole grid, or, in a grid
+    centred on the z axis, the quadrant box of the module docstring,
+    (n - n // 2 + 1)^2 x n cells.  Each box holds its own contiguous copy of
+    the diagonal field, the coupling vector q / sqrt|unit| and the four
+    stage masks, and two to four scratch rows.  ``potential`` stacks the
+    diagonal field and the coupling vector on the whole grid (shape
+    (4, n^3), or None without coupling).  At 32^3 the whole grid's fields
+    take 2.5 MiB, of which ``potential`` is 1.0 MiB, and the quadrant's
+    0.7 MiB.
     """
 
     def __init__(self, spec: GridSpec, ham: GridHamiltonian):
@@ -402,20 +429,15 @@ class GridOperator:
         kappa = spec.kinetic_scale if ham.include_kinetic else 0.0
         self._unit = -kappa / (2.0 * spec.dx**2) if kappa else 1.0
         self._kinetic = bool(kappa)
-        self._offsets = (1, n, n * n)
-        self._span_start = n * n + n + 1  # flat index of the first interior cell
         diag = 3.0 * kappa / spec.dx**2
         zp, zl = ham.zeeman_particle, ham.zeeman_loop
         self.potential = None
-        # (triplet, singlet) diagonal: G is zero on the singlet
-        self._diag = (diag / self._unit,) * 2
         if ham.include_interaction:
             X, Y, Z = (m.reshape(-1) for m in spec.meshes())
             r = np.sqrt(X * X + Y * Y + Z * Z)
             g = -ham.coupling_sign * ham.coupling_scale / (4.0 * np.pi * spec.kinetic_scale * r**3)
             q = np.sqrt(1.5 * np.abs(g) / abs(self._unit)) / r
             self.potential = np.stack([(diag + 0.5 * g) / self._unit, q * X, q * Y, q * Z])
-            self._diag = (self.potential[0], self._diag[1])
             # -(sigma / unit) q (q . u) = -sigma sign(unit) q' (q' . u)
             flip = -ham.coupling_sign * ham.coupling_scale * self._unit > 0
             self._couple = np.subtract if flip else np.add
@@ -445,15 +467,33 @@ class GridOperator:
         # (4, n^3), 1 MiB at 32^3.
         interior = np.zeros((n, n, n))
         interior[1:-1, 1:-1, 1:-1] = 1.0
-        self._stage_masks = np.stack(
-            [(spec.dt / j * self._unit) * interior.reshape(-1) for j in range(1, 5)]
+        masks = np.stack([(spec.dt / j * self._unit) * interior.reshape(-1) for j in range(1, 5)])
+        # The whole grid, and on the axis the quadrant from the cut planes n // 2 - 1
+        cuts = (0, n // 2 - 1) if _on_axis(spec.box_center) else (0,)
+        self._boxes = [self._box(cut, diag / self._unit, masks, min(size, 3)) for cut in cuts]
+
+    def _box(self, cut: int, diag: float, masks: np.ndarray, rows: int) -> _Box:
+        """The fields of the cells i, j >= ``cut``, as contiguous rows."""
+        n = self.spec.points_per_axis
+        side = n - cut
+
+        def region(field: np.ndarray) -> np.ndarray:
+            box = field.reshape(-1, n, n, n)[:, cut:, cut:]
+            return np.ascontiguousarray(box).reshape(len(field), -1)
+
+        potential = None if self.potential is None else region(self.potential)
+        cells = side * side * n
+        return _Box(
+            shape=(side, side, n), offsets=(1, n, side * n), span=side * n + n + 1,
+            # (triplet, singlet) diagonal: G is zero on the singlet
+            diag=(diag if potential is None else potential[0], diag),
+            potential=potential, masks=region(masks),
+            dot=np.empty(cells), tmp=np.empty((rows, cells)),
         )
-        self._dot = np.empty(n**3)
-        self._tmp = np.empty((max(1, min(size, 3)), n**3))
 
     def apply(
         self, y: np.ndarray, psi: np.ndarray, j: int, out: np.ndarray, first: int = 0,
-        parity: tuple[int, int, int, int] | None = None,
+        phase: complex | None = None,
     ) -> np.ndarray:
         """Write psi + (-i dt H y) / j into ``out``, for the stage j = 1, 2, 3 or 4.
 
@@ -463,13 +503,12 @@ class GridOperator:
         The walls of ``out`` are those of ``psi``: the H y term is exactly
         zero there whatever ``y`` holds.
 
-        Given the C2 ``parity`` of ``y`` and ``psi`` (see :class:`GridState`),
-        in a box centred on the z axis, every pass covers only the x-planes
-        n // 2 .. n - 1, and ``y`` is read only on those and on the plane
-        n // 2 - 1 below them, which their Laplacian reaches.  That plane of
-        ``out`` is then written as the image of plane n - n // 2, y reversed
-        and each component times its parity, so that ``out`` can be the ``y``
-        of the next stage.  The planes below it are left as they were.
+        Given the quarter-turn eigenvalue ``phase`` of ``y`` and ``psi``
+        (see :class:`GridState`), all three hold the quadrant box instead,
+        (2, m, n - n // 2 + 1, n - n // 2 + 1, n), which needs a grid
+        centred on the z axis.  Its ghost planes of ``out`` are then written
+        as the turned images of its inner rows, so that ``out`` can be the
+        ``y`` of the next stage.
         """
         m = y.shape[1]
         stop = first + m
@@ -477,62 +516,124 @@ class GridOperator:
             raise ValidationError(f"H couples magic components {first}..{stop - 1} to others")
         if j not in (1, 2, 3, 4):
             raise ValidationError(f"RK4 stage {j} is not one of 1, 2, 3, 4")
-        n = self.spec.points_per_axis
-        if parity is not None and not _on_axis(self.spec.box_center):
-            raise ValidationError("the C2 half grid needs a box centred on the z axis")
-        # first flat cell of every pass: plane n // 2, or 0 for the whole grid
-        s = (n // 2) * n * n if parity is not None else 0
+        if phase is not None and len(self._boxes) == 1:
+            raise ValidationError("the C4 quadrant needs a box centred on the z axis")
+        box = self._boxes[phase is not None]
+        if y.shape[2:] != box.shape:
+            raise ValidationError(f"stack of cells {y.shape[2:]} is not the box {box.shape}")
         ys, ps, os = (a.reshape(2, m, -1) for a in (y, psi, out))
-        mask = self._stage_masks[j - 1, s:]
-        lo, hi = max(self._span_start, s), n**3 - self._span_start
-        tmp, dot = self._tmp[:, s:], self._dot[s:]
-        diags = [d[s:] if isinstance(d, np.ndarray) else d for d in self._diag]
-        coupled = self.potential is not None and first == 0
-        potential = self.potential[:, s:] if coupled else None
+        mask = box.masks[j - 1]
+        lo, hi = box.span, ys.shape[2] - box.span
+        coupled = box.potential is not None and first == 0
         # H on Im adds into Re, H on Re subtracts from Im
         for o_part, p_part, same, src, mixes, finish in (
             (os[0], ps[0], ys[0], ys[1], self._mixes[0], np.add),
             (os[1], ps[1], ys[1], ys[0], self._mixes[1], np.subtract),
         ):
             if coupled:
-                np.einsum("bk,bk->k", potential[1:], src[:3, s:], out=dot)
+                np.einsum("bk,bk->k", box.potential[1:], src[:3], out=box.dot)
             for c0, c1 in self._blocks[first, stop]:
                 rows = slice(c0 - first, c1 - first)
-                o, u = o_part[rows, s:], src[rows, s:]
-                np.multiply(u, diags[c0 // 3], out=o)
+                o, u = o_part[rows], src[rows]
+                np.multiply(u, box.diag[c0 // 3], out=o)
                 if self._kinetic:
-                    # neighbours at flat offsets, row by row (on the half grid a
-                    # span across rows would read the next row's stale planes);
-                    # spill-over lands on the walls only
-                    inner, uf = o_part[rows, lo:hi], src[rows]
-                    for k in self._offsets:
-                        inner += uf[:, lo - k : hi - k]
-                        inner += uf[:, lo + k : hi + k]
+                    # neighbours at flat offsets, row by row; spill-over lands
+                    # on the walls and ghost planes only
+                    inner = o[:, lo:hi]
+                    for k in box.offsets:
+                        inner += u[:, lo - k : hi - k]
+                        inner += u[:, lo + k : hi + k]
                 if coupled and c0 < 3:
-                    q = potential[1 + c0 : 1 + c1]
-                    self._couple(o, np.multiply(q, dot, out=tmp[: c1 - c0]), out=o)
+                    q = box.potential[1 + c0 : 1 + c1]
+                    self._couple(o, np.multiply(q, box.dot, out=box.tmp[: c1 - c0]), out=o)
                 for c in range(c0, c1):
                     if mixes[c] is not None:
                         from_same, partner, coef = mixes[c]
-                        v = (same if from_same else src)[partner - first, s:]
-                        o[c - c0] += np.multiply(v, coef, out=tmp[0])
+                        v = (same if from_same else src)[partner - first]
+                        o[c - c0] += np.multiply(v, coef, out=box.tmp[0])
                 # stage scale on the interior, 0 on the walls (where the offset sums spill)
                 np.multiply(o, mask, out=o)
-                finish(p_part[rows, s:], o, out=o)
-        if parity is not None:
-            _mirror_planes(out, parity, first, n // 2 - 1, n // 2)
+                finish(p_part[rows], o, out=o)
+        if phase is not None:
+            # the ghost plane i = n//2 - 1 is the image of the row j = n - n//2
+            # (box index g) under one quarter-turn, the ghost plane
+            # j = n//2 - 1 that of the plane i = n - n//2 under three
+            g = box.shape[2] % 2 + 1
+            _turn(out[:, :, 0, 1:], out[:, :, 1:, g], phase, 1, first)
+            _turn(out[:, :, 1:, 0], out[:, :, g, 1:], phase, 3, first)
         return out
 
 
-def _mirror_planes(
-    stack: np.ndarray, parity: tuple[int, int, int, int], first: int, a: int, b: int
-) -> None:
-    """Write the x-planes a .. b - 1 of ``stack`` (components from ``first``)
-    as the C2 images of the planes n - 1 - a .. n - b: y reversed, each
-    component times its parity."""
-    n = stack.shape[2]
-    signs = np.reshape(parity[first : first + stack.shape[1]], (1, -1, 1, 1, 1))
-    np.multiply(stack[:, :, n - 1 - a : n - 1 - b : -1, ::-1], signs, out=stack[:, :, a:b])
+@functools.lru_cache(maxsize=None)
+def _turn_rows(phase: complex, k: int, first: int, m: int) -> tuple[np.ndarray, ...]:
+    """(M / phase)^k on the components ``first`` .. ``first + m - 1`` as a
+    signed permutation of the rows of a real stack: per (part, component)
+    row, the part and component it is read from and its sign."""
+    a = np.linalg.matrix_power(_QUARTER_TURN * np.conj(phase), k)
+    a = a[first : first + m, first : first + m]
+    real = np.block([[a.real, -a.imag], [a.imag, a.real]])
+    src = np.abs(real).argmax(axis=1)
+    signs = real[np.arange(2 * m), src]
+    return (src // m).reshape(2, m), (src % m).reshape(2, m), signs.reshape(2, m)
+
+
+def _turn(dst: np.ndarray, src: np.ndarray, phase: complex, k: int, first: int) -> None:
+    """dst = (M / phase)^k src on stacks (2, m, ...) of one shape: the spin
+    part of k quarter-turns of a state with eigenvalue ``phase``; the cells
+    of ``src`` are those that the turns carry onto the cells of ``dst``.
+    One gather and one multiply: on the thin ghost planes this beats
+    :func:`_unfold`'s row copies, whose Python overhead dominates there."""
+    parts, comps, signs = _turn_rows(phase, k, first, dst.shape[1])
+    np.multiply(src[parts, comps], signs.reshape(signs.shape + (1,) * (dst.ndim - 2)), out=dst)
+
+
+def _unfold(quadrant: np.ndarray, whole: np.ndarray, phase: complex, first: int) -> None:
+    """Write the whole stack of a state with eigenvalue ``phase`` from its
+    quadrant box, which is left with some rows negated.  Each cell (i, j)
+    outside the quadrant is the image of the quadrant cell that one, two or
+    three quarter-turns carry onto it: (j, n - 1 - i), (n - 1 - i, n - 1 - j)
+    or (n - 1 - j, i).  The signs are applied to whole rows of the quadrant
+    and the cells only copied: a ufunc over the turned, strided views costs
+    about three copies."""
+    h = whole.shape[2] // 2
+    g = whole.shape[2] % 2 + 1  # the quadrant's index of x_{n - n//2}, whose image is x_{n//2-1}
+    turned = (
+        (whole[:, :, h:, h:], quadrant[:, :, 1:, 1:]),
+        (whole[:, :, :h, h:], quadrant[:, :, 1:, : g - 1 : -1].swapaxes(2, 3)),
+        (whole[:, :, :h, :h], quadrant[:, :, : g - 1 : -1, : g - 1 : -1]),
+        (whole[:, :, h:, :h], quadrant[:, :, : g - 1 : -1, 1:].swapaxes(2, 3)),
+    )
+    for (dst, src), (flips, swap_parts, swap_xy) in zip(
+        turned, _unfold_plan(phase, first, quadrant.shape[1])
+    ):
+        for row in flips:
+            np.negative(quadrant[row], out=quadrant[row])
+        if swap_parts:
+            src = src[::-1]
+        if swap_xy:
+            np.copyto(dst[:, :2], src[:, 1::-1])
+            dst, src = dst[:, 2:], src[:, 2:]
+        np.copyto(dst, src)
+
+
+@functools.lru_cache(maxsize=None)
+def _unfold_plan(phase: complex, first: int, m: int) -> list[tuple[list, bool, bool]]:
+    """Per turn k = 0 .. 3 of :func:`_unfold`: the quadrant rows to negate
+    before it (each row holds the sign the turn reads it with), and whether
+    it swaps Re and Im (phase^k imaginary) and T_x and T_y (k odd).  These
+    row swaps are all that (M / phase)^k does beside the signs."""
+    held = np.ones((2, m))
+    plan = []
+    for k in range(4):
+        parts, comps, signs = _turn_rows(phase, k, first, m)
+        flips = []
+        for row in np.ndindex(parts.shape):
+            source = parts[row], comps[row]
+            if held[source] != signs[row]:
+                flips.append(source)
+                held[source] = signs[row]
+        plan.append((flips, bool(parts[0, 0]), bool(comps[0, 0])))
+    return plan
 
 
 def _on_closure(state: GridState, operator: GridOperator) -> GridState:
@@ -565,22 +666,33 @@ def evolve(
     gives the two buffers (stacks of the grown shape, neither of them the
     state's); without it they are allocated.
 
-    A state with a C2 ``parity`` in a box centred on the z axis takes the
-    half path (module docstring): the stages write the x-planes from
-    n // 2 - 1 up (:meth:`GridOperator.apply`), and the planes below are
-    then written as their images.  The new state is whole, and every plane
-    but the centre plane of an odd n equals its image bit for bit.  Any
-    other state steps on the whole grid and comes out without a parity.
-    The state's stack is never written.
+    A state with a quarter-turn ``phase`` in a box centred on the z axis
+    takes the quadrant path (module docstring): the quadrant box of the
+    state is copied into the new stack's buffer, the four stages run on it
+    in two quadrant buffers carved from the other (:meth:`GridOperator.apply`
+    with the phase), and the whole new state is written from the result.
+    Every cell but those of the planes x = 0 and y = 0 of an odd n equals
+    its image bit for bit.  Any other state steps on the whole grid and
+    comes out without a phase.  The state's stack is never written.
     """
     state = _on_closure(state, operator)
     psi, first = state.stack, state.first
-    parity = state.parity if _on_axis(operator.spec.box_center) else None
+    phase = state.phase if _on_axis(operator.spec.box_center) else None
     work, y = out if out is not None else (np.empty_like(psi), np.empty_like(psi))
-    for j, src, dst in ((4, psi, work), (3, work, y), (2, y, work), (1, work, y)):
-        operator.apply(src, psi, j, dst, first, parity)
-    if parity is not None:
-        _mirror_planes(y, parity, first, 0, psi.shape[2] // 2 - 1)
+    if phase is None:
+        for j, src, dst in ((4, psi, work), (3, work, y), (2, y, work), (1, work, y)):
+            operator.apply(src, psi, j, dst, first)
+    else:
+        n = psi.shape[2]
+        cut = n // 2 - 1
+        shape = psi.shape[:2] + (n - cut, n - cut, n)
+        size = math.prod(shape)  # at most 0.45 of a whole stack, for n >= 8
+        quadrant = y.reshape(-1)[:size].reshape(shape)  # y is written after the last stage
+        a, b = (work.reshape(-1)[k * size : (k + 1) * size].reshape(shape) for k in (0, 1))
+        np.copyto(quadrant, psi[:, :, cut:, cut:])
+        for j, src, dst in ((4, quadrant, a), (3, a, b), (2, b, a), (1, a, b)):
+            operator.apply(src, quadrant, j, dst, first, phase)
+        _unfold(b, y, phase, first)
     before = state.norm2 if state.norm2 is not None else _squared_norm(psi)
     after = _squared_norm(y)
     step = state.step + 1
@@ -588,7 +700,7 @@ def evolve(
         raise NumericalError(
             f"unstable step {step} (dt {spec.dt:.3e}): norm drifted by {after - before:.3e}"
         )
-    return GridState(stack=y, first=first, norm2=after, step=step, parity=parity)
+    return GridState(stack=y, first=first, norm2=after, step=step, phase=phase)
 
 
 @dataclass(frozen=True)

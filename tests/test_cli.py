@@ -580,6 +580,13 @@ class TestOracleInputErrors:
         with pytest.raises(StateBuilt):
             gridsim.run_oracle(convergence_study().study_config(points))
 
+    @pytest.mark.parametrize("points", [32, 40, 48])
+    def test_convergence_study_keeps_the_preset_thetas_on_finer_grids(self, preset_cfg, points):
+        """A remainder theta scaled up with the grid lifted the remainder run's
+        noise floor over its residual at 40 and 48 points (exit 2)."""
+        o, preset = convergence_study().study_config(points)["oracle"], preset_cfg["oracle"]
+        assert (o["theta"], o["remainder"]) == (preset["theta"], preset["remainder"])
+
     @pytest.mark.parametrize("variant", ["full", "pure-zeeman"])
     def test_unstable_zeeman_refused_before_any_state(self, tmp_path, capsys, monkeypatch,
                                                        variant):
