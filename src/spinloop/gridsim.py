@@ -36,12 +36,15 @@ psi(R^-k r).  For such a state :func:`evolve` runs every RK4 stage on the
 quadrant box, the cells i, j >= n // 2 plus one ghost plane on each cut
 face (i or j = n // 2 - 1), which the Laplacian reads across the cut and
 each stage fills as the turned image of the inner row next to the other
-face.  Any other state, a spin in span{uu, dd} other than up-up or
-down-down among them, steps on the whole grid.  This is exact up to
-rounding, because the points of plane i are the mirror images of those
-of plane n - 1 - i (to within an ulp of np.linspace).  Against the whole
-grid, the preset oracle's <z> moves by at most 2.8e-16 and its fitted
-acceleration by 2e-3 of its sigma.
+face.  :func:`run` keeps the state on that box from its first step to its
+last and unfolds the whole state once, at the end; the norm and <z> of
+each step are sums over the box, each cell weighted by the number of
+cells it stands for (:meth:`GridOperator.observe`).  Any other state, a
+spin in span{uu, dd} other than up-up or down-down among them, steps on
+the whole grid.  This is exact up to rounding, because the points of
+plane i are the mirror images of those of plane n - 1 - i (to within an
+ulp of np.linspace).  Against the whole grid, the preset oracle's <z>
+moves by at most 1.7e-16 and its fitted acceleration by 2e-3 of its sigma.
 
 Discretization: 2nd-order finite-difference Laplacian and classical RK4
 time stepping.  The outer layer of grid points is the Dirichlet wall: it
@@ -256,12 +259,16 @@ class GridState:
     components the spin state has weight on, and :func:`evolve` adds those
     the Hamiltonian reaches from them (the coupling links the triplet, a
     Zeeman term with zeeman_particle != zeeman_loop links T_z and S).
-    ``norm2`` is the squared norm when a step has already computed it, and
+    ``norm2`` is the squared norm and ``z_norm2`` the sum of z |psi|^2
+    (<z> times ``norm2``) when a step has already computed them, and
     ``step`` counts the RK4 steps taken since :func:`initialize`.
 
     ``phase`` is the eigenvalue lambda of the quarter-turn of the module
     docstring, -1j for up-up, 1j for down-down and 1 for span{ud, du}, or
     None (the default) where none is known; :func:`initialize` sets it.
+    Between the steps of :func:`run`, a state with a phase holds its
+    quadrant box instead, shape (2, m, n - n // 2 + 1, n - n // 2 + 1, n):
+    every other method reads the whole stack.
     """
 
     stack: np.ndarray
@@ -269,6 +276,7 @@ class GridState:
     norm2: float | None = None
     step: int = 0
     phase: complex | None = None
+    z_norm2: float | None = None
 
     def norm(self) -> float:
         return math.sqrt(_squared_norm(self.stack))
@@ -382,6 +390,8 @@ class _Box:
     diag: tuple  # (triplet, singlet) diagonal, each a field or a constant
     potential: np.ndarray | None
     masks: np.ndarray
+    weight: np.ndarray  # per (x, y) column: the number of cells each cell stands for
+    z: np.ndarray  # the z axis
     dot: np.ndarray
     tmp: np.ndarray
 
@@ -415,8 +425,9 @@ class GridOperator:
     centred on the z axis, the quadrant box of the module docstring,
     (n - n // 2 + 1)^2 x n cells.  Each box holds its own contiguous copy of
     the diagonal field, the coupling vector q / sqrt|unit| and the four
-    stage masks, and two to four scratch rows.  ``potential`` stacks the
-    diagonal field and the coupling vector on the whole grid (shape
+    stage masks, two to four scratch rows, and the cell weights that
+    :meth:`observe` sums with, one per (x, y) column.  ``potential`` stacks
+    the diagonal field and the coupling vector on the whole grid (shape
     (4, n^3), or None without coupling).  At 32^3 the whole grid's fields
     take 2.5 MiB, of which ``potential`` is 1.0 MiB, and the quadrant's
     0.7 MiB.
@@ -483,11 +494,22 @@ class GridOperator:
 
         potential = None if self.potential is None else region(self.potential)
         cells = side * side * n
+        # Each quadrant cell stands for its four images, a cell of an odd
+        # grid's x = 0 or y = 0 face for two (two of the four half-planes that
+        # turn into one another lie in the quadrant), its axis column for one,
+        # and the ghost planes for none.
+        weight = np.full((side, side, 1), 4.0 if cut else 1.0)
+        if cut:
+            weight[0] = weight[:, 0] = 0.0
+            if n % 2:
+                weight[1] /= 2.0
+                weight[:, 1] /= 2.0
         return _Box(
             shape=(side, side, n), offsets=(1, n, side * n), span=side * n + n + 1,
             # (triplet, singlet) diagonal: G is zero on the singlet
             diag=(diag if potential is None else potential[0], diag),
             potential=potential, masks=region(masks),
+            weight=weight, z=self.spec.axes()[2],
             dot=np.empty(cells), tmp=np.empty((rows, cells)),
         )
 
@@ -562,6 +584,29 @@ class GridOperator:
             _turn(out[:, :, 0, 1:], out[:, :, 1:, g], phase, 1, first)
             _turn(out[:, :, 1:, 0], out[:, :, g, 1:], phase, 3, first)
         return out
+
+    def observe(self, stack: np.ndarray, phase: complex | None = None) -> tuple[float, float]:
+        """The squared norm of the state that ``stack`` holds on the box of
+        ``phase`` (as in :meth:`apply`), and the sum of z |psi|^2, <z> times it.
+
+        One pass over the stack gives |psi|^2 per cell; its sums against
+        the box's cell weights and z times them are numpy's pairwise
+        ``np.sum``.  It stays within about 3e-16 of an exact sum, where an
+        ``einsum`` sum strays by 4e-15 to 6e-15 at 32^3, so the quadrant and
+        the whole grid agree to 1e-15; unlike a BLAS dot, its bits do not
+        depend on the thread count.
+        """
+        box = self._boxes[phase is not None]
+        flat = stack.reshape(-1, box.dot.size)
+        dens = np.einsum("ck,ck->k", flat, flat, out=box.dot)
+        # np.sum over one flat row is one pairwise sum; a weight is a power of
+        # two or zero, so weighting before the multiply by z moves no bit
+        row = box.tmp[0]
+        cells = row.reshape(box.shape)
+        np.multiply(dens.reshape(box.shape), box.weight, out=cells)
+        norm2 = float(np.sum(row))
+        np.multiply(cells, box.z, out=cells)
+        return norm2, float(np.sum(row))
 
 
 @functools.lru_cache(maxsize=None)
@@ -649,6 +694,23 @@ def _on_closure(state: GridState, operator: GridOperator) -> GridState:
     return replace(state, stack=grown, first=lo)
 
 
+def _boxed(stack: np.ndarray, phase: complex | None) -> np.ndarray:
+    """A contiguous copy of the cells of the whole ``stack`` that a state of
+    quarter-turn eigenvalue ``phase`` steps on: its quadrant box, ghost
+    planes included, or without a phase the whole grid."""
+    cut = stack.shape[2] // 2 - 1 if phase is not None else 0
+    return stack[:, :, cut:, cut:].copy()
+
+
+def _whole(state: GridState) -> GridState:
+    """The state on its quadrant box with the whole stack unfolded from it;
+    the box is left with some rows negated."""
+    n = state.stack.shape[4]
+    whole = np.empty(state.stack.shape[:2] + (n, n, n))
+    _unfold(state.stack, whole, state.phase, state.first)
+    return replace(state, stack=whole)
+
+
 def evolve(
     state: GridState,
     spec: GridSpec,
@@ -663,44 +725,43 @@ def evolve(
     stage one :meth:`GridOperator.apply` that alternates between two
     buffers; the second holds the new state.  The stack first grows to the
     range of magic components that H reaches from the state's.  ``out``
-    gives the two buffers (stacks of the grown shape, neither of them the
-    state's); without it they are allocated.
+    gives the two buffers (stacks of the grown state's box, neither of them
+    the state's); without it they are allocated.
 
     A state with a quarter-turn ``phase`` in a box centred on the z axis
-    takes the quadrant path (module docstring): the quadrant box of the
-    state is copied into the new stack's buffer, the four stages run on it
-    in two quadrant buffers carved from the other (:meth:`GridOperator.apply`
-    with the phase), and the whole new state is written from the result.
-    Every cell but those of the planes x = 0 and y = 0 of an odd n equals
-    its image bit for bit.  Any other state steps on the whole grid and
-    comes out without a phase.  The state's stack is never written.
+    steps on its quadrant box (module docstring): the box, ghost planes
+    included, is copied out of the whole stack, the four stages run on it
+    (:meth:`GridOperator.apply` with the phase), the last of them writing
+    the ghost planes, and the whole new state is unfolded from it.  Every
+    cell but those of the planes x = 0 and y = 0 of an odd n equals its
+    image bit for bit.  A state that already holds its quadrant box, as
+    between the steps of :func:`run`, is stepped with no copy and comes out
+    on its box.  Any other state steps on the whole grid and comes out
+    without a phase.  The state's stack is never written.
+
+    The new state carries its ``norm2`` and ``z_norm2`` from one
+    :meth:`GridOperator.observe` pass over the box; the step is refused if
+    the squared norm moved by more than :data:`STEP_NORM_DRIFT_LIMIT` of
+    itself.
     """
     state = _on_closure(state, operator)
     psi, first = state.stack, state.first
     phase = state.phase if _on_axis(operator.spec.box_center) else None
+    unfold = phase is not None and psi.shape[2] == psi.shape[4]  # a whole stack
+    if unfold:
+        psi = _boxed(psi, phase)
     work, y = out if out is not None else (np.empty_like(psi), np.empty_like(psi))
-    if phase is None:
-        for j, src, dst in ((4, psi, work), (3, work, y), (2, y, work), (1, work, y)):
-            operator.apply(src, psi, j, dst, first)
-    else:
-        n = psi.shape[2]
-        cut = n // 2 - 1
-        shape = psi.shape[:2] + (n - cut, n - cut, n)
-        size = math.prod(shape)  # at most 0.45 of a whole stack, for n >= 8
-        quadrant = y.reshape(-1)[:size].reshape(shape)  # y is written after the last stage
-        a, b = (work.reshape(-1)[k * size : (k + 1) * size].reshape(shape) for k in (0, 1))
-        np.copyto(quadrant, psi[:, :, cut:, cut:])
-        for j, src, dst in ((4, quadrant, a), (3, a, b), (2, b, a), (1, a, b)):
-            operator.apply(src, quadrant, j, dst, first, phase)
-        _unfold(b, y, phase, first)
-    before = state.norm2 if state.norm2 is not None else _squared_norm(psi)
-    after = _squared_norm(y)
+    for j, src, dst in ((4, psi, work), (3, work, y), (2, y, work), (1, work, y)):
+        operator.apply(src, psi, j, dst, first, phase)
+    before = state.norm2 if state.norm2 is not None else operator.observe(psi, phase)[0]
+    after, z_norm2 = operator.observe(y, phase)
     step = state.step + 1
     if abs(after - before) > STEP_NORM_DRIFT_LIMIT * max(before, 1e-300):
         raise NumericalError(
             f"unstable step {step} (dt {spec.dt:.3e}): norm drifted by {after - before:.3e}"
         )
-    return GridState(stack=y, first=first, norm2=after, step=step, phase=phase)
+    new = GridState(stack=y, first=first, norm2=after, step=step, phase=phase, z_norm2=z_norm2)
+    return _whole(new) if unfold else new
 
 
 @dataclass(frozen=True)
@@ -718,27 +779,28 @@ class TimeSeries:
 def run(state: GridState, spec: GridSpec, operator: GridOperator) -> tuple[GridState, TimeSeries]:
     """Evolve ``spec.steps`` steps recording <z> and the norm at every step.
 
-    Both come from one |psi|^2 pass per step, contracted against (1, z).
-    Three stacks are allocated once and rotated through the steps: the
-    state's and two RK4 buffers.  ``state.stack`` is read, never written.
+    The run stays on the state's box from the first step to the last: the
+    box is copied out of ``state.stack`` once (:func:`evolve` names the
+    boxes), every step is an :func:`evolve` on it, and a state with a phase
+    is unfolded to its whole stack once, at the end.  Three stacks of the
+    box are rotated through the steps: the state's and two RK4 buffers.
+    ``state.stack`` is read, never written.  The recorded norm (squared)
+    and <z> (times it) are the ``norm2`` and ``z_norm2`` of each state, one
+    :meth:`GridOperator.observe` pass over its box.
     """
-    z = spec.meshes()[2].reshape(-1)
-    weights = np.stack([np.ones_like(z), z])
-
-    def observe(state: GridState) -> np.ndarray:
-        # numpy's own reduction, not a BLAS gemv whose bits depend on the thread count
-        return np.einsum("ck,k->c", weights, state.density().reshape(-1))
-
-    rows = [observe(state)]
-    grown = _on_closure(state, operator)
-    if grown is state:
-        grown = replace(state, stack=state.stack.copy())
-    state = grown
-    spare = (np.empty_like(state.stack), np.empty_like(state.stack))
+    state = _on_closure(state, operator)
+    phase = state.phase if _on_axis(operator.spec.box_center) else None
+    stack = _boxed(state.stack, phase)
+    norm2, z_norm2 = operator.observe(stack, phase)
+    state = replace(state, stack=stack, norm2=norm2, phase=phase, z_norm2=z_norm2)
+    rows = [(norm2, z_norm2)]
+    spare = (np.empty_like(stack), np.empty_like(stack))
     for _ in range(spec.steps):
         new = evolve(state, spec, operator, out=spare)
         spare, state = (spare[0], state.stack), new
-        rows.append(observe(state))
+        rows.append((state.norm2, state.z_norm2))
+    if phase is not None:
+        state = _whole(state)
     norms, zs = np.array(rows).T
     return state, TimeSeries(t=spec.times(), z_expect=zs, norm=norms)
 
@@ -861,6 +923,11 @@ def fit_acceleration(t: np.ndarray, z: np.ndarray) -> QuadraticFit:
     )
 
 
+# Log-span of the remainder windows' last samples, in steps of the shortest:
+# see check_windows.
+WINDOW_SPAN_STEPS = 10
+
+
 def _window(t: np.ndarray, end: float) -> np.ndarray:
     """The samples t <= ``end`` of a remainder window; at least 8."""
     mask = t <= end * (1.0 + 1e-12)
@@ -871,12 +938,28 @@ def _window(t: np.ndarray, end: float) -> np.ndarray:
 
 def check_windows(t: np.ndarray, windows: Sequence[float]) -> None:
     """Refuse remainder windows over the sample times ``t`` that cannot
-    give a scaling: one holding fewer than 8 samples, or fewer than two
-    holding different samples (equal residuals would fit a slope of 0)."""
-    held = {int(_window(t, end).sum()) for end in windows}
+    give a scaling: one holding fewer than 8 samples, fewer than two
+    holding different samples (equal residuals would fit a slope of 0), or
+    last samples too close together to resolve the slope.
+
+    The slope is fitted against the nominal window ends, and each end lies
+    up to one step past its window's last sample.  Against log-lengths
+    that span L, an error e in one of them moves the fitted exponent by
+    about e / L of itself; e is largest at the shortest window, one step
+    there, ln(t_(k+1) / t_k).  The last samples must span
+    :data:`WINDOW_SPAN_STEPS` such steps, which keeps that error under 10%
+    of the exponent, the tolerance on it of acceptance criterion 7(e)."""
+    held = sorted({int(_window(t, end).sum()) for end in windows})
     if len(held) < 2:
         raise ValidationError(
             "remainder scaling needs at least two windows holding different samples"
+        )
+    first, last = t[held[0] - 1], t[held[-1] - 1]
+    need = (t[held[0]] / first) ** WINDOW_SPAN_STEPS
+    if last / first < need:
+        raise ValidationError(
+            f"remainder windows end too close together: their last samples span a factor "
+            f"{last / first:.3g}, under the {need:.3g} that resolves the exponent"
         )
 
 

@@ -686,6 +686,11 @@ class TestOracleInputErrors:
             ({"windows": [5e-4, 5e-4, 5e-4]}, ONE_SAMPLE_SET),
             # two ends, one set of samples: equal residuals read exponent 0
             ({"windows": [1e-3, 1.000001e-3]}, ONE_SAMPLE_SET),
+            # last samples 49 and 50 steps in, against nominal ends 1% apart: the
+            # slope fitted to them read an exponent of 5.90
+            ({"windows": [9.9e-4, 1e-3]},
+             "error: remainder windows end too close together: their last samples span a "
+             "factor 1.02, under the 1.22 that resolves the exponent\n"),
         ],
     )
     def test_bad_windows_refused_before_any_state(self, tmp_path, capsys, monkeypatch,

@@ -542,9 +542,10 @@ class TestEdgeDensity:
         cfg = copy.deepcopy(preset_cfg)
         cfg["oracle"].update(points=16, half_width=0.05, packet_width=0.03, edge_ramp_cells=2.0,
                              duration=2.5e-5)
-        # theta 0.1 leaves the 8 samples the 2.5e-4 window needs at 16 points
+        # theta 0.1 leaves the 8 samples the 2.5e-4 window needs at 16 points,
+        # and the 1e-3 window ends far enough past it to resolve a slope
         cfg["oracle"]["remainder"].update(packet_width=0.03, edge_ramp_cells=2.0,
-                                          windows=[2.5e-4, 2.8e-4], theta=0.1)
+                                          windows=[2.5e-4, 1e-3], theta=0.1)
         values, seen = iter([0.1, 0.3, 0.2]), []
 
         def reading(state):

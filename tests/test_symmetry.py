@@ -7,6 +7,7 @@ or "parity", from the half-turn these tests first covered; each docstring
 says what it checks of the quadrant.
 """
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -194,6 +195,35 @@ def test_evolve_leaves_the_callers_stack_unwritten(points):
         new = gridsim.evolve(state, spec, gridsim.GridOperator(spec, ham))
         assert new.stack is not state.stack
         assert np.array_equal(state.stack, before)
+
+
+@pytest.mark.parametrize("box", ["quadrant", "whole"])
+def test_run_sums_every_step_to_fsum_and_steps_as_evolve(points, box):
+    """A run stays on its box from the first step to the last: its final
+    state, and the norm and <z> of every step, equal those of fresh evolve
+    calls bit for bit, each of which copies the box out of a whole stack and
+    unfolds the new state.  Those sums lie within 4e-16 of math.fsum over
+    the whole states, and the caller's stack is left unwritten."""
+    spec = small_spec(points)
+    state = start(spec, spins.basis_state("up", "up"))
+    if box == "whole":
+        state = replace(state, phase=None)
+    before = state.stack.copy()
+    operator = gridsim.GridOperator(spec, HAMILTONIANS["coupling+zeeman"])
+    final, series = gridsim.run(state, spec, operator)
+    assert np.array_equal(state.stack, before)
+    z = spec.axes()[2]
+    step = state
+    for k in range(spec.steps + 1):
+        if k:
+            step = gridsim.evolve(step, spec, operator)
+            assert (step.norm2, step.z_norm2) == (series.norm[k], series.z_expect[k])
+        squares = step.stack**2
+        assert abs(series.norm[k] - math.fsum(squares.ravel())) <= 4e-16
+        assert abs(series.z_expect[k] - math.fsum((squares * z).ravel())) <= 4e-16
+    assert step.stack.shape[2:] == final.stack.shape[2:] == (points,) * 3
+    assert np.array_equal(final.stack, step.stack)
+    assert final.phase == step.phase == (-1j if box == "quadrant" else None)
 
 
 def test_discrete_acceleration_ignores_the_parity():
