@@ -32,19 +32,20 @@ the axis is an eigenstate of it, U psi = lambda psi with U psi(r) =
 M psi(R^-1 r), when its spin is up-up (lambda = -i), down-down (+i) or in
 span{ud, du} (1): see :attr:`GridState.phase`.  H keeps an eigenstate
 one, so the quadrant x, y >= 0 fixes it: psi(r) = (M / lambda)^k
-psi(R^-k r).  For such a state :func:`evolve` runs every RK4 stage on the
-quadrant box, the cells i, j >= n // 2 plus one ghost plane on each cut
-face (i or j = n // 2 - 1), which the Laplacian reads across the cut and
-each stage fills as the turned image of the inner row next to the other
-face.  :func:`run` keeps the state on that box from its first step to its
-last and unfolds the whole state once, at the end; the norm and <z> of
-each step are sums over the box, each cell weighted by the number of
-cells it stands for (:meth:`GridOperator.observe`).  Any other state, a
-spin in span{uu, dd} other than up-up or down-down among them, steps on
-the whole grid.  This is exact up to rounding, because the points of
-plane i are the mirror images of those of plane n - 1 - i (to within an
-ulp of np.linspace).  Against the whole grid, the preset oracle's <z>
-moves by at most 1.7e-16 and its fitted acceleration by 2e-3 of its sigma.
+psi(R^-k r).  Such a state holds only its quadrant box, from
+:func:`initialize` to the end of :func:`run`: the cells i, j >= n // 2
+plus one ghost plane on each cut face (i or j = n // 2 - 1), which the
+Laplacian reads across the cut and each RK4 stage fills as the turned
+image of the inner row next to the other face.  Every sum over the whole
+grid (the norm, <z>, the moments, <p_z> and the discrete acceleration) is
+one pairwise ``np.sum`` over the box, each cell weighted by the number of
+cells it stands for (:func:`cell_weights`).  Any other state, a spin in
+span{uu, dd} other than up-up or down-down among them, or any state in a
+box off the axis, holds the whole grid.  This is exact up to rounding,
+because the points of plane i are the mirror images of those of plane
+n - 1 - i (to within an ulp of np.linspace).  Against the same state
+unfolded onto the whole grid, the preset main run's <z> moves by at most
+1.1e-16 and its fitted acceleration by 5e-4 of its sigma.
 
 Discretization: 2nd-order finite-difference Laplacian and classical RK4
 time stepping.  The outer layer of grid points is the Dirichlet wall: it
@@ -52,10 +53,11 @@ is held at exactly zero, so the simulated box is the (n-2)^3 interior,
 one cell narrower per side than ``box_half_width``.  A wall pushes a
 packet that reaches it, and the fit then measures the wall as well as the
 coupling: at 32 points and half width 0.05 the ``free`` oracle variant
-fits a = -0.07 (6.7 sigma) where it should fit 0.
+fits a = -0.079 (4.8 sigma) where it should fit 0.
 :func:`edge_density_ratio` reads how much density sits next to the
-walls: 1.5e-4 there, and 2e-8 in the preset box (half width 0.0629),
-where the free fit is 3e-6, within its sigma.  The momentum stencil
+walls: 1.5e-4 there, and 2e-8 in the preset box (half width 0.0629).
+There the free fit reads -1.7e-5 (13 sigma): 4e-6 of the coupled fit,
+over a sigma that the fit's 5e-16 residual makes tiny.  The momentum stencil
 conjugate to this Laplacian is the plain central difference, which is
 what :func:`expect_momentum_z` measures, so the fitted velocity matches
 kappa * <p_z> exactly up to fit error.
@@ -155,10 +157,6 @@ class Grid:
         base = np.linspace(-self.box_half_width, self.box_half_width, self.points_per_axis)
         return (base + self.box_center[0], base + self.box_center[1], base + self.box_center[2])
 
-    def meshes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        ax, ay, az = self.axes()
-        return np.meshgrid(ax, ay, az, indexing="ij")
-
     def stepped(
         self, theta: float = DEFAULT_THETA, duration: float = 0.0, steps: int = 8
     ) -> GridSpec:
@@ -247,15 +245,45 @@ def stable_dt(grid: Grid, theta: float = DEFAULT_THETA) -> float:
     return theta / spectral_radius_bound(grid)
 
 
+def cell_weights(n: int, phase: complex | None) -> np.ndarray:
+    """Per (x, y) column of the box that a state of quarter-turn eigenvalue
+    ``phase`` holds on an n-point grid (see :class:`GridState`): the number
+    of the whole grid's cells that each of its cells stands for.
+
+    Without a phase the box is the whole grid, and each cell stands for
+    itself.  A quadrant cell stands for its four images, a cell of an odd
+    grid's x = 0 or y = 0 face for two (two of the four half-planes that
+    turn into one another lie in the quadrant), its axis column for one,
+    and the ghost planes for none."""
+    if phase is None:
+        return np.ones((n, n, 1))
+    side = n - n // 2 + 1
+    weight = np.full((side, side, 1), 4.0)
+    weight[0] = weight[:, 0] = 0.0
+    if n % 2:
+        weight[1] /= 2.0
+        weight[:, 1] /= 2.0
+    return weight
+
+
+def box_axes(grid: Grid, phase: complex | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The x, y and z axes of the box of ``phase`` (see :func:`cell_weights`):
+    the whole grid's, or from the ghost planes n // 2 - 1 on in x and y."""
+    ax, ay, az = grid.axes()
+    cut = grid.points_per_axis // 2 - 1 if phase is not None else 0
+    return ax[cut:], ay[cut:], az
+
+
 @dataclass
 class GridState:
     """Magic-basis coefficients on the grid as one real stack; treated as
     immutable once built.
 
-    ``stack`` has shape (2, m, n, n, n): the real parts, then the imaginary
-    parts, of the coefficients on the m magic components ``first`` ..
-    ``first + m - 1`` of (T_x, T_y, T_z, S) (see :data:`MAGIC_BASIS`).  The
-    others are exactly zero and not stored.  :func:`initialize` keeps the
+    ``stack`` has shape (2, m, nx, ny, n): the real parts, then the
+    imaginary parts, of the coefficients on the m magic components
+    ``first`` .. ``first + m - 1`` of (T_x, T_y, T_z, S) (see
+    :data:`MAGIC_BASIS`), over the cells of the state's box.  The others
+    are exactly zero and not stored.  :func:`initialize` keeps the
     components the spin state has weight on, and :func:`evolve` adds those
     the Hamiltonian reaches from them (the coupling links the triplet, a
     Zeeman term with zeeman_particle != zeeman_loop links T_z and S).
@@ -266,9 +294,9 @@ class GridState:
     ``phase`` is the eigenvalue lambda of the quarter-turn of the module
     docstring, -1j for up-up, 1j for down-down and 1 for span{ud, du}, or
     None (the default) where none is known; :func:`initialize` sets it.
-    Between the steps of :func:`run`, a state with a phase holds its
-    quadrant box instead, shape (2, m, n - n // 2 + 1, n - n // 2 + 1, n):
-    every other method reads the whole stack.
+    A state with a phase holds its quadrant box, nx = ny = n - n // 2 + 1,
+    and one without holds the whole grid, nx = ny = n.  Every sum over the
+    whole grid is :meth:`total` over the box.
     """
 
     stack: np.ndarray
@@ -278,8 +306,17 @@ class GridState:
     phase: complex | None = None
     z_norm2: float | None = None
 
+    def total(self, cells: np.ndarray) -> float:
+        """The sum over the whole grid of a field given per cell of the box:
+        one pairwise ``np.sum`` of it times :func:`cell_weights`.  It stays
+        within about 3e-16 of an exact sum, where an ``einsum`` sum strays by
+        4e-15 to 6e-15 at 32^3, so the quadrant and the whole grid agree to
+        1e-15; unlike a BLAS dot, its bits do not depend on the thread count."""
+        weights = cell_weights(self.stack.shape[4], self.phase)
+        return float(np.sum((cells * weights).reshape(-1)))
+
     def norm(self) -> float:
-        return math.sqrt(_squared_norm(self.stack))
+        return math.sqrt(self.total(self.density()))
 
     def density(self) -> np.ndarray:
         """|psi|^2 per cell: the squares of the stack summed over parts and components."""
@@ -287,20 +324,10 @@ class GridState:
         return np.einsum("ck,ck->k", flat, flat).reshape(self.stack.shape[2:])
 
     def amplitudes(self) -> np.ndarray:
-        """Complex amplitudes in the product basis (uu, ud, du, dd), shape (4, n, n, n)."""
+        """Complex amplitudes in the product basis (uu, ud, du, dd), shape (4, nx, ny, n)."""
         re, im = self.stack
         basis = MAGIC_BASIS[:, self.first : self.first + len(re)]
         return np.tensordot(basis, re + 1j * im, axes=1)
-
-
-def _dot(a: np.ndarray, b: np.ndarray) -> float:
-    # numpy's own reduction, with no temporary: np.dot is BLAS ddot, whose
-    # last bits depend on the BLAS thread count
-    return float(np.einsum("i,i->", a.reshape(-1), b.reshape(-1)))
-
-
-def _squared_norm(stack: np.ndarray) -> float:
-    return _dot(stack, stack)
 
 
 def _edge_profile(coords: np.ndarray, center: float, width: float, ramp: float) -> np.ndarray:
@@ -344,16 +371,25 @@ def initialize(
     ``momentum_z`` applies a plane-wave factor exp(i k z) so that runs with
     a nonzero initial velocity can exercise the velocity and higher-order
     checks.  The packet must fit the box (see :func:`check_packet_fits`).
-    The state carries its quarter-turn eigenvalue (see :class:`GridState`)
-    when the packet and the box are centred on the z axis and ``spin`` is
-    up-up, down-down or in span{ud, du}, up to a factor.
+    The state carries its quarter-turn eigenvalue (see :class:`GridState`),
+    and then holds its quadrant box, when the packet and the box are
+    centred on the z axis and ``spin`` is up-up, down-down or in
+    span{ud, du}, up to a factor.
     """
     spin = np.asarray(spin, dtype=complex)
     if spin.shape != (4,):
         raise ValidationError("grid initialization needs a pure 4-component spin state")
     check_packet_fits(packet, grid, edge_ramp_cells)
+    coef = MAGIC_BASIS.conj().T @ spin
+    live = np.flatnonzero(coef)
+    if live.size == 0:
+        raise ValidationError("grid initialization needs a nonzero spin state")
+    phase = None
+    if _on_axis(packet.center, grid.box_center):
+        turned = _QUARTER_TURN @ coef
+        phase = next((lam for lam in (1, 1j, -1j) if np.array_equal(turned, lam * coef)), None)
     ramp = edge_ramp_cells * grid.dx
-    ax, ay, az = grid.axes()
+    ax, ay, az = box_axes(grid, phase)
     prof = (
         _edge_profile(ax, packet.center[0], packet.width, ramp)[:, None, None]
         * _edge_profile(ay, packet.center[1], packet.width, ramp)[None, :, None]
@@ -362,21 +398,13 @@ def initialize(
     amp = np.sqrt(prof).astype(complex)
     if momentum_z != 0.0:
         amp = amp * np.exp(1j * momentum_z * az)[None, None, :]
-    coef = MAGIC_BASIS.conj().T @ spin
-    live = np.flatnonzero(coef)
-    if live.size == 0:
-        raise ValidationError("grid initialization needs a nonzero spin state")
     first = int(live[0])
     psi = coef[first : live[-1] + 1, None, None, None] * amp[None]
-    stack = np.stack([psi.real, psi.imag])
-    total = math.sqrt(_squared_norm(stack))
+    state = GridState(stack=np.stack([psi.real, psi.imag]), first=first, phase=phase)
+    total = state.norm()
     if total == 0.0:
         raise ValidationError("packet has no support on the grid")
-    phase = None
-    if _on_axis(packet.center, grid.box_center):
-        turned = _QUARTER_TURN @ coef
-        phase = next((lam for lam in (1, 1j, -1j) if np.array_equal(turned, lam * coef)), None)
-    return GridState(stack=stack / total, first=first, phase=phase)
+    return replace(state, stack=state.stack / total)
 
 
 @dataclass(frozen=True)
@@ -388,9 +416,9 @@ class _Box:
     offsets: tuple[int, int, int]  # flat offsets of the z, y and x neighbours
     span: int  # flat index of cell (1, 1, 1), where the neighbour sums start
     diag: tuple  # (triplet, singlet) diagonal, each a field or a constant
-    potential: np.ndarray | None
+    potential: np.ndarray | None  # the diagonal field and the coupling vector
     masks: np.ndarray
-    weight: np.ndarray  # per (x, y) column: the number of cells each cell stands for
+    weight: np.ndarray  # cell_weights of the box
     z: np.ndarray  # the z axis
     dot: np.ndarray
     tmp: np.ndarray
@@ -406,7 +434,7 @@ class GridOperator:
     the sum of:
 
     * the six-neighbour sum of the Laplacian (flat offset slices +-1, +-n
-      and +-n^2 on the whole grid), plus the diagonal field
+      and +-n * ny over the box), plus the diagonal field
       (3 kappa / dx^2 + G) / unit;
     * on the triplet, the dipole coupling g/2 (delta_ab - 3 n_a n_b) with
       g = -sign * scale / (4 pi r^3 kappa), i.e. G u - sigma q (q . u) with
@@ -421,16 +449,13 @@ class GridOperator:
     Dirichlet ghost and is held at exactly zero, so the simulated box is
     the (n-2)^3 interior.
 
-    The passes run over a box of cells: the whole grid, or, in a grid
-    centred on the z axis, the quadrant box of the module docstring,
-    (n - n // 2 + 1)^2 x n cells.  Each box holds its own contiguous copy of
-    the diagonal field, the coupling vector q / sqrt|unit| and the four
-    stage masks, two to four scratch rows, and the cell weights that
-    :meth:`observe` sums with, one per (x, y) column.  ``potential`` stacks
-    the diagonal field and the coupling vector on the whole grid (shape
-    (4, n^3), or None without coupling).  At 32^3 the whole grid's fields
-    take 2.5 MiB, of which ``potential`` is 1.0 MiB, and the quadrant's
-    0.7 MiB.
+    The passes run over the box of the stacks' quarter-turn eigenvalue
+    (:class:`GridState`): the whole grid, or, in a grid centred on the z
+    axis, the quadrant box, (n - n // 2 + 1)^2 x n cells.  :meth:`box`
+    builds a box's fields on its first use, from its own meshes: the
+    diagonal field, the coupling vector q / sqrt|unit| and the four stage
+    masks, each a contiguous row per cell, and two to four scratch rows.
+    At 32^3 the quadrant's fields take 0.7 MiB, and the whole grid's 2.5 MiB.
     """
 
     def __init__(self, spec: GridSpec, ham: GridHamiltonian):
@@ -440,21 +465,15 @@ class GridOperator:
         kappa = spec.kinetic_scale if ham.include_kinetic else 0.0
         self._unit = -kappa / (2.0 * spec.dx**2) if kappa else 1.0
         self._kinetic = bool(kappa)
-        diag = 3.0 * kappa / spec.dx**2
         zp, zl = ham.zeeman_particle, ham.zeeman_loop
-        self.potential = None
         if ham.include_interaction:
-            X, Y, Z = (m.reshape(-1) for m in spec.meshes())
-            r = np.sqrt(X * X + Y * Y + Z * Z)
-            g = -ham.coupling_sign * ham.coupling_scale / (4.0 * np.pi * spec.kinetic_scale * r**3)
-            q = np.sqrt(1.5 * np.abs(g) / abs(self._unit)) / r
-            self.potential = np.stack([(diag + 0.5 * g) / self._unit, q * X, q * Y, q * Z])
             # -(sigma / unit) q (q . u) = -sigma sign(unit) q' (q' . u)
             flip = -ham.coupling_sign * ham.coupling_scale * self._unit > 0
             self._couple = np.subtract if flip else np.add
         # Component blocks per live range; with coupling, the singlet (no G,
         # no q) is a block of its own.
         size = max(1, _BLOCK_CELLS // n**3)
+        self._rows = min(size, 3)
         self._blocks = {}
         for first in range(4):
             for stop in range(first + 1, 5):
@@ -474,43 +493,44 @@ class GridOperator:
                 self._mixes[part][:2] = [(True, 1, turn), (True, 0, -turn)]
             if singlet_mix:
                 self._mixes[part][2:] = [(False, 3, singlet_mix), (False, 2, singlet_mix)]
-        # Stage scale dt / j * unit on the interior and 0 on the walls, j = 1..4:
-        # (4, n^3), 1 MiB at 32^3.
-        interior = np.zeros((n, n, n))
-        interior[1:-1, 1:-1, 1:-1] = 1.0
-        masks = np.stack([(spec.dt / j * self._unit) * interior.reshape(-1) for j in range(1, 5)])
-        # The whole grid, and on the axis the quadrant from the cut planes n // 2 - 1
-        cuts = (0, n // 2 - 1) if _on_axis(spec.box_center) else (0,)
-        self._boxes = [self._box(cut, diag / self._unit, masks, min(size, 3)) for cut in cuts]
+        self._boxes: dict[bool, _Box] = {}
 
-    def _box(self, cut: int, diag: float, masks: np.ndarray, rows: int) -> _Box:
-        """The fields of the cells i, j >= ``cut``, as contiguous rows."""
-        n = self.spec.points_per_axis
-        side = n - cut
+    def box(self, phase: complex | None) -> _Box:
+        """The fields of the box of ``phase`` (see :func:`cell_weights`),
+        built on first use; the quadrant needs a grid centred on the z axis."""
+        quadrant = phase is not None
+        if quadrant not in self._boxes:
+            if quadrant and not _on_axis(self.spec.box_center):
+                raise ValidationError("the C4 quadrant needs a box centred on the z axis")
+            self._boxes[quadrant] = self._build_box(phase)
+        return self._boxes[quadrant]
 
-        def region(field: np.ndarray) -> np.ndarray:
-            box = field.reshape(-1, n, n, n)[:, cut:, cut:]
-            return np.ascontiguousarray(box).reshape(len(field), -1)
-
-        potential = None if self.potential is None else region(self.potential)
+    def _build_box(self, phase: complex | None) -> _Box:
+        spec, ham, unit = self.spec, self.ham, self._unit
+        n = spec.points_per_axis
+        ax, ay, az = box_axes(spec, phase)
+        side = len(ax)
         cells = side * side * n
-        # Each quadrant cell stands for its four images, a cell of an odd
-        # grid's x = 0 or y = 0 face for two (two of the four half-planes that
-        # turn into one another lie in the quadrant), its axis column for one,
-        # and the ghost planes for none.
-        weight = np.full((side, side, 1), 4.0 if cut else 1.0)
-        if cut:
-            weight[0] = weight[:, 0] = 0.0
-            if n % 2:
-                weight[1] /= 2.0
-                weight[:, 1] /= 2.0
+        diag = 3.0 * spec.kinetic_scale / spec.dx**2 if self._kinetic else 0.0
+        potential = None
+        if ham.include_interaction:
+            X, Y, Z = (m.reshape(-1) for m in np.meshgrid(ax, ay, az, indexing="ij"))
+            r = np.sqrt(X * X + Y * Y + Z * Z)
+            g = -ham.coupling_sign * ham.coupling_scale / (4.0 * np.pi * spec.kinetic_scale * r**3)
+            q = np.sqrt(1.5 * np.abs(g) / abs(unit)) / r
+            potential = np.stack([(diag + 0.5 * g) / unit, q * X, q * Y, q * Z])
+        # Stage scale dt / j * unit on the interior and 0 on the walls, j = 1..4;
+        # the quadrant's ghost planes are no walls
+        interior = np.zeros((side, side, n))
+        lo = 1 if phase is None else 0
+        interior[lo:-1, lo:-1, 1:-1] = 1.0
+        masks = np.stack([(spec.dt / j * unit) * interior.reshape(-1) for j in range(1, 5)])
         return _Box(
             shape=(side, side, n), offsets=(1, n, side * n), span=side * n + n + 1,
             # (triplet, singlet) diagonal: G is zero on the singlet
-            diag=(diag if potential is None else potential[0], diag),
-            potential=potential, masks=region(masks),
-            weight=weight, z=self.spec.axes()[2],
-            dot=np.empty(cells), tmp=np.empty((rows, cells)),
+            diag=(diag / unit if potential is None else potential[0], diag / unit),
+            potential=potential, masks=masks, weight=cell_weights(n, phase), z=az,
+            dot=np.empty(cells), tmp=np.empty((self._rows, cells)),
         )
 
     def apply(
@@ -519,18 +539,15 @@ class GridOperator:
     ) -> np.ndarray:
         """Write psi + (-i dt H y) / j into ``out``, for the stage j = 1, 2, 3 or 4.
 
-        All three are C-contiguous real stacks of one shape (2, m, n, n, n)
-        holding the magic components ``first`` .. ``first + m - 1``, a range
-        that H must map into itself; ``out`` may be neither ``y`` nor ``psi``.
-        The walls of ``out`` are those of ``psi``: the H y term is exactly
-        zero there whatever ``y`` holds.
-
-        Given the quarter-turn eigenvalue ``phase`` of ``y`` and ``psi``
-        (see :class:`GridState`), all three hold the quadrant box instead,
-        (2, m, n - n // 2 + 1, n - n // 2 + 1, n), which needs a grid
-        centred on the z axis.  Its ghost planes of ``out`` are then written
-        as the turned images of its inner rows, so that ``out`` can be the
-        ``y`` of the next stage.
+        All three are C-contiguous real stacks of one shape (2, m, nx, ny, n)
+        over the cells of the box of ``phase``, the quarter-turn eigenvalue
+        of ``y`` and ``psi`` (see :class:`GridState`), holding the magic
+        components ``first`` .. ``first + m - 1``, a range that H must map
+        into itself; ``out`` may be neither ``y`` nor ``psi``.  The walls of
+        ``out`` are those of ``psi``: the H y term is exactly zero there
+        whatever ``y`` holds.  On the quadrant box, the ghost planes of
+        ``out`` are written as the turned images of its inner rows, so that
+        ``out`` can be the ``y`` of the next stage.
         """
         m = y.shape[1]
         stop = first + m
@@ -538,9 +555,7 @@ class GridOperator:
             raise ValidationError(f"H couples magic components {first}..{stop - 1} to others")
         if j not in (1, 2, 3, 4):
             raise ValidationError(f"RK4 stage {j} is not one of 1, 2, 3, 4")
-        if phase is not None and len(self._boxes) == 1:
-            raise ValidationError("the C4 quadrant needs a box centred on the z axis")
-        box = self._boxes[phase is not None]
+        box = self.box(phase)
         if y.shape[2:] != box.shape:
             raise ValidationError(f"stack of cells {y.shape[2:]} is not the box {box.shape}")
         ys, ps, os = (a.reshape(2, m, -1) for a in (y, psi, out))
@@ -587,16 +602,11 @@ class GridOperator:
 
     def observe(self, stack: np.ndarray, phase: complex | None = None) -> tuple[float, float]:
         """The squared norm of the state that ``stack`` holds on the box of
-        ``phase`` (as in :meth:`apply`), and the sum of z |psi|^2, <z> times it.
-
-        One pass over the stack gives |psi|^2 per cell; its sums against
-        the box's cell weights and z times them are numpy's pairwise
-        ``np.sum``.  It stays within about 3e-16 of an exact sum, where an
-        ``einsum`` sum strays by 4e-15 to 6e-15 at 32^3, so the quadrant and
-        the whole grid agree to 1e-15; unlike a BLAS dot, its bits do not
-        depend on the thread count.
-        """
-        box = self._boxes[phase is not None]
+        ``phase`` (as in :meth:`apply`), and the sum of z |psi|^2, <z> times
+        it: the bits of :meth:`GridState.total` over |psi|^2 and z |psi|^2,
+        from one pass over the stack into the box's own scratch rows, which
+        spares a small grid's step the allocations."""
+        box = self.box(phase)
         flat = stack.reshape(-1, box.dot.size)
         dens = np.einsum("ck,ck->k", flat, flat, out=box.dot)
         # np.sum over one flat row is one pairwise sum; a weight is a power of
@@ -626,59 +636,9 @@ def _turn(dst: np.ndarray, src: np.ndarray, phase: complex, k: int, first: int) 
     """dst = (M / phase)^k src on stacks (2, m, ...) of one shape: the spin
     part of k quarter-turns of a state with eigenvalue ``phase``; the cells
     of ``src`` are those that the turns carry onto the cells of ``dst``.
-    One gather and one multiply: on the thin ghost planes this beats
-    :func:`_unfold`'s row copies, whose Python overhead dominates there."""
+    One gather and one multiply."""
     parts, comps, signs = _turn_rows(phase, k, first, dst.shape[1])
     np.multiply(src[parts, comps], signs.reshape(signs.shape + (1,) * (dst.ndim - 2)), out=dst)
-
-
-def _unfold(quadrant: np.ndarray, whole: np.ndarray, phase: complex, first: int) -> None:
-    """Write the whole stack of a state with eigenvalue ``phase`` from its
-    quadrant box, which is left with some rows negated.  Each cell (i, j)
-    outside the quadrant is the image of the quadrant cell that one, two or
-    three quarter-turns carry onto it: (j, n - 1 - i), (n - 1 - i, n - 1 - j)
-    or (n - 1 - j, i).  The signs are applied to whole rows of the quadrant
-    and the cells only copied: a ufunc over the turned, strided views costs
-    about three copies."""
-    h = whole.shape[2] // 2
-    g = whole.shape[2] % 2 + 1  # the quadrant's index of x_{n - n//2}, whose image is x_{n//2-1}
-    turned = (
-        (whole[:, :, h:, h:], quadrant[:, :, 1:, 1:]),
-        (whole[:, :, :h, h:], quadrant[:, :, 1:, : g - 1 : -1].swapaxes(2, 3)),
-        (whole[:, :, :h, :h], quadrant[:, :, : g - 1 : -1, : g - 1 : -1]),
-        (whole[:, :, h:, :h], quadrant[:, :, : g - 1 : -1, 1:].swapaxes(2, 3)),
-    )
-    for (dst, src), (flips, swap_parts, swap_xy) in zip(
-        turned, _unfold_plan(phase, first, quadrant.shape[1])
-    ):
-        for row in flips:
-            np.negative(quadrant[row], out=quadrant[row])
-        if swap_parts:
-            src = src[::-1]
-        if swap_xy:
-            np.copyto(dst[:, :2], src[:, 1::-1])
-            dst, src = dst[:, 2:], src[:, 2:]
-        np.copyto(dst, src)
-
-
-@functools.lru_cache(maxsize=None)
-def _unfold_plan(phase: complex, first: int, m: int) -> list[tuple[list, bool, bool]]:
-    """Per turn k = 0 .. 3 of :func:`_unfold`: the quadrant rows to negate
-    before it (each row holds the sign the turn reads it with), and whether
-    it swaps Re and Im (phase^k imaginary) and T_x and T_y (k odd).  These
-    row swaps are all that (M / phase)^k does beside the signs."""
-    held = np.ones((2, m))
-    plan = []
-    for k in range(4):
-        parts, comps, signs = _turn_rows(phase, k, first, m)
-        flips = []
-        for row in np.ndindex(parts.shape):
-            source = parts[row], comps[row]
-            if held[source] != signs[row]:
-                flips.append(source)
-                held[source] = signs[row]
-        plan.append((flips, bool(parts[0, 0]), bool(comps[0, 0])))
-    return plan
 
 
 def _on_closure(state: GridState, operator: GridOperator) -> GridState:
@@ -694,23 +654,6 @@ def _on_closure(state: GridState, operator: GridOperator) -> GridState:
     return replace(state, stack=grown, first=lo)
 
 
-def _boxed(stack: np.ndarray, phase: complex | None) -> np.ndarray:
-    """A contiguous copy of the cells of the whole ``stack`` that a state of
-    quarter-turn eigenvalue ``phase`` steps on: its quadrant box, ghost
-    planes included, or without a phase the whole grid."""
-    cut = stack.shape[2] // 2 - 1 if phase is not None else 0
-    return stack[:, :, cut:, cut:].copy()
-
-
-def _whole(state: GridState) -> GridState:
-    """The state on its quadrant box with the whole stack unfolded from it;
-    the box is left with some rows negated."""
-    n = state.stack.shape[4]
-    whole = np.empty(state.stack.shape[:2] + (n, n, n))
-    _unfold(state.stack, whole, state.phase, state.first)
-    return replace(state, stack=whole)
-
-
 def evolve(
     state: GridState,
     spec: GridSpec,
@@ -722,34 +665,23 @@ def evolve(
     H is linear and time independent, so the classical four-stage step is
     sum_{k<=4} (-i dt H)^k psi / k!, evaluated in Horner form:
     y <- psi, then y <- psi + (-i dt H y) / j for j = 4, 3, 2, 1, each
-    stage one :meth:`GridOperator.apply` that alternates between two
-    buffers; the second holds the new state.  The stack first grows to the
-    range of magic components that H reaches from the state's.  ``out``
-    gives the two buffers (stacks of the grown state's box, neither of them
-    the state's); without it they are allocated.
+    stage one :meth:`GridOperator.apply` on the state's box that alternates
+    between two buffers; the second holds the new state.  The stack first
+    grows to the range of magic components that H reaches from the
+    state's.  ``out`` gives the two buffers (stacks of the grown state's
+    box, neither of them the state's); without it they are allocated.  The
+    state's stack is never written.
 
-    A state with a quarter-turn ``phase`` in a box centred on the z axis
-    steps on its quadrant box (module docstring): the box, ghost planes
-    included, is copied out of the whole stack, the four stages run on it
-    (:meth:`GridOperator.apply` with the phase), the last of them writing
-    the ghost planes, and the whole new state is unfolded from it.  Every
-    cell but those of the planes x = 0 and y = 0 of an odd n equals its
-    image bit for bit.  A state that already holds its quadrant box, as
-    between the steps of :func:`run`, is stepped with no copy and comes out
-    on its box.  Any other state steps on the whole grid and comes out
-    without a phase.  The state's stack is never written.
-
-    The new state carries its ``norm2`` and ``z_norm2`` from one
+    On the quadrant box the last stage writes the ghost planes, so every
+    cell of the new state but those of the planes x = 0 and y = 0 of an odd
+    n (which lie on both faces) equals its image bit for bit.  The new
+    state carries its ``norm2`` and ``z_norm2`` from one
     :meth:`GridOperator.observe` pass over the box; the step is refused if
     the squared norm moved by more than :data:`STEP_NORM_DRIFT_LIMIT` of
     itself.
     """
     state = _on_closure(state, operator)
-    psi, first = state.stack, state.first
-    phase = state.phase if _on_axis(operator.spec.box_center) else None
-    unfold = phase is not None and psi.shape[2] == psi.shape[4]  # a whole stack
-    if unfold:
-        psi = _boxed(psi, phase)
+    psi, first, phase = state.stack, state.first, state.phase
     work, y = out if out is not None else (np.empty_like(psi), np.empty_like(psi))
     for j, src, dst in ((4, psi, work), (3, work, y), (2, y, work), (1, work, y)):
         operator.apply(src, psi, j, dst, first, phase)
@@ -760,8 +692,7 @@ def evolve(
         raise NumericalError(
             f"unstable step {step} (dt {spec.dt:.3e}): norm drifted by {after - before:.3e}"
         )
-    new = GridState(stack=y, first=first, norm2=after, step=step, phase=phase, z_norm2=z_norm2)
-    return _whole(new) if unfold else new
+    return GridState(stack=y, first=first, norm2=after, step=step, phase=phase, z_norm2=z_norm2)
 
 
 @dataclass(frozen=True)
@@ -779,28 +710,23 @@ class TimeSeries:
 def run(state: GridState, spec: GridSpec, operator: GridOperator) -> tuple[GridState, TimeSeries]:
     """Evolve ``spec.steps`` steps recording <z> and the norm at every step.
 
-    The run stays on the state's box from the first step to the last: the
-    box is copied out of ``state.stack`` once (:func:`evolve` names the
-    boxes), every step is an :func:`evolve` on it, and a state with a phase
-    is unfolded to its whole stack once, at the end.  Three stacks of the
-    box are rotated through the steps: the state's and two RK4 buffers.
-    ``state.stack`` is read, never written.  The recorded norm (squared)
-    and <z> (times it) are the ``norm2`` and ``z_norm2`` of each state, one
+    Every step is an :func:`evolve` on the state's box, and the final state
+    holds that box too.  Three stacks of the box are rotated through the
+    steps: a copy of the state's and two RK4 buffers, so ``state.stack`` is
+    read, never written.  The recorded norm (squared) and <z> (times it)
+    are the ``norm2`` and ``z_norm2`` of each state, one
     :meth:`GridOperator.observe` pass over its box.
     """
     state = _on_closure(state, operator)
-    phase = state.phase if _on_axis(operator.spec.box_center) else None
-    stack = _boxed(state.stack, phase)
-    norm2, z_norm2 = operator.observe(stack, phase)
-    state = replace(state, stack=stack, norm2=norm2, phase=phase, z_norm2=z_norm2)
+    stack = state.stack.copy()
+    norm2, z_norm2 = operator.observe(stack, state.phase)
+    state = replace(state, stack=stack, norm2=norm2, z_norm2=z_norm2)
     rows = [(norm2, z_norm2)]
     spare = (np.empty_like(stack), np.empty_like(stack))
     for _ in range(spec.steps):
         new = evolve(state, spec, operator, out=spare)
         spare, state = (spare[0], state.stack), new
         rows.append((state.norm2, state.z_norm2))
-    if phase is not None:
-        state = _whole(state)
     norms, zs = np.array(rows).T
     return state, TimeSeries(t=spec.times(), z_expect=zs, norm=norms)
 
@@ -815,6 +741,11 @@ def _central_difference_z(stack: np.ndarray, dx: float) -> np.ndarray:
     return d
 
 
+def _cell_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum_c a[c] b[c] per cell, for stacks (m, nx, ny, n) of one shape."""
+    return np.einsum("c...,c...->...", a, b)
+
+
 def expect_momentum_z(state: GridState, grid: Grid) -> float:
     """<p_z> with the central-difference stencil conjugate to the Laplacian.
 
@@ -822,11 +753,10 @@ def expect_momentum_z(state: GridState, grid: Grid) -> float:
     """
     re, im = state.stack
     d = _central_difference_z(state.stack, grid.dx)
-    val = np.sum(re * d[1]) - np.sum(im * d[0])
-    return float(val) / state.norm() ** 2
+    return state.total(_cell_dot(re, d[1]) - _cell_dot(im, d[0])) / state.total(state.density())
 
 
-def discrete_acceleration(state: GridState, grid: Grid, ham: GridHamiltonian) -> float:
+def discrete_acceleration(state: GridState, spec: GridSpec, ham: GridHamiltonian) -> float:
     """The grid Hamiltonian's exact d^2<z>/dt^2 at ``state``: kappa <i[V, p_h]>.
 
     kappa p_h = i[H, z] holds exactly on the grid, and p_h commutes with the
@@ -834,28 +764,34 @@ def discrete_acceleration(state: GridState, grid: Grid, ham: GridHamiltonian) ->
     -2 kappa Im<V psi | p_h psi> = 2 kappa Re<V psi | D psi>, over the
     squared norm.  V, the potential part of ``ham``, is one
     :meth:`GridOperator.apply` with the kinetic term off: from psi = 0 at
-    j = 1 it writes -i dt V psi.
+    j = 1 it writes -i dt V psi at the ``dt`` of ``spec``, which the
+    result divides out again.
     """
-    spec = grid.stepped()
     operator = GridOperator(spec, replace(ham, include_kinetic=False))
     state = _on_closure(state, operator)
     psi = state.stack
-    v = operator.apply(psi, np.zeros_like(psi), 1, np.empty_like(psi), state.first)
-    del operator  # its fields go before D psi is built
-    d = _central_difference_z(psi, grid.dx)
+    v = operator.apply(psi, np.zeros_like(psi), 1, np.empty_like(psi), state.first, state.phase)
+    d = _central_difference_z(psi, spec.dx)
     # V psi = i v / dt, so Re<V psi | D psi> = (v_re . d_im - v_im . d_re) / dt
-    val = _dot(v[0], d[1]) - _dot(v[1], d[0])
-    return 2.0 * grid.kinetic_scale * val / (spec.dt * _squared_norm(psi))
+    val = state.total(_cell_dot(v[0], d[1]) - _cell_dot(v[1], d[0]))
+    return 2.0 * spec.kinetic_scale * val / (spec.dt * state.total(state.density()))
 
 
 def edge_density_ratio(state: GridState) -> float:
     """Largest |psi|^2 on the first interior layer, the cells next to the
     Dirichlet wall, over the largest |psi|^2 anywhere.  Near 0 while the
     packet stays clear of the walls; a packet that reaches them reads far
-    higher, and then the walls push it."""
+    higher, and then the walls push it.  On the quadrant box the layer is
+    that of its outer faces, the other faces being their images, and the
+    ghost planes are not read: their corner column stands for no cell and
+    holds no image."""
     dens = state.density()
     inner = dens[1:-1, 1:-1, 1:-1]
-    faces = (inner[0], inner[-1], inner[:, 0], inner[:, -1], inner[:, :, 0], inner[:, :, -1])
+    faces = [inner[-1], inner[:, -1], inner[:, :, 0], inner[:, :, -1]]
+    if state.phase is None:
+        faces += [inner[0], inner[:, 0]]
+    else:
+        dens = dens[1:, 1:]
     return float(max(face.max() for face in faces) / dens.max())
 
 
@@ -863,17 +799,20 @@ def moments_from_state(
     state: GridState, grid: Grid, tuples: Iterable[MomentKey]
 ) -> dict[MomentKey, float]:
     """Spatial moments of the as-discretized density, for apples-to-apples
-    comparison against the perturbative contraction."""
+    comparison against the perturbative contraction.  On the quadrant box
+    each monomial is first averaged over the four images of its cell, the
+    turns (x, y) -> (-y, x), so that x^2, say, counts as (x^2 + y^2) / 2."""
     dens = state.density()
-    dens = dens / dens.sum()
-    X, Y, Z = grid.meshes()
+    dens = dens / state.total(dens)
+    X, Y, Z = np.meshgrid(*box_axes(grid, state.phase), indexing="ij")
     R = np.sqrt(X * X + Y * Y + Z * Z)
+    images = [(X, Y), (-Y, X), (-X, -Y), (Y, -X)] if state.phase is not None else [(X, Y)]
     out = {}
     for a, b, c, n in set(tuples):
-        f = dens * X**a * Y**b * Z**c
+        f = dens * (sum(x**a * y**b for x, y in images) / len(images)) * Z**c
         if n:
             f = f / R**n
-        out[(a, b, c, n)] = float(np.sum(f))
+        out[(a, b, c, n)] = state.total(f)
     return out
 
 
@@ -1008,7 +947,6 @@ class OracleResult:
     fit: QuadraticFit
     edge_density_ratio: float
     initial_momentum: float
-    zeeman_final: GridState | None = None
     zeeman_series: TimeSeries | None = None
     zeeman_fit: QuadraticFit | None = None
     remainder_series: TimeSeries | None = None
@@ -1125,8 +1063,9 @@ def run_oracle(cfg: dict) -> OracleResult:
     final, series_r = run(state_r, spec_r, GridOperator(spec_r, ham))
     edge = max(edge, edge_density_ratio(final))
     del state_r, final
-    zeeman_run = fitted(o["zeeman"])  # a uniform field must not change the fit
-    edge = max(edge, edge_density_ratio(zeeman_run[0]))
+    final, *zeeman_run = fitted(o["zeeman"])  # a uniform field must not change the fit
+    edge = max(edge, edge_density_ratio(final))
+    del final
     tuples = required_tuples_for(uu)
 
     def contraction(moments: dict[MomentKey, float]) -> float:
