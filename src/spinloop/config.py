@@ -110,7 +110,7 @@ def preset_config() -> dict[str, Any]:
             "points": 32,
             # Wide enough that the packet stays clear of the Dirichlet walls
             # (gridsim.edge_density_ratio ~2e-8); at 0.05 the walls push it
-            # and the free variant fits a = -0.07 at 6.7 sigma.
+            # and the free variant fits a = -0.079 at 4.8 sigma.
             "half_width": 0.0629,
             "center": [0.0, 0.0, 0.4],
             "packet_width": 0.04,

@@ -102,9 +102,6 @@ _QUARTER_TURN = np.array([[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1
 RK4_STABILITY_LIMIT = 2.0
 DEFAULT_THETA = 0.15
 STEP_NORM_DRIFT_LIMIT = 1e-6
-# Cells per kernel pass: 256 KiB of float64 stays in cache across the
-# neighbour sums.
-_BLOCK_CELLS = 32**3
 
 
 # Bytes per cell for the size guard: operator fields and build temporaries
@@ -296,7 +293,12 @@ class GridState:
     None (the default) where none is known; :func:`initialize` sets it.
     A state with a phase holds its quadrant box, nx = ny = n - n // 2 + 1,
     and one without holds the whole grid, nx = ny = n.  Every sum over the
-    whole grid is :meth:`total` over the box.
+    whole grid is :meth:`total` over the box.  The quadrant box's ghost
+    planes, box index 0 in x or y, stand for no cells (weight 0): a step
+    writes them as the images of the inner rows next to the other face,
+    except their corner column (0, 0), which is stepped but holds no
+    image.  Nothing reads it as a cell: sums weight it 0 and
+    :func:`edge_density_ratio` skips the ghost planes.
     """
 
     stack: np.ndarray
@@ -319,12 +321,17 @@ class GridState:
         return math.sqrt(self.total(self.density()))
 
     def density(self) -> np.ndarray:
-        """|psi|^2 per cell: the squares of the stack summed over parts and components."""
+        """|psi|^2 per cell of the box: the squares of the stack summed over
+        parts and components.  On the quadrant box this includes the ghost
+        planes, which are no cells, and their corner column, which holds no
+        image after a step (see :class:`GridState`)."""
         flat = self.stack.reshape(-1, self.stack[0, 0].size)
         return np.einsum("ck,ck->k", flat, flat).reshape(self.stack.shape[2:])
 
     def amplitudes(self) -> np.ndarray:
-        """Complex amplitudes in the product basis (uu, ud, du, dd), shape (4, nx, ny, n)."""
+        """Complex amplitudes in the product basis (uu, ud, du, dd), shape
+        (4, nx, ny, n), per cell of the box, the quadrant's ghost planes
+        included as in :meth:`density`."""
         re, im = self.stack
         basis = MAGIC_BASIS[:, self.first : self.first + len(re)]
         return np.tensordot(basis, re + 1j * im, axes=1)
@@ -415,8 +422,8 @@ class _Box:
     shape: tuple[int, int, int]
     offsets: tuple[int, int, int]  # flat offsets of the z, y and x neighbours
     span: int  # flat index of cell (1, 1, 1), where the neighbour sums start
-    diag: tuple  # (triplet, singlet) diagonal, each a field or a constant
-    potential: np.ndarray | None  # the diagonal field and the coupling vector
+    diag: float  # the diagonal off the coupling: the Laplacian's, over unit
+    potential: np.ndarray | None  # the triplet's diagonal field and the coupling vector
     masks: np.ndarray
     weight: np.ndarray  # cell_weights of the box
     z: np.ndarray  # the z axis
@@ -429,22 +436,24 @@ class GridOperator:
 
     In the magic basis H is real except for the total-S_z Zeeman term, so a
     stage is "H on Im added to Re, H on Re subtracted from Im".  Each part is
-    built in blocks of components about ``_BLOCK_CELLS`` cells long, so that
-    every pass works on a cache-sized array.  In a block, H y / ``unit`` is
-    the sum of:
+    one pass over all the stack's live rows.  Every step of it is
+    elementwise per row, so a row's bits do not depend on the rows beside
+    it.  H y / ``unit`` is the sum of:
 
     * the six-neighbour sum of the Laplacian (flat offset slices +-1, +-n
-      and +-n * ny over the box), plus the diagonal field
-      (3 kappa / dx^2 + G) / unit;
+      and +-n * ny over the box), plus the diagonal: the field
+      (3 kappa / dx^2 + G) / unit on the triplet under the coupling, and
+      the constant 3 kappa / dx^2 / unit on the other rows;
     * on the triplet, the dipole coupling g/2 (delta_ab - 3 n_a n_b) with
       g = -sign * scale / (4 pi r^3 kappa), i.e. G u - sigma q (q . u) with
       G = g/2, q = n sqrt(3 |g| / 2) and sigma = sign(g); the singlet row
       and column vanish;
-    * the Zeeman term as two constant 2x2 mixes: total S_z is imaginary
-      antisymmetric on (T_x, T_y) and S_z_p - S_z_l is real on (T_z, S).
+    * the Zeeman term as two row-pair updates: total S_z is imaginary
+      antisymmetric on (T_x, T_y), so it turns them within a part, and
+      S_z_p - S_z_l is real on (T_z, S), so it swaps them across parts.
 
     One multiply by the stage mask, dt / j * unit on the interior and 0 on
-    the outer wall layer, then scales the block and clears the walls, and
+    the outer wall layer, then scales the part and clears the walls, and
     one pass adds it to (or subtracts it from) psi.  The wall layer is the
     Dirichlet ghost and is held at exactly zero, so the simulated box is
     the (n-2)^3 interior.
@@ -454,45 +463,27 @@ class GridOperator:
     axis, the quadrant box, (n - n // 2 + 1)^2 x n cells.  :meth:`box`
     builds a box's fields on its first use, from its own meshes: the
     diagonal field, the coupling vector q / sqrt|unit| and the four stage
-    masks, each a contiguous row per cell, and two to four scratch rows.
-    At 32^3 the quadrant's fields take 0.7 MiB, and the whole grid's 2.5 MiB.
+    masks, each a contiguous row per cell, and scratch rows: one for q . u
+    and the densities of :meth:`observe`, and three for q (q . u) under the
+    coupling or one without it, whose first row also takes the Zeeman
+    products and the weighted cells of :meth:`observe`.  At 32^3 the
+    coupled quadrant's fields take 0.85 MiB, and the whole grid's 3.0 MiB.
     """
 
     def __init__(self, spec: GridSpec, ham: GridHamiltonian):
         self.spec = spec
         self.ham = ham
-        n = spec.points_per_axis
         kappa = spec.kinetic_scale if ham.include_kinetic else 0.0
         self._unit = -kappa / (2.0 * spec.dx**2) if kappa else 1.0
         self._kinetic = bool(kappa)
-        zp, zl = ham.zeeman_particle, ham.zeeman_loop
         if ham.include_interaction:
             # -(sigma / unit) q (q . u) = -sigma sign(unit) q' (q' . u)
             flip = -ham.coupling_sign * ham.coupling_scale * self._unit > 0
             self._couple = np.subtract if flip else np.add
-        # Component blocks per live range; with coupling, the singlet (no G,
-        # no q) is a block of its own.
-        size = max(1, _BLOCK_CELLS // n**3)
-        self._rows = min(size, 3)
-        self._blocks = {}
-        for first in range(4):
-            for stop in range(first + 1, 5):
-                edges = {*range(first, stop, size), stop}
-                if ham.include_interaction and first < 3 < stop:
-                    edges.add(3)
-                edges = sorted(edges)
-                self._blocks[first, stop] = list(zip(edges, edges[1:]))
-        # Zeeman term per (part, component): (read the same part?, partner,
-        # coefficient before the stage scale), or None.  Total S_z turns
-        # (T_x, T_y) within a part; S_z_p - S_z_l swaps T_z and S across parts.
-        spin_mix = -0.5 * (zp + zl) / self._unit
-        singlet_mix = -0.5 * (zp - zl) / self._unit
-        self._mixes = ([None] * 4, [None] * 4)
-        for part, turn in enumerate((-spin_mix, spin_mix)):
-            if turn:
-                self._mixes[part][:2] = [(True, 1, turn), (True, 0, -turn)]
-            if singlet_mix:
-                self._mixes[part][2:] = [(False, 3, singlet_mix), (False, 2, singlet_mix)]
+        # Zeeman coefficients before the stage scale: total S_z turns (T_x, T_y)
+        # within a part, S_z_p - S_z_l swaps T_z and S across parts
+        self._spin_mix = -0.5 * (ham.zeeman_particle + ham.zeeman_loop) / self._unit
+        self._singlet_mix = -0.5 * (ham.zeeman_particle - ham.zeeman_loop) / self._unit
         self._boxes: dict[bool, _Box] = {}
 
     def box(self, phase: complex | None) -> _Box:
@@ -527,10 +518,9 @@ class GridOperator:
         masks = np.stack([(spec.dt / j * unit) * interior.reshape(-1) for j in range(1, 5)])
         return _Box(
             shape=(side, side, n), offsets=(1, n, side * n), span=side * n + n + 1,
-            # (triplet, singlet) diagonal: G is zero on the singlet
-            diag=(diag / unit if potential is None else potential[0], diag / unit),
-            potential=potential, masks=masks, weight=cell_weights(n, phase), z=az,
-            dot=np.empty(cells), tmp=np.empty((self._rows, cells)),
+            diag=diag / unit, potential=potential, masks=masks,
+            weight=cell_weights(n, phase), z=az, dot=np.empty(cells),
+            tmp=np.empty((3 if potential is not None else 1, cells)),
         )
 
     def apply(
@@ -561,36 +551,38 @@ class GridOperator:
         ys, ps, os = (a.reshape(2, m, -1) for a in (y, psi, out))
         mask = box.masks[j - 1]
         lo, hi = box.span, ys.shape[2] - box.span
+        # under the coupling a closed range holds the triplet, or the singlet alone
         coupled = box.potential is not None and first == 0
+        tri = 3 if coupled else 0  # rows on the triplet's field, the rest on the constant
         # H on Im adds into Re, H on Re subtracts from Im
-        for o_part, p_part, same, src, mixes, finish in (
-            (os[0], ps[0], ys[0], ys[1], self._mixes[0], np.add),
-            (os[1], ps[1], ys[1], ys[0], self._mixes[1], np.subtract),
+        for o, p, same, src, turn, finish in (
+            (os[0], ps[0], ys[0], ys[1], -self._spin_mix, np.add),
+            (os[1], ps[1], ys[1], ys[0], self._spin_mix, np.subtract),
         ):
             if coupled:
+                np.multiply(src[:3], box.potential[0], out=o[:3])
+            np.multiply(src[tri:], box.diag, out=o[tri:])
+            if self._kinetic:
+                # neighbours at flat offsets, row by row; spill-over lands on
+                # the walls and ghost planes only
+                inner = o[:, lo:hi]
+                for k in box.offsets:
+                    inner += src[:, lo - k : hi - k]
+                    inner += src[:, lo + k : hi + k]
+            if coupled:
                 np.einsum("bk,bk->k", box.potential[1:], src[:3], out=box.dot)
-            for c0, c1 in self._blocks[first, stop]:
-                rows = slice(c0 - first, c1 - first)
-                o, u = o_part[rows], src[rows]
-                np.multiply(u, box.diag[c0 // 3], out=o)
-                if self._kinetic:
-                    # neighbours at flat offsets, row by row; spill-over lands
-                    # on the walls and ghost planes only
-                    inner = o[:, lo:hi]
-                    for k in box.offsets:
-                        inner += u[:, lo - k : hi - k]
-                        inner += u[:, lo + k : hi + k]
-                if coupled and c0 < 3:
-                    q = box.potential[1 + c0 : 1 + c1]
-                    self._couple(o, np.multiply(q, box.dot, out=box.tmp[: c1 - c0]), out=o)
-                for c in range(c0, c1):
-                    if mixes[c] is not None:
-                        from_same, partner, coef = mixes[c]
-                        v = (same if from_same else src)[partner - first]
-                        o[c - c0] += np.multiply(v, coef, out=box.tmp[0])
-                # stage scale on the interior, 0 on the walls (where the offset sums spill)
-                np.multiply(o, mask, out=o)
-                finish(p_part[rows], o, out=o)
+                q_dot = np.multiply(box.potential[1:], box.dot, out=box.tmp)
+                self._couple(o[:3], q_dot, out=o[:3])
+            tmp = box.tmp[0]
+            if turn and first == 0:
+                o[0] += np.multiply(same[1], turn, out=tmp)
+                o[1] -= np.multiply(same[0], turn, out=tmp)
+            if self._singlet_mix and stop == 4:
+                o[2 - first] += np.multiply(src[3 - first], self._singlet_mix, out=tmp)
+                o[3 - first] += np.multiply(src[2 - first], self._singlet_mix, out=tmp)
+            # stage scale on the interior, 0 on the walls (where the offset sums spill)
+            np.multiply(o, mask, out=o)
+            finish(p, o, out=o)
         if phase is not None:
             # the ghost plane i = n//2 - 1 is the image of the row j = n - n//2
             # (box index g) under one quarter-turn, the ghost plane

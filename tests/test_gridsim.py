@@ -24,6 +24,13 @@ GEOMETRY = dict(points_per_axis=20, box_center=(0.0, 0.0, 0.4), box_half_width=0
                 kinetic_scale=KAPPA)
 PROBE_DT = np.finfo(float).tiny  # a GridSpec built only to read stable_dt
 POSITION_KEYS = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0))
+APPLY_HAMILTONIANS = {
+    "free": gridsim.GridHamiltonian(include_interaction=False),
+    "pure-zeeman": gridsim.GridHamiltonian(
+        include_interaction=False, zeeman_particle=5.0, zeeman_loop=3.0),
+    "coupled": gridsim.GridHamiltonian(),
+    "coupled+zeeman": gridsim.GridHamiltonian(zeeman_particle=5.0, zeeman_loop=3.0),
+}
 
 
 def position(state, grid):
@@ -428,16 +435,29 @@ class TestStructuredKernel:
         got = full_operator.apply(y, psi, 3, np.empty_like(y))
         assert np.max(np.abs(got - (psi + h / 3))) <= 1e-15 * np.max(np.abs(psi))
 
-    def test_block_layout_does_not_change_apply(self, rng, full_operator, monkeypatch):
-        """One component per block (the 32^3 layout) gives the same bits."""
-        spec = full_operator.spec
-        y = magic_state(random_state(rng, spec.points_per_axis)).stack
-        psi = magic_state(random_state(rng, spec.points_per_axis)).stack
-        grouped = full_operator.apply(y, psi, 2, np.empty_like(y))
-        monkeypatch.setattr(gridsim, "_BLOCK_CELLS", 1)
-        single = gridsim.GridOperator(spec, full_operator.ham)
-        assert single._blocks[0, 4] == [(0, 1), (1, 2), (2, 3), (3, 4)]
-        assert np.array_equal(single.apply(y, psi, 2, np.empty_like(y)), grouped)
+    @pytest.mark.parametrize("points", [16, 17])
+    @pytest.mark.parametrize(
+        "center", [(0.0, 0.0, 0.4), (0.004, 0.0, 0.4)], ids=["quadrant", "whole-grid"]
+    )
+    @pytest.mark.parametrize("ham", APPLY_HAMILTONIANS.values(), ids=APPLY_HAMILTONIANS.keys())
+    @pytest.mark.parametrize("spin", [("up", "up"), ("up", "down")], ids="-".join)
+    def test_closed_range_applies_as_the_padded_stack(self, rng, spin, ham, center, points):
+        """Every step of apply is elementwise per row, so a stack of the
+        closed range that H reaches from up-up or up-down ((0, 2), (2, 4),
+        (0, 3) or (0, 4)) gives the bits of the zero-padded four-component
+        stack on its rows, and zeros on the others."""
+        spec = gridsim.Grid(points, center, 0.0629, KAPPA).stepped(steps=1)
+        packet = packets.WavePacket(center=center, width=0.03)
+        state = gridsim.initialize(packet, spins.basis_state(*spin), spec, edge_ramp_cells=2.0)
+        first, stop = ham.closure(state.first, state.first + state.stack.shape[1])
+        y, psi = (rng.standard_normal((2, stop - first) + state.stack.shape[2:]) for _ in range(2))
+        padded = [np.zeros((2, 4) + y.shape[2:]) for _ in range(2)]
+        padded[0][:, first:stop], padded[1][:, first:stop] = y, psi
+        op = gridsim.GridOperator(spec, ham)
+        got = op.apply(y, psi, 2, np.empty_like(y), first, state.phase)
+        whole = op.apply(*padded, 2, np.empty_like(padded[0]), 0, state.phase)
+        assert np.array_equal(whole[:, first:stop], got)
+        assert not whole[:, :first].any() and not whole[:, stop:].any()
 
     def test_apply_holds_walls_at_zero(self, rng, full_operator):
         """The flat offset sums spill onto the walls and y is nonzero there;
