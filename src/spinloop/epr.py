@@ -10,13 +10,16 @@ projection onto the parallel/antiparallel subspaces.  Those projectors are
 diagonal in the particle and loop bases, so an outcome probability is the
 exact sum over the particles' spins (s1, s2) of
 |c_{s1 s2}|^2 w1(o1 | s1) w2(o2 | s2), where w is p or 1 - p; no composite
-state is built.
+state is built.  The same sums, taken over arrays of p, give a whole
+correlation sweep at once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .errors import ValidationError
 
@@ -57,18 +60,20 @@ class EPRScenario:
 
 @dataclass(frozen=True)
 class JointDistribution:
-    """Probabilities over (wing1, wing2) outcomes; up = parallel pair."""
+    """Probabilities over (wing1, wing2) outcomes; up = parallel pair.  Each
+    is a float, or for a sweep an array over p (every check then holds at
+    every p)."""
 
-    up_up: float
-    up_down: float
-    down_up: float
-    down_down: float
+    up_up: float | np.ndarray
+    up_down: float | np.ndarray
+    down_up: float | np.ndarray
+    down_down: float | np.ndarray
 
     def __post_init__(self):
-        values = self.as_dict().values()
-        if min(values) < -1e-12:
+        values = list(self.as_dict().values())
+        if np.min(values) < -1e-12:
             raise ValidationError("joint probabilities must be non-negative")
-        if abs(sum(values) - 1.0) > 1e-12:
+        if np.max(abs(sum(values) - 1.0)) > 1e-12:
             raise ValidationError("joint probabilities must sum to 1")
 
     def as_dict(self) -> dict[tuple[str, str], float]:
@@ -88,25 +93,30 @@ class JointDistribution:
         raise ValidationError("wing must be 1 or 2")
 
 
-def joint_distribution(scenario: EPRScenario) -> JointDistribution:
-    """Outcome probabilities sum over (s1, s2) of |c_{s1 s2}|^2 w1(o1|s1) w2(o2|s2)."""
+def _joint(bell: str, p1_up, p2_up) -> JointDistribution:
+    """Outcome probabilities sum over (s1, s2) of |c_{s1 s2}|^2 w1(o1|s1) w2(o2|s2),
+    for float loop weights or arrays of them."""
 
-    def wing(outcome: str, spin: str, p_up: float) -> float:
+    def wing(outcome: str, spin: str, p_up):
         # 'up' (parallel) on an up spin, or 'down' on a down spin, needs the loop up
         return p_up if outcome == spin else 1.0 - p_up
 
-    weights = _BELL_WEIGHTS[scenario.bell]
+    weights = _BELL_WEIGHTS[bell]
     return JointDistribution(*(
-        sum(c2 * wing(o1, s1, scenario.p1_up) * wing(o2, s2, scenario.p2_up)
-            for (s1, s2), c2 in weights.items())
+        sum(c2 * wing(o1, s1, p1_up) * wing(o2, s2, p2_up) for (s1, s2), c2 in weights.items())
         for o1 in OUTCOMES for o2 in OUTCOMES
     ))
+
+
+def joint_distribution(scenario: EPRScenario) -> JointDistribution:
+    """Outcome probabilities sum over (s1, s2) of |c_{s1 s2}|^2 w1(o1|s1) w2(o2|s2)."""
+    return _joint(scenario.bell, scenario.p1_up, scenario.p2_up)
 
 
 def conditional(dist: JointDistribution, wing: int, outcome: str) -> dict[str, float]:
     """Probabilities for the other wing, conditioned on (wing, outcome)."""
     marg = dist.marginal(wing, outcome)
-    if marg <= 0.0:
+    if np.min(marg) <= 0.0:
         raise ValidationError(f"cannot condition on zero-probability event ({wing}, {outcome})")
     d = dist.as_dict()
     if wing == 1:
@@ -115,14 +125,20 @@ def conditional(dist: JointDistribution, wing: int, outcome: str) -> dict[str, f
 
 
 def correlation_sweep(p_values: Iterable[float], bell: str = "singlet") -> list[tuple[float, float]]:
-    """P(up at wing 2 | down at wing 1) for equal loop weights p1 = p2 = p."""
-    rows = []
-    for p in p_values:
-        if not 0.0 < p <= 1.0:
-            raise ValidationError("sweep probabilities must lie in (0, 1]")
-        dist = joint_distribution(EPRScenario(bell=bell, p1_up=p, p2_up=p))
-        rows.append((float(p), conditional(dist, 1, "down")["up"]))
-    return rows
+    """P(up at wing 2 | down at wing 1) for equal loop weights p1 = p2 = p.
+
+    One pass over all p: each outcome probability is one numpy expression
+    over the array of p, in the order of operations of
+    :func:`joint_distribution`, so every row has the bits of that p's own
+    distribution."""
+    p = np.array([float(v) for v in p_values])
+    if not np.all((0.0 < p) & (p <= 1.0)):
+        raise ValidationError("sweep probabilities must lie in (0, 1]")
+    if not p.size:
+        return []
+    EPRScenario(bell=bell)  # refuses an unknown Bell state
+    cond = conditional(_joint(bell, p, p), 1, "down")["up"]
+    return list(zip(p.tolist(), cond.tolist()))
 
 
 def sweep_csv(rows: Sequence[tuple[float, float]]) -> str:

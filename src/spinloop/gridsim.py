@@ -73,8 +73,11 @@ from __future__ import annotations
 
 import functools
 import math
+import os
+import pickle
+import signal
 from dataclasses import dataclass, fields, replace
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -93,8 +96,9 @@ MAGIC_BASIS = np.array([
     [0.0, 0.0, _R, -_R],
     [_R, 1j * _R, 0.0, 0.0],
 ])
-# Spin part M of the quarter-turn on (T_x, T_y, T_z, S): T_x -> T_y, T_y -> -T_x
-_QUARTER_TURN = np.array([[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], dtype=complex)
+# Spin part M of the quarter-turn on (T_x, T_y, T_z, S): T_x -> T_y, T_y -> -T_x.
+# Integer, so that its powers take no BLAS call (see _alongside).
+_QUARTER_TURN = np.array([[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
 
 # RK4 is stable for |lambda| dt <= 2*sqrt(2) on the imaginary axis; specs
 # are rejected beyond 2.0 and defaults run far below that so that the
@@ -107,7 +111,10 @@ STEP_NORM_DRIFT_LIMIT = 1e-6
 # Bytes per cell for the size guard: operator fields and build temporaries
 # (20 rows) and five stacks of 2 x 4 rows (a run holds four: the caller's
 # initial state, its own and two RK4 buffers).  One 4-component run peaks at
-# ~330 bytes per cell.
+# ~330 bytes per cell.  The guard bounds one run: a full oracle holds two
+# runs at once, one per process (the main or remainder run, and the Zeeman
+# run in a forked child, see run_oracle), so its processes together can
+# hold up to twice the budget.
 _CELL_BYTES = 8 * (20 + 5 * 8)
 GRID_BYTES_BUDGET = 2 * 2**30
 # Work bound of one oracle: n^3 times the steps of all its runs.  The preset
@@ -616,7 +623,7 @@ def _turn_rows(phase: complex, k: int, first: int, m: int) -> tuple[np.ndarray, 
     """(M / phase)^k on the components ``first`` .. ``first + m - 1`` as a
     signed permutation of the rows of a real stack: per (part, component)
     row, the part and component it is read from and its sign."""
-    a = np.linalg.matrix_power(_QUARTER_TURN * np.conj(phase), k)
+    a = np.linalg.matrix_power(_QUARTER_TURN, k) * complex(phase).conjugate() ** k
     a = a[first : first + m, first : first + m]
     real = np.block([[a.real, -a.imag], [a.imag, a.real]])
     src = np.abs(real).argmax(axis=1)
@@ -949,6 +956,61 @@ class OracleResult:
     remainder_exponent: float | None = None
 
 
+def _alongside(task: Callable[[], object], own: Callable[[], object]) -> tuple[object, object]:
+    """(own(), task()), with ``task`` in a forked child while ``own`` runs
+    here, where the process may use two CPUs; one after the other, ``own``
+    first, where it may use one or cannot fork.  Either way an error of
+    ``own`` comes first.
+
+    The child shares the parent's pages, sends back its result or the
+    exception it raised, pickled over a pipe, and always leaves by
+    ``os._exit``.  A fork copies only the calling thread, so ``task`` must
+    make no BLAS or LAPACK call, whose thread pool the child lacks.  An exception that does not survive pickling comes back
+    as a NumericalError naming its type and message.  The parent reads the
+    pipe to its end before it reaps the child, as a result can outgrow the
+    pipe's buffer; a child that ends without a result is a NumericalError.
+    If ``own`` raises, the child is killed and reaped first."""
+    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()
+    if not hasattr(os, "fork") or len(cpus) < 2:
+        return own(), task()
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read)
+            try:
+                sent = (True, task())
+            except BaseException as exc:
+                try:
+                    pickle.loads(pickle.dumps(exc))
+                except Exception:
+                    exc = NumericalError(f"{type(exc).__name__}: {exc}")
+                sent = (False, exc)
+            with os.fdopen(write, "wb") as pipe:
+                pickle.dump(sent, pipe)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write)
+    try:
+        with os.fdopen(read, "rb") as pipe:
+            mine = own()
+            data = pipe.read()
+    except BaseException:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        raise
+    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    try:
+        done, value = pickle.loads(data)
+    except Exception:
+        raise NumericalError(f"forked run ended without a result (exit code {code})") from None
+    if not done:
+        raise value
+    return mine, value
+
+
 def run_oracle(cfg: dict) -> OracleResult:
     """Run and measure the grid oracle that a config's ``oracle`` section sets up.
 
@@ -963,6 +1025,15 @@ def run_oracle(cfg: dict) -> OracleResult:
     beyond the RK4 stability limit or the first step past the norm budget
     :data:`STEP_NORM_DRIFT_LIMIT`, and remainder windows that
     :func:`check_windows` refuses.
+
+    Once those checks pass and the initial state is built, the ``full``
+    variant runs its Zeeman run in a forked child beside the main and
+    remainder runs where the process may use two CPUs, and after them
+    where it may use one or cannot fork (:func:`_alongside`).  The child
+    sends back the run's series and its final state's edge density ratio,
+    and the series is fitted here.  The outputs are the same bits either
+    way, errors come in the order main, remainder, Zeeman, and no child
+    outlives the call, whether it returns or raises.
     """
     o = cfg["oracle"]
     if o["variant"] not in ("full", "pure-zeeman", "free"):
@@ -984,13 +1055,14 @@ def run_oracle(cfg: dict) -> OracleResult:
             edge_ramp_cells=run_cfg["edge_ramp_cells"],
         )
 
-    def fitted(zeeman: Sequence[float], coupled: bool = True):
+    def measured(zeeman: Sequence[float], coupled: bool = True) -> tuple[TimeSeries, float]:
+        """A run from ``initial``: its series and its final state's edge density ratio."""
         ham = GridHamiltonian(
             include_interaction=coupled, coupling_sign=sign,
             zeeman_particle=zeeman[0], zeeman_loop=zeeman[1],
         )
         final, series = run(initial, spec, GridOperator(spec, ham))
-        return final, series, fit_acceleration(series.t, series.z_expect)
+        return series, edge_density_ratio(final)
 
     # Every run's grid and packet are checked, and their work summed, before
     # the first run starts.
@@ -1043,29 +1115,32 @@ def run_oracle(cfg: dict) -> OracleResult:
     # Measurements follow the runs, so their temporaries do not shape the runs' heap.
     if o["variant"] != "full":
         zeeman = o["zeeman"] if o["variant"] == "pure-zeeman" else (0.0, 0.0)
-        final, series, fit = fitted(zeeman, coupled=False)
-        return OracleResult(o["variant"], spec, initial, series, fit, edge_density_ratio(final),
+        series, edge = measured(zeeman, coupled=False)
+        return OracleResult(o["variant"], spec, initial, series,
+                            fit_acceleration(series.t, series.z_expect), edge,
                             expect_momentum_z(initial, spec))
-    # The 4-component Zeeman run sets the peak memory: it runs last, holding no spare state.
-    final, series, fit = fitted((0.0, 0.0))
-    edge = edge_density_ratio(final)
-    del final
-    state_r = start(spec_r, packet_r, r)
     ham = GridHamiltonian(coupling_sign=sign)
-    final, series_r = run(state_r, spec_r, GridOperator(spec_r, ham))
-    edge = max(edge, edge_density_ratio(final))
-    del state_r, final
-    final, *zeeman_run = fitted(o["zeeman"])  # a uniform field must not change the fit
-    edge = max(edge, edge_density_ratio(final))
-    del final
+
+    def main_and_remainder():
+        series, edge = measured((0.0, 0.0))
+        fit = fit_acceleration(series.t, series.z_expect)
+        final, series_r = run(start(spec_r, packet_r, r), spec_r, GridOperator(spec_r, ham))
+        return series, fit, series_r, max(edge, edge_density_ratio(final))
+
+    # The Zeeman run (a uniform field must not change the fit), the costliest
+    # with four components, is the forked task, and runs last inline.  Its
+    # series is fitted here, so that the child makes no BLAS or LAPACK call.
+    (series, fit, series_r, edge), (series_z, edge_z) = _alongside(
+        lambda: measured(o["zeeman"]), main_and_remainder
+    )
     tuples = required_tuples_for(uu)
 
     def contraction(moments: dict[MomentKey, float]) -> float:
         return contract_force(uu, moments, coupling_sign=sign).a_z
 
     return OracleResult(
-        "full", spec, initial, series, fit, edge, expect_momentum_z(initial, spec),
-        *zeeman_run, series_r,
+        "full", spec, initial, series, fit, max(edge, edge_z), expect_momentum_z(initial, spec),
+        series_z, fit_acceleration(series_z.t, series_z.z_expect), series_r,
         a_from_grid_density=contraction(moments_from_state(initial, spec, tuples)),
         a_from_quadrature=contraction(quadrature_moments(packet, tuples)),
         a_discrete=discrete_acceleration(initial, spec, ham),

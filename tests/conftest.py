@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -29,6 +31,14 @@ def preset_kappa(preset_cfg):
 def preset_oracle(preset_cfg):
     """The preset's grid oracle (main, Zeeman and remainder runs), run once per session."""
     return gridsim.run_oracle(preset_cfg)
+
+
+@pytest.fixture
+def forking(monkeypatch):
+    """gridsim's forked path, whatever CPUs this process may use."""
+    if not hasattr(os, "fork"):
+        pytest.skip("needs os.fork")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
 
 
 @pytest.fixture

@@ -665,6 +665,27 @@ class TestOracleInputErrors:
         assert "unstable step 1 (dt 9.385e-07): norm drifted by " in err
         assert err.count("\n") == 1
 
+    def test_failing_zeeman_run_of_the_full_variant(self, tmp_path, capsys, forking,
+                                                    monkeypatch):
+        """The full variant's Zeeman run fails at step 1 in the forked child
+        while the main and remainder runs pass: the same one line as inline,
+        exit 2, no output directory and no child left."""
+        over = tmp_path / "cfg.json"
+        over.write_text(json.dumps({"oracle": {"zeeman": [1e6, 0]}}))
+        errs = []
+        for inline in (False, True):
+            if inline:
+                monkeypatch.delattr(os, "fork")
+            out = tmp_path / f"out-{inline}"
+            assert main(["oracle", "--config", str(over), "--out", str(out)]) == 2
+            errs.append(capsys.readouterr().err)
+            assert not out.exists()
+            with pytest.raises(ChildProcessError):
+                os.waitpid(-1, os.WNOHANG)
+        assert errs[0] == errs[1]
+        assert errs[0].startswith("numerical failure: unstable step 1 (dt 9.385e-07): ")
+        assert errs[0].endswith("norm drifted by -1.392e-04\n") and errs[0].count("\n") == 1
+
     def test_free_variant_ignores_zeeman(self, preset_cfg, monkeypatch):
         monkeypatch.setattr(gridsim, "initialize", refuse_state)
         cfg = copy.deepcopy(preset_cfg)

@@ -240,6 +240,22 @@ class TestSweep:
         with pytest.raises(ValidationError):
             epr.correlation_sweep([0.0, 0.5])
 
+    @pytest.mark.parametrize("bell", epr.BELL_STATES)
+    def test_rows_have_the_bits_of_each_distribution(self, bell):
+        """The sweep over an array of p reads, bit for bit, the conditional of
+        each p's own joint_distribution."""
+        ps = np.concatenate([np.linspace(0.01, 0.99, 99),
+                             np.random.default_rng(7).uniform(0.0, 1.0, 200)])
+        rows = epr.correlation_sweep(ps, bell=bell)
+        for p, (p_row, cond) in zip(ps, rows):
+            dist = epr.joint_distribution(epr.EPRScenario(bell=bell, p1_up=p, p2_up=p))
+            assert (p_row, cond) == (p, epr.conditional(dist, 1, "down")["up"])
+
+    def test_zero_marginal_in_a_sweep_rejected(self):
+        """Under triplet+ wing 1 reads down only with its loop down: never at p = 1."""
+        with pytest.raises(ValidationError, match="zero-probability event"):
+            epr.correlation_sweep([0.5, 1.0], bell="triplet+")
+
     def test_csv_format(self):
         text = epr.sweep_csv([(0.1, 0.82), (0.5, 0.5)])
         lines = text.strip().split("\n")

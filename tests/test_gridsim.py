@@ -4,11 +4,15 @@ Unit tests here run on deliberately small grids (16-24 points); the full
 32-point validation lives in the acceptance suite.
 """
 
+import contextlib
 import copy
+import dataclasses
 import math
 import os
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -575,9 +579,14 @@ class TestEdgeDensity:
         wall hold under 1e-6 of the peak density at the end of every run."""
         assert 0.0 < preset_oracle.edge_density_ratio < 1e-6
 
-    def test_oracle_keeps_the_largest_ratio_of_its_runs(self, preset_cfg, monkeypatch):
+    @pytest.mark.parametrize("highest", ["main", "remainder", "zeeman"])
+    def test_oracle_keeps_the_largest_ratio_of_its_runs(self, preset_cfg, monkeypatch,
+                                                        tmp_path, highest):
         """Each of the main, remainder and Zeeman runs' final states is read,
-        and the largest value is kept (here the remainder's)."""
+        the 4-component Zeeman state included, and the largest value is
+        kept, whichever run reads it.  The Zeeman run may run in a forked
+        child, so each reading is one line appended to a file that both
+        processes share."""
         cfg = copy.deepcopy(preset_cfg)
         cfg["oracle"].update(points=16, half_width=0.05, packet_width=0.03, edge_ramp_cells=2.0,
                              duration=2.5e-5)
@@ -585,15 +594,21 @@ class TestEdgeDensity:
         # and the 1e-3 window ends far enough past it to resolve a slope
         cfg["oracle"]["remainder"].update(packet_width=0.03, edge_ramp_cells=2.0,
                                           windows=[2.5e-4, 1e-3], theta=0.1)
-        values, seen = iter([0.1, 0.3, 0.2]), []
+        others = iter([0.1, 0.2])
+        values = {run: 0.3 if run == highest else next(others)
+                  for run in ("main", "remainder", "zeeman")}
+        log = tmp_path / "read.txt"
+        coupled = iter(["main", "remainder"])  # the order the 3-component runs end in
 
         def reading(state):
-            seen.append(state.stack.shape[1])
-            return next(values)
+            run = "zeeman" if state.stack.shape[1] == 4 else next(coupled)
+            with open(log, "a") as f:
+                f.write(run + "\n")
+            return values[run]
 
         monkeypatch.setattr(gridsim, "edge_density_ratio", reading)
         assert gridsim.run_oracle(cfg).edge_density_ratio == 0.3
-        assert seen == [3, 3, 4]
+        assert sorted(log.read_text().splitlines()) == ["main", "remainder", "zeeman"]
 
     def test_packet_that_reaches_the_walls_reads_high(self, spec, packet, uu):
         """A packet packed into a 20-point box is clear of the walls at the
@@ -634,6 +649,144 @@ class TestFitAcceleration:
             res.append(gridsim.fit_acceleration(t[m], z[m]).residual_rms)
         slope = np.polyfit(np.log([1e-4, 2e-4, 4e-4]), np.log(res), 1)[0]
         assert slope == pytest.approx(3.0, abs=0.3)
+
+
+def same_bits(a, b, name="result"):
+    """Every field of two (nested) dataclasses equal: arrays by np.array_equal
+    and everything else by ==."""
+    if dataclasses.is_dataclass(a):
+        assert type(a) is type(b), name
+        for f in dataclasses.fields(a):
+            same_bits(getattr(a, f.name), getattr(b, f.name), f"{name}.{f.name}")
+    elif isinstance(a, np.ndarray):
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    else:
+        assert a == b, name
+
+
+def assert_no_child():
+    """No child of this process is left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """TimeoutError in this process if the block outlasts ``seconds``."""
+    def expire(signum, frame):
+        raise TimeoutError(f"over {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+
+class TestForkedZeemanRun:
+    """The full oracle runs its Zeeman run in a forked child beside the main
+    and remainder runs (gridsim._alongside), and inline where it cannot fork."""
+
+    def test_same_bits_as_inline(self, preset_cfg, forking, monkeypatch):
+        forked = gridsim.run_oracle(preset_cfg)
+        monkeypatch.delattr(os, "fork")
+        inline = gridsim.run_oracle(preset_cfg)
+        assert forked.zeeman_series is not None and forked.remainder_exponent is not None
+        same_bits(forked, inline)
+
+    def test_one_cpu_runs_inline(self, monkeypatch):
+        def fork():
+            raise AssertionError("forked on one CPU")
+
+        monkeypatch.setattr(os, "fork", fork, raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert gridsim._alongside(lambda: "task", lambda: "own") == ("own", "task")
+
+    def test_result_larger_than_the_pipe_buffer(self, forking):
+        """The parent reads the pipe to its end before it reaps the child."""
+        big = np.arange(20000.0)  # 160 kB, over a 64 KiB pipe buffer
+        with deadline(30):
+            own, task = gridsim._alongside(lambda: big * 2.0, lambda: "own")
+        assert own == "own" and np.array_equal(task, big * 2.0)
+        assert_no_child()
+
+    def test_child_error_is_raised_here(self, forking):
+        def task():
+            raise ValidationError("bad input")
+
+        with pytest.raises(ValidationError, match="^bad input$"):
+            gridsim._alongside(task, lambda: None)
+        assert_no_child()
+
+    def test_unpicklable_child_error(self, forking):
+        class Local(Exception):  # a local class does not pickle
+            pass
+
+        def task():
+            raise Local("boom")
+
+        with pytest.raises(NumericalError, match="^Local: boom$"):
+            gridsim._alongside(task, lambda: None)
+        assert_no_child()
+
+    def test_child_that_dies_without_a_result(self, forking):
+        with pytest.raises(NumericalError,
+                           match=r"^forked run ended without a result \(exit code 3\)$"):
+            gridsim._alongside(lambda: os._exit(3), lambda: None)
+        assert_no_child()
+
+    @pytest.mark.parametrize("forked", [True, False])
+    @pytest.mark.parametrize("failing, first", [
+        (("main", "remainder", "zeeman"), "main"),
+        (("remainder", "zeeman"), "remainder"),
+        (("zeeman",), "zeeman"),
+    ])
+    def test_errors_come_main_remainder_zeeman(self, preset_cfg, forking, monkeypatch,
+                                               forked, failing, first):
+        real_run, remainder = gridsim.run, preset_cfg["oracle"]["remainder"]
+
+        def run(state, spec, operator):
+            if operator.ham.zeeman_particle:
+                name = "zeeman"
+            else:
+                name = "remainder" if spec.kinetic_scale == remainder["kinetic_scale"] else "main"
+            if name in failing:
+                raise NumericalError(name)
+            return real_run(state, spec, operator)
+
+        monkeypatch.setattr(gridsim, "run", run)
+        if not forked:
+            monkeypatch.delattr(os, "fork")
+        with pytest.raises(NumericalError, match=f"^{first}$"):
+            gridsim.run_oracle(preset_cfg)
+        assert_no_child()
+
+    def test_main_run_error_kills_and_reaps_the_child(self, preset_cfg, forking, monkeypatch):
+        """The main run fails here while the child's Zeeman run would sleep
+        for a minute: the error comes at once, and the child is gone."""
+        parent, real_fork, children = os.getpid(), os.fork, []
+
+        def fork():
+            pid = real_fork()
+            if pid:
+                children.append(pid)
+            return pid
+
+        def run(*args):
+            if os.getpid() != parent:
+                time.sleep(60)
+            raise NumericalError("main run failed")
+
+        monkeypatch.setattr(os, "fork", fork)
+        monkeypatch.setattr(gridsim, "run", run)
+        with deadline(30), pytest.raises(NumericalError, match="^main run failed$"):
+            gridsim.run_oracle(preset_cfg)
+        assert len(children) == 1
+        assert_no_child()
+        with pytest.raises(ProcessLookupError):
+            os.kill(children[0], 0)
 
 
 class TestOracleMeasurements:

@@ -288,32 +288,39 @@ def test_ghost_planes_count_for_nothing(points):
         assert measure(ghosted) == measure(state)
 
 
-def test_preset_oracle_steps_and_applies_on_the_half_grid(preset_cfg, monkeypatch):
+def test_preset_oracle_steps_and_applies_on_the_half_grid(preset_cfg, monkeypatch, tmp_path):
     """159 steps and 637 applies, as on the whole grid, all on the quadrant:
     every step's four stages and discrete_acceleration's one apply.  No
     operator builds the whole grid's fields, and the initial state holds
-    its quadrant box."""
-    calls = {"steps": 0, "quadrant": 0, "whole": 0}
-    boxes = []
+    its quadrant box.  The Zeeman run may run in a forked child, so every
+    call is one line appended to a file that both processes share."""
+    log = tmp_path / "calls.txt"
     evolve, apply = gridsim.evolve, gridsim.GridOperator.apply
     build = gridsim.GridOperator._build_box
 
+    def note(line):
+        with open(log, "a") as f:
+            f.write(line + "\n")
+
     def counted_evolve(*args, **kwargs):
-        calls["steps"] += 1
+        note("steps")
         return evolve(*args, **kwargs)
 
     def counted_apply(self, y, psi, j, out, first=0, phase=None):
-        calls["quadrant" if phase is not None else "whole"] += 1
+        note("quadrant" if phase is not None else "whole")
         return apply(self, y, psi, j, out, first, phase)
 
     def counted_build(self, phase):
-        boxes.append(phase)
+        note(f"box {phase}")
         return build(self, phase)
 
     monkeypatch.setattr(gridsim, "evolve", counted_evolve)
     monkeypatch.setattr(gridsim.GridOperator, "apply", counted_apply)
     monkeypatch.setattr(gridsim.GridOperator, "_build_box", counted_build)
     result = gridsim.run_oracle(preset_cfg)
+    lines = log.read_text().splitlines()
+    calls = {key: lines.count(key) for key in ("steps", "quadrant", "whole")}
+    boxes = [complex(line[4:]) for line in lines if line.startswith("box ")]
     assert calls == {"steps": 159, "quadrant": 637, "whole": 0}
     assert boxes == [-1j] * 4  # the main, remainder and Zeeman runs and a_discrete
     assert result.initial.phase == -1j and result.initial.stack.shape[2:] == (17, 17, 32)
