@@ -208,15 +208,12 @@ class GridHamiltonian:
 
     ``zeeman_particle`` and ``zeeman_loop`` are alpha*B0*tau and
     beta*B0*tau respectively; the coupling term is divided by the kinetic
-    scale as required by the tau-based time variable.  ``coupling_scale``
-    multiplies the dipole coupling (1.0 = the natural-unit strength) so
-    that sensitivity checks can strengthen or weaken the interaction.
+    scale as required by the tau-based time variable.
     """
 
     include_kinetic: bool = True
     include_interaction: bool = True
     coupling_sign: int = 1
-    coupling_scale: float = 1.0
     zeeman_particle: float = 0.0
     zeeman_loop: float = 0.0
 
@@ -485,7 +482,7 @@ class GridOperator:
         self._kinetic = bool(kappa)
         if ham.include_interaction:
             # -(sigma / unit) q (q . u) = -sigma sign(unit) q' (q' . u)
-            flip = -ham.coupling_sign * ham.coupling_scale * self._unit > 0
+            flip = -ham.coupling_sign * self._unit > 0
             self._couple = np.subtract if flip else np.add
         # Zeeman coefficients before the stage scale: total S_z turns (T_x, T_y)
         # within a part, S_z_p - S_z_l swaps T_z and S across parts
@@ -514,7 +511,7 @@ class GridOperator:
         if ham.include_interaction:
             X, Y, Z = (m.reshape(-1) for m in np.meshgrid(ax, ay, az, indexing="ij"))
             r = np.sqrt(X * X + Y * Y + Z * Z)
-            g = -ham.coupling_sign * ham.coupling_scale / (4.0 * np.pi * spec.kinetic_scale * r**3)
+            g = -ham.coupling_sign / (4.0 * np.pi * spec.kinetic_scale * r**3)
             q = np.sqrt(1.5 * np.abs(g) / abs(unit)) / r
             potential = np.stack([(diag + 0.5 * g) / unit, q * X, q * Y, q * Z])
         # Stage scale dt / j * unit on the interior and 0 on the walls, j = 1..4;
@@ -677,8 +674,16 @@ def evolve(
     state carries its ``norm2`` and ``z_norm2`` from one
     :meth:`GridOperator.observe` pass over the box; the step is refused if
     the squared norm moved by more than :data:`STEP_NORM_DRIFT_LIMIT` of
-    itself.
+    itself.  The operator's stage masks hold its own ``dt``, so a ``spec``
+    that differs from ``operator.spec`` in anything but ``steps`` is
+    refused.
     """
+    if spec is not operator.spec:  # callers pass the operator's own spec: no field walk
+        differ = [f.name for f in fields(spec)
+                  if f.name != "steps" and getattr(spec, f.name) != getattr(operator.spec, f.name)]
+        if differ:
+            raise ValidationError(f"spec differs from the operator's in {', '.join(differ)}: "
+                                  f"the operator steps at dt {operator.spec.dt:.3e}")
     state = _on_closure(state, operator)
     psi, first, phase = state.stack, state.first, state.phase
     work, y = out if out is not None else (np.empty_like(psi), np.empty_like(psi))
@@ -709,10 +714,11 @@ class TimeSeries:
 def run(state: GridState, spec: GridSpec, operator: GridOperator) -> tuple[GridState, TimeSeries]:
     """Evolve ``spec.steps`` steps recording <z> and the norm at every step.
 
-    Every step is an :func:`evolve` on the state's box, and the final state
-    holds that box too.  Three stacks of the box are rotated through the
-    steps: a copy of the state's and two RK4 buffers, so ``state.stack`` is
-    read, never written.  The recorded norm (squared) and <z> (times it)
+    Every step is an :func:`evolve` on the state's box, which refuses a
+    ``spec`` that is not the operator's but for ``steps``, and the final
+    state holds that box too.  Three stacks of the box are rotated through
+    the steps: a copy of the state's and two RK4 buffers, so ``state.stack``
+    is read, never written.  The recorded norm (squared) and <z> (times it)
     are the ``norm2`` and ``z_norm2`` of each state, one
     :meth:`GridOperator.observe` pass over its box.
     """

@@ -34,16 +34,11 @@ oracle's contraction, the self-test and as the tests' independent
 reference) with tensor-product Gauss-Legendre quadrature whose order is
 escalated until two consecutive orders agree to a relative tolerance; the
 integrand is smooth on the cube (the origin is excluded by construction)
-so convergence is spectral.  The quadrature kernel is batched over
-centres, in blocks of at most ``_POINT_BUDGET`` nodes, and is a separable
-contraction: the integrand x^a y^b z^c r^-n is a product of 1-D node
-factors, which carry the weights, and r^-n, which is built without
-``pow``: r^-2 = 1/(x^2 + y^2 + z^2) once per block, then one sqrt for odd
-n and products.  Each r^-n is contracted over z once per distinct (n, c),
-and the result over y and x.  The kernel also returns each moment's L1
-value (the quadrature sum of |integrand|), which sets the convergence
-scale; since r^-n and the weights are positive, it is the same
-contraction with the absolute 1-D factors.
+so convergence is spectral.  The kernel is a plain tensor sum, batched over
+centres in blocks of at most ``_POINT_BUDGET`` nodes: per block it builds
+the weights over r^n once per distinct n, and each moment is their product
+with x^a y^b z^c, summed over the cube.  It also returns each moment's L1
+value (the same sum of |integrand|), which sets the convergence scale.
 """
 
 from __future__ import annotations
@@ -69,10 +64,11 @@ _RULE_ORDER = 5
 # |a_z| at or below this share of its L1 scale is rounding noise: both
 # rules' error stays under ~2e-13 of the scale, the worst near z = 0.
 ZERO_FLOOR = 1e-12
-# The moment quadrature's r^-7 underflows past min_float**(-1/7) ~ 1.1e44 l
+# The moment quadrature divides by r^7, which overflows past
+# max_float**(1/7) ~ 1.1e44 l
 FAR_FIELD_RADIUS = 1e40
-# and overflows inside max_float**(-1/7) ~ 9e-45 l; the profile rules have
-# more room on both sides (see README).
+# and underflows inside min_normal**(1/7) ~ 1.1e-44 l; the profile rules
+# have more room on both sides (see README).
 NEAR_FIELD_RADIUS = 1e-40
 
 
@@ -112,94 +108,37 @@ def _leggauss(order: int):
     return np.polynomial.legendre.leggauss(order)
 
 
-def _inverse_powers(inv_r2: np.ndarray, exponents: Sequence[int], out: np.ndarray) -> None:
-    """Fill ``out[i]`` with r^-n for the i-th of the ascending ``exponents``,
-    from r^-2 by one sqrt (odd n only) and products: each power is the one
-    below it of the same parity times r^-2, with no ``pow`` on the cube."""
-    below: dict[int, tuple[int, np.ndarray]] = {}
-    for n, p in zip(exponents, out):
-        if n % 2 in below:
-            m, base = below[n % 2]
-            np.multiply(base, inv_r2, out=p)
-            m += 2
-        elif n % 2:
-            m = 1
-            np.sqrt(inv_r2, out=p)
-        else:
-            m = 0
-            p.fill(1.0)
-        for _ in range((n - m) // 2):
-            np.multiply(p, inv_r2, out=p)
-        below[n % 2] = (n, p)
-
-
-@lru_cache(maxsize=64)
-def _plan(tuples: tuple[MomentKey, ...]):
-    """Which factor rows each contraction of :func:`_sums` takes.
-
-    A block's factor table holds, per axis, w/2 q^e for e = 0..top and then
-    the same rows in absolute value.  The sums take every tuple's signed
-    factors first, then its absolute ones: moments, then L1 moments.  The z
-    contractions fill one stack, n by n in ascending order, with the z rows
-    each n needs; ``z_picks`` are the stack rows the x-y contraction takes.
-    """
-    top = max((max(k[:3]) for k in tuples), default=0)
-    shifts = (0, top + 1)
-    x_rows = [a + d for d in shifts for a, _, _, _ in tuples]
-    y_rows = [b + d for d in shifts for _, b, _, _ in tuples]
-    z_keys = sorted({(n, c + d) for _, _, c, n in tuples for d in shifts})
-    z_picks = [z_keys.index((n, c + d)) for d in shifts for _, _, c, n in tuples]
-    z_rows = {n: [row for m, row in z_keys if m == n] for n, _ in z_keys}
-    return top, x_rows, y_rows, z_rows, z_picks
-
-
 def _sums(
     centers: np.ndarray, width: float, tuples: Sequence[MomentKey], order: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Quadrature sums at one order for every centre: (moments, L1 moments),
     each shaped (len(tuples), len(centers)).
 
-    The integrand x^a y^b z^c r^-n is a product of 1-D node factors and
-    r^-n, so each r^-n is contracted over z once per distinct (n, c) and the
-    (centre, x, y) results are contracted with the x and y factors.  The L1
-    value sets the convergence scale so that moments that vanish by symmetry
-    are not compared against their own rounding noise; r^-n >= 0 and the
-    weights are positive, so it is the same contraction with |factor|.
-    Every sum is an ``einsum`` at its default ``optimize=False``, which
-    calls no BLAS: its bits do not depend on the BLAS thread count.
+    The L1 value sets the convergence scale so that moments that vanish by
+    symmetry are not compared against their own rounding noise.  A centre's
+    sums are elementwise products over its own cube and one pairwise
+    ``np.sum`` each, so its bits do not depend on the centres that share its
+    block, and no BLAS is called.
     """
-    top, x_rows, y_rows, z_rows, z_picks = _plan(tuple(tuples))
     nodes, wts = _leggauss(order)
     offsets = 0.5 * width * nodes
+    # Normalised so that moment(0, 0, 0, 0) is 1 to rounding.
+    weights = wts[:, None, None] * wts[:, None] * wts / 8.0
     block = max(1, _POINT_BUDGET // order**3)
-    # One workspace for every block: r^-2, then r^-n per n, each laid out
-    # (centre, z, x, y) so the z contraction runs over contiguous x-y planes.
-    # Reusing it keeps the allocator from returning and refaulting its pages.
-    work = np.empty((1 + len(z_rows), min(block, len(centers))) + (order,) * 3)
-    stacked = sum(len(rows) for rows in z_rows.values())
-    sums = np.empty((len(x_rows), len(centers)))
+    sums = np.empty((2, len(tuples), len(centers)))
     for lo in range(0, len(centers), block):
-        q = centers[lo : lo + block].T[:, :, None] + offsets  # (axis, centre, node)
-        inv_r2, inv_rn = work[0, : q.shape[1]], work[1:, : q.shape[1]]
-        # Each 1-D factor carries w/2, so moment(0,0,0,0) is 1 to rounding.
-        table = np.empty((2 * (top + 1),) + q.shape)  # (row, axis, centre, node)
-        table[0] = 0.5 * wts
-        for e in range(1, top + 1):
-            np.multiply(table[e - 1], q, out=table[e])
-        np.abs(table[: top + 1], out=table[top + 1 :])
-        q2 = q * q
-        xy2 = q2[0, :, :, None] + q2[1, :, None, :]
-        np.add(q2[2, :, :, None, None], xy2[:, None], out=inv_r2)
-        np.divide(1.0, inv_r2, out=inv_r2)
-        _inverse_powers(inv_r2, list(z_rows), inv_rn)
-        z_summed = np.empty((stacked, q.shape[1], order, order))
-        done = 0
-        for p, rows in zip(inv_rn, z_rows.values()):
-            np.einsum("skij,msk->msij", p, table[rows, 2], out=z_summed[done : done + len(rows)])
-            done += len(rows)
-        yz_summed = np.einsum("tsij,tsj->tsi", z_summed[z_picks], table[y_rows, 1])
-        np.einsum("tsi,tsi->ts", yz_summed, table[x_rows, 0], out=sums[:, lo : lo + block])
-    return sums[: len(tuples)], sums[len(tuples) :]
+        q = centers[lo : lo + block, :, None] + offsets  # (centre, axis, node)
+        x, y, z = q[:, 0, :, None, None], q[:, 1, None, :, None], q[:, 2, None, None, :]
+        r = np.sqrt((x * x + y * y) + z * z)
+        weighted = {n: weights / r**n for n in {n for *_, n in tuples}}
+        term = np.empty_like(r)
+        flat = term.reshape(len(q), -1)  # one row per centre
+        for k, (a, b, c, n) in enumerate(tuples):
+            np.multiply(x**a * y**b, z**c, out=term)
+            term *= weighted[n]
+            sums[0, k, lo : lo + block] = flat.sum(axis=1)
+            sums[1, k, lo : lo + block] = np.abs(flat, out=flat).sum(axis=1)
+    return sums[0], sums[1]
 
 
 def _batch_moments(

@@ -289,7 +289,7 @@ def run_just_inside(tmp_path, figure2):
 
 
 class TestFarField:
-    """The moment quadrature takes r**7, which underflows beyond about
+    """The moment quadrature divides by r**7, which overflows beyond about
     1.1e44 l: a packet that far out is refused, not integrated to a wrong
     sign (1e60) or to a failed quadrature (1e200).  The profile rules keep
     working to ~1e61 l (r^-5 underflows there), so the radius holds for
@@ -327,10 +327,11 @@ class TestFarField:
 
 
 class TestNearField:
-    """The moment quadrature's r^-7 overflows inside about 9e-45 l: a packet
-    that close is refused, not reported as a failed quadrature after numpy's
-    invalid-value warnings.  The profile rules keep working to ~7e-62 l (r^-5
-    overflows there), so the radius holds for them with room."""
+    """The moment quadrature divides by r**7, which underflows inside about
+    1.1e-44 l: a packet that close is refused, not integrated on subnormal
+    r**7 or reported as a failed quadrature after numpy's overflow
+    warnings.  The profile rules keep working to ~7e-62 l (r^-5 overflows
+    there), so the radius holds for them with room."""
 
     @pytest.mark.parametrize("command", ["figure2", "deflect"])
     @pytest.mark.parametrize("z", [1e-50, 8e-45, 1e-200])  # z^2 underflows at 1e-200

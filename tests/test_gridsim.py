@@ -208,6 +208,23 @@ class TestEvolution:
         _, series = gridsim.run(state, spec, op)
         assert series.z_expect[-1] < series.z_expect[0]
 
+    def test_spec_other_than_the_operators_refused(self, uu):
+        """The operator steps at its own dt: a run recording the times of
+        another theta would fit a wrong acceleration without a word."""
+        spec = small_spec(points=16)
+        op = gridsim.GridOperator(small_spec(points=16, theta=0.05), gridsim.GridHamiltonian())
+        state = gridsim.initialize(SMALL_PACKET, uu, spec, edge_ramp_cells=2.0)
+        for step in (gridsim.run, gridsim.evolve):
+            with pytest.raises(ValidationError, match="spec differs from the operator's in dt"):
+                step(state, spec, op)
+
+    def test_spec_may_differ_in_steps(self, uu):
+        spec = small_spec(points=16, steps=3)
+        op = gridsim.GridOperator(small_spec(points=16), gridsim.GridHamiltonian())
+        state = gridsim.initialize(SMALL_PACKET, uu, spec, edge_ramp_cells=2.0)
+        final, series = gridsim.run(state, spec, op)
+        assert final.step == 3 and series.t.tolist() == spec.times().tolist()
+
     def test_unstable_step_raises(self, uu):
         # a legal dt near the stability limit plus a nearly-sharp packet
         # dissipates visibly within one step and must be refused
@@ -338,7 +355,7 @@ def dense_hamiltonian_apply(spec, ham, psi):
         for j, y in enumerate(ay):
             for k, z in enumerate(az):
                 if ham.include_interaction:
-                    V[i, j, k] += ham.coupling_scale * coupling.at(x, y, z) / spec.kinetic_scale
+                    V[i, j, k] += coupling.at(x, y, z) / spec.kinetic_scale
     u = np.moveaxis(psi, 0, -1)
     lap = -6.0 * u
     lap[1:-1] += u[2:] + u[:-2]
@@ -364,27 +381,24 @@ def run_pair(spec, ham, spin):
 
 class TestStructuredKernel:
     @pytest.mark.parametrize("sign", [1, -1])
-    @pytest.mark.parametrize("scale", [1.0, 2.5])
-    def test_coupling_fields_match_pointwise_operator(self, rng, sign, scale):
+    def test_coupling_fields_match_pointwise_operator(self, rng, sign):
         """In the magic basis the coupling is real, zero on the singlet and
         g/2 (delta - 3 n n) on the triplet; the operator's fields rebuild it."""
         assert np.allclose(U.conj().T @ U, np.eye(4), atol=1e-15)
         field = fields.interaction_hamiltonian(sign)
         pts = rng.uniform(-1.0, 1.0, size=(40, 3))
         for p in pts[np.linalg.norm(pts, axis=1) > 0.2]:
-            ref = scale * field.at(*p) / KAPPA
+            ref = field.at(*p) / KAPPA
             magic = U.conj().T @ ref @ U
             r = np.linalg.norm(p)
-            g = -sign * scale / (4.0 * np.pi * r**3 * KAPPA)
+            g = -sign / (4.0 * np.pi * r**3 * KAPPA)
             tensor = 0.5 * g * (np.eye(3) - 3.0 * np.outer(p, p) / r**2)
             tol = 1e-14 * np.max(np.abs(ref))
             assert np.max(np.abs(magic.imag)) <= tol
             assert np.max(np.abs(magic[3])) <= tol and np.max(np.abs(magic[:, 3])) <= tol
             assert np.max(np.abs(magic[:3, :3] - tensor)) <= tol
         spec = small_spec(points=8)
-        op = gridsim.GridOperator(
-            spec, gridsim.GridHamiltonian(coupling_sign=sign, coupling_scale=scale)
-        )
+        op = gridsim.GridOperator(spec, gridsim.GridHamiltonian(coupling_sign=sign))
         unit = -KAPPA / (2.0 * spec.dx**2)
         laplacian_diag = 3.0 * KAPPA / spec.dx**2
         potential = op.box(None).potential  # the whole grid's fields
@@ -392,9 +406,8 @@ class TestStructuredKernel:
         q = potential[1:] * math.sqrt(abs(unit))
         X, Y, Z = (m.reshape(-1) for m in np.meshgrid(*spec.axes(), indexing="ij"))
         for i in rng.choice(X.size, size=20, replace=False):
-            ref = U.conj().T @ (scale * field.at(X[i], Y[i], Z[i]) / KAPPA) @ U
-            sigma = -sign * np.sign(scale)
-            rebuilt = G[i] * np.eye(3) - sigma * np.outer(q[:, i], q[:, i])
+            ref = U.conj().T @ (field.at(X[i], Y[i], Z[i]) / KAPPA) @ U
+            rebuilt = G[i] * np.eye(3) + sign * np.outer(q[:, i], q[:, i])
             # G shares a float with the Laplacian diagonal: rounding is relative to that
             tol = 1e-15 * laplacian_diag + 1e-14 * np.max(np.abs(ref))
             assert np.max(np.abs(rebuilt - ref[:3, :3].real)) <= tol
@@ -402,9 +415,7 @@ class TestStructuredKernel:
     @pytest.fixture(scope="class")
     def full_operator(self):
         spec = small_spec(points=12)
-        ham = gridsim.GridHamiltonian(
-            coupling_sign=-1, coupling_scale=3.0, zeeman_particle=5.0, zeeman_loop=-2.0
-        )
+        ham = gridsim.GridHamiltonian(coupling_sign=-1, zeeman_particle=5.0, zeeman_loop=-2.0)
         return gridsim.GridOperator(spec, ham)
 
     def test_apply_matches_dense_reference(self, rng, full_operator):
@@ -420,7 +431,7 @@ class TestStructuredKernel:
         "ham",
         [
             gridsim.GridHamiltonian(include_interaction=False, zeeman_particle=5.0, zeeman_loop=3.0),
-            gridsim.GridHamiltonian(include_kinetic=False, coupling_scale=2.0, zeeman_particle=1.0),
+            gridsim.GridHamiltonian(include_kinetic=False, zeeman_particle=1.0),
         ],
     )
     def test_other_terms_match_dense_reference(self, rng, ham):
@@ -915,13 +926,14 @@ class TestRemainderScaling:
             )
 
     def test_stronger_coupling_grows_cubic_coefficient(self, uu):
-        # the beyond-quadratic residual scales up with the dipole coupling
-        packet = packets.WavePacket(center=(0.0, 0.0, 0.4), width=0.03)
+        # the beyond-quadratic residual scales up with the dipole coupling:
+        # a packet at 0.3 feels (0.4 / 0.3)^3 = 2.4 times the coupling at 0.4
         residuals = []
-        for scale in (1.0, 2.0):
-            spec = small_spec(points=20, steps=80, kappa=0.02)
+        for z in (0.4, 0.3):
+            packet = packets.WavePacket(center=(0.0, 0.0, z), width=0.03)
+            spec = gridsim.Grid(20, (0.0, 0.0, z), 0.05, 0.02).stepped(0.15, steps=80)
             state = gridsim.initialize(packet, uu, spec, momentum_z=20.0)
-            op = gridsim.GridOperator(spec, gridsim.GridHamiltonian(coupling_scale=scale))
+            op = gridsim.GridOperator(spec, gridsim.GridHamiltonian())
             _, series = gridsim.run(state, spec, op)
             fit = gridsim.fit_acceleration(series.t, series.z_expect)
             residuals.append(fit.residual_rms)

@@ -1,6 +1,7 @@
 """Wavepacket moments and the transverse acceleration profile."""
 
 import math
+import warnings
 from decimal import Decimal, localcontext
 from itertools import product
 
@@ -90,6 +91,20 @@ class TestMoment:
     def test_positive_moment_above_plane(self):
         pk = packets.WavePacket(center=(0.3, -0.2, 0.25), width=1e-2)
         assert packets.moment(pk, 0, 0, 1, 5) > 0
+
+    @pytest.mark.parametrize("center,width", [
+        ((0.0, 0.0, 9.9e39), 1e38),  # farthest point ~9.95e39 l, inside FAR_FIELD_RADIUS
+        ((0.0, 0.0, 2e-40), 1e-40),  # nearest point 1.5e-40 l, outside NEAR_FIELD_RADIUS
+    ])
+    def test_finite_just_inside_the_field_radii(self, center, width):
+        """r^7 overflows past ~1.1e44 l and underflows inside ~1.1e-44 l:
+        just inside both radii every moment is finite and nonzero, with no
+        numpy warning."""
+        keys = dfl.required_tuples_for(spins.parallel_coherent())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            m = packets.moments(packets.WavePacket(center=center, width=width), keys)
+        assert all(math.isfinite(v) and v != 0.0 for v in m.values())
 
     def test_rejects_negative_exponent(self):
         pk = packets.WavePacket(center=(0, 0, 0.4), width=1e-3)
@@ -228,14 +243,12 @@ class TestPathEquivalence:
 # per-sample path takes one packet at a time, escalating until two
 # consecutive orders agree.
 #
-# `separable_sums` is the kernel's arithmetic written out for one centre:
-# w/2-weighted 1-D factors by products, r^-n from one sqrt and products of
-# r^-2, and the same einsum reductions.  The batched results must equal it bit
-# for bit, so it pins the blocking and the per-centre escalation.
-#
-# `pow_sums` is the earlier kernel, kept as an independent reference: `pow`
-# on meshgrid nodes and full-cube sums.  The kernel must agree with it to a
-# few ulps of each moment's L1 value, at the same order for every sample.
+# `separable_sums` is an independent reference written out for one centre:
+# w/2-weighted 1-D node factors, r^-n from one sqrt and products of r^-2,
+# and einsum contractions over z, then y, then x.  The kernel (a plain
+# tensor sum of the weights over r^n times x^a y^b z^c) must agree with it
+# to a few ulps of each moment's L1 value, at the same order for every
+# sample.
 # ---------------------------------------------------------------------------
 
 REFERENCE_ORDERS = (6, 10, 14, 20, 28, 40, 56)
@@ -266,31 +279,11 @@ def separable_sums(center, width, tuples, order):
     return values, l1
 
 
-def pow_sums(center, width, tuples, order):
-    """({key: moment}, {key: L1 moment}) of one packet at one order."""
-    nodes, wts = np.polynomial.legendre.leggauss(order)
-    half = 0.5 * width
-    X, Y, Z = np.meshgrid(
-        center[0] + half * nodes, center[1] + half * nodes, center[2] + half * nodes,
-        indexing="ij",
-    )
-    W = np.einsum("i,j,k->ijk", wts, wts, wts) / 8.0
-    R = np.sqrt(X * X + Y * Y + Z * Z)
-    values, l1 = {}, {}
-    for a, b, c, n in tuples:
-        integrand = X**a * Y**b * Z**c
-        if n:
-            integrand = integrand / R**n
-        values[(a, b, c, n)] = float(np.sum(W * integrand))
-        l1[(a, b, c, n)] = float(np.sum(np.abs(W * integrand)))
-    return values, l1
-
-
-def per_sample_moments(center, width, tuples, sums=separable_sums, rel_tol=1e-10):
+def per_sample_moments(center, width, tuples, rel_tol=1e-10):
     """(moments, L1 moments, order reached) of one packet."""
-    prev, _ = sums(center, width, tuples, REFERENCE_ORDERS[0])
+    prev, _ = separable_sums(center, width, tuples, REFERENCE_ORDERS[0])
     for order in REFERENCE_ORDERS[1:]:
-        cur, cur_l1 = sums(center, width, tuples, order)
+        cur, cur_l1 = separable_sums(center, width, tuples, order)
         if all(abs(cur[k] - prev[k]) <= rel_tol * max(cur_l1[k], 1e-300) for k in tuples):
             return cur, cur_l1, order
         prev = cur
@@ -332,7 +325,7 @@ EQUIVALENCE_CASES = [
 
 class TestBatchedProfile:
     """Each profile sample equals a one-centre call of packets.accelerations
-    bit for bit; the moment quadrature's batches equal its per-sample path."""
+    bit for bit; the moment quadrature's batches equal its one-centre calls."""
 
     @pytest.mark.parametrize("name,z,x,y_range,n,width,sign", EQUIVALENCE_CASES + [
         # three fixed-rule blocks, and corner sums where |y| < 0.4
@@ -348,25 +341,32 @@ class TestBatchedProfile:
         assert prof.a_z.tobytes() == np.concatenate([a for a, _ in singles]).tobytes()
         assert prof.scale.tobytes() == np.concatenate([s for _, s in singles]).tobytes()
 
-    def test_wide_packet_mixes_orders_within_a_chunk(self):
-        spin = spins.parallel_coherent()
-        tuples = dfl.required_tuples_for(spin)
+    def test_moment_batches_equal_one_centre_calls(self, monkeypatch):
+        """The wide packet near the dipole: centres of one block converge at
+        different orders, and each equals its one-centre batch bit for bit."""
+        tuples = dfl.required_tuples_for(spins.parallel_coherent())
         centers = sweep_centers(0.01, 0.25, (-0.5, 0.5), 101)
+        reached = {}
+        kernel = packets._sums
+
+        def spy(centers, width, tuples, order):
+            reached.update({float(c[1]): order for c in centers})  # y tells the samples apart
+            return kernel(centers, width, tuples, order)
+
+        monkeypatch.setattr(packets, "_sums", spy)
         values, l1 = packets._batch_moments(centers, 0.1, tuples)
-        orders = []
+        orders = [reached[c[1]] for c in centers]
+        monkeypatch.undo()
         for s, center in enumerate(centers):
-            m, m_l1, order = per_sample_moments(tuple(center), 0.1, tuples)
-            assert values[:, s].tolist() == [m[k] for k in tuples]
-            assert l1[:, s].tolist() == [m_l1[k] for k in tuples]
-            orders.append(order)
+            one, one_l1 = packets._batch_moments(center[None], 0.1, tuples)
+            assert values[:, s].tobytes() == one[:, 0].tobytes()
+            assert l1[:, s].tobytes() == one_l1[:, 0].tobytes()
         block = packets._POINT_BUDGET // REFERENCE_ORDERS[1] ** 3
         assert any(len(set(orders[i : i + block])) > 1 for i in range(0, 101, block))
-
-    def test_scalar_moments_equal_per_sample_path(self):
         pk = packets.WavePacket(center=(0.02, 0.1, 0.3), width=0.05)
-        keys = sorted(dfl.required_tuples_for(spins.parallel_coherent()))
-        ref, _, _ = per_sample_moments(pk.center, pk.width, keys)
-        assert packets.moments(pk, keys) == ref
+        keys = sorted(tuples)
+        one, _ = packets._batch_moments(np.array([pk.center]), pk.width, keys)
+        assert packets.moments(pk, keys) == dict(zip(keys, one[:, 0].tolist()))
 
     def test_non_convergence_raises(self):
         """The first sample's cube reaches to 1.7e-4 of the dipole: the moment
@@ -418,8 +418,8 @@ POW_TOL = 1e-14  # share of the L1 moment; measured worst 4.4e-16
 
 
 class TestAgainstPowKernel:
-    """The moment quadrature against the pow kernel, and the profile's sign
-    runs against those of the pow kernel's contraction."""
+    """The moment quadrature against the separable reference, and the
+    profile's sign runs against those of the reference's contraction."""
 
     @pytest.mark.parametrize("name,z,x,y_range,n,width,sign", POW_CASES)
     def test_moments_orders_and_runs(self, monkeypatch, name, z, x, y_range, n, width, sign):
@@ -438,7 +438,7 @@ class TestAgainstPowKernel:
         monkeypatch.undo()
         a_z, scale = np.empty(n), np.empty(n)
         for s, center in enumerate(centers):
-            m, m_l1, order = per_sample_moments(tuple(center), width, tuples, sums=pow_sums)
+            m, m_l1, order = per_sample_moments(tuple(center), width, tuples)
             assert reached[center[1]] == order
             for k, key in enumerate(tuples):
                 assert abs(values[k, s] - m[key]) <= POW_TOL * m_l1[key]
@@ -448,9 +448,9 @@ class TestAgainstPowKernel:
         prof = packets.acceleration_profile(
             spin, z=z, x=x, y_range=y_range, n_samples=n, width=width, coupling_sign=sign
         )
-        pow_prof = packets.AccelerationProfile(y=prof.y, a_z=a_z, x=x, z=z, width=width,
+        ref_prof = packets.AccelerationProfile(y=prof.y, a_z=a_z, x=x, z=z, width=width,
                                                scale=scale)
-        assert packets._runs(prof) == packets._runs(pow_prof)
+        assert packets._runs(prof) == packets._runs(ref_prof)
 
 
 # ---------------------------------------------------------------------------
