@@ -26,9 +26,11 @@ Usage:  python scripts/convergence_study.py [--points 24 32 40 48] [--csv PATH]
 
 import argparse
 import sys
+from pathlib import Path
 
 from spinloop import config, gridsim
-from spinloop.errors import NumericalError, ValidationError
+from spinloop.cli import csv_text, exit_code
+from spinloop.errors import ValidationError
 
 PRESET_POINTS = 32  # the ramp is the preset's edge_ramp_cells cells of this grid
 
@@ -62,49 +64,39 @@ def extrapolate(coarse: dict, fine: dict) -> float:
     return (h1 * fine["gap"] - h2 * coarse["gap"]) / (h1 - h2)
 
 
+def study(points: list[int], csv: str | None) -> int:
+    if len(points) < 2:
+        raise ValidationError("the study needs at least two grids")
+    rows = []
+    print("points  dx^2 [1e-6 l^2]  gap [%]  gap/dx^2  fit a     contraction  edge ratio")
+    for n in points:
+        row = gap_row(n)
+        rows.append(row)
+        dx2, gap = 1e6 * row["dx"] ** 2, 100 * row["gap"]
+        print(f"{n:6d}  {dx2:15.4f}  {gap:7.4f}  {gap / dx2:8.4f}  {row['fit']:<8.6g}"
+              f"  {row['contraction']:<11.6g}  {row['edge']:.2e}")
+    pairs = [extrapolate(c, f) for c, f in zip(rows, rows[1:])]
+    for (c, f), g0 in zip(zip(rows, rows[1:]), pairs):
+        print(f"extrapolate {c['points']}/{f['points']}: {100 * g0:+.4f}%")
+    coarse, fine = rows[-2], rows[-1]
+    gci = 1.25 * abs(fine["gap"] - coarse["gap"]) / ((coarse["dx"] / fine["dx"]) ** 2 - 1.0)
+    print(f"Richardson extrapolate {100 * pairs[-1]:+.4f}%, spread of the pairwise "
+          f"extrapolates {100 * (max(pairs) - min(pairs)):.4f}%, "
+          f"GCI of the {fine['points']}-point gap {100 * gci:.4f}%")
+    if csv:
+        keys = ("points", "dx", "fit", "contraction", "gap", "edge")
+        header = "points,dx,fit_a,contraction,gap,edge_density_ratio"
+        Path(csv).write_text(csv_text(header, *([row[k] for row in rows] for k in keys)))
+        print(f"wrote {csv}")
+    return 0
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--points", type=int, nargs="+", default=[24, 32, 40, 48])
     parser.add_argument("--csv", default=None, help="optional CSV output path")
     args = parser.parse_args()
-    points = sorted(set(args.points))
-    if len(points) < 2:
-        print("error: the study needs at least two grids", file=sys.stderr)
-        return 1
-    try:
-        rows = []
-        print("points  dx^2 [1e-6 l^2]  gap [%]  gap/dx^2  fit a     contraction  edge ratio")
-        for n in points:
-            row = gap_row(n)
-            rows.append(row)
-            dx2, gap = 1e6 * row["dx"] ** 2, 100 * row["gap"]
-            print(f"{n:6d}  {dx2:15.4f}  {gap:7.4f}  {gap / dx2:8.4f}  {row['fit']:<8.6g}"
-                  f"  {row['contraction']:<11.6g}  {row['edge']:.2e}")
-        pairs = [extrapolate(c, f) for c, f in zip(rows, rows[1:])]
-        for (c, f), g0 in zip(zip(rows, rows[1:]), pairs):
-            print(f"extrapolate {c['points']}/{f['points']}: {100 * g0:+.4f}%")
-        coarse, fine = rows[-2], rows[-1]
-        gci = 1.25 * abs(fine["gap"] - coarse["gap"]) / ((coarse["dx"] / fine["dx"]) ** 2 - 1.0)
-        print(f"Richardson extrapolate {100 * pairs[-1]:+.4f}%, spread of the pairwise "
-              f"extrapolates {100 * (max(pairs) - min(pairs)):.4f}%, "
-              f"GCI of the {fine['points']}-point gap {100 * gci:.4f}%")
-        if args.csv:
-            with open(args.csv, "w") as fh:
-                fh.write("points,dx,fit_a,contraction,gap,edge_density_ratio\n")
-                for row in rows:
-                    fh.write(",".join(f"{row[k]:.12g}" for k in
-                                      ("points", "dx", "fit", "contraction", "gap", "edge")) + "\n")
-            print(f"wrote {args.csv}")
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except NumericalError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: cannot write output: {exc}", file=sys.stderr)
-        return 1
-    return 0
+    return exit_code(lambda: study(sorted(set(args.points)), args.csv))
 
 
 if __name__ == "__main__":

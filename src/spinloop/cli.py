@@ -4,7 +4,8 @@ Subcommands: ``figure2``, ``deflect``, ``epr``, ``oracle``, ``selftest``.
 Every command is deterministic: identical configurations produce
 byte-identical data files (12 significant digits, sorted JSON keys, no
 timestamps).  Exit codes: 0 success, 1 validation error or unwritable
-output, 2 numerical failure.
+output, 2 numerical failure, with a one-line message.  :func:`csv_text` and
+:func:`exit_code` hold this contract for the commands and the scripts.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import math
 import sys
 from functools import lru_cache
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable, Iterable
 
 import numpy as np
 
@@ -46,36 +47,54 @@ def _write_json(out_dir: Path, name: str, payload: dict) -> None:
     _write(out_dir, name, json.dumps(_jsonify(payload), sort_keys=True, indent=2) + "\n")
 
 
+def csv_text(header: str, *columns: Iterable[float]) -> str:
+    """A CSV file's text: ``header``, then one row per sample of the
+    ``columns``, each value to 12 significant digits."""
+    row = ",".join(["%.12g"] * len(columns))
+    return "\n".join([header, *(row % values for values in zip(*columns))]) + "\n"
+
+
+def exit_code(action: Callable[[], int]) -> int:
+    """``action()``'s exit code, or 1 for a ValidationError or OSError (unwritable
+    output) and 2 for a NumericalError, with a one-line message on stderr."""
+    try:
+        return action()
+    except ValidationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except NumericalError as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return 1
+
+
 # ----------------------------------------------------------------------
 # figure2: transverse acceleration profile
 # ----------------------------------------------------------------------
 
-def _compute_profile(cfg: dict) -> packets.AccelerationProfile:
+def _compute_profile(cfg: dict) -> tuple[packets.AccelerationProfile, np.ndarray, int]:
+    """The ``figure2`` profile, with the spin input and coupling sign it used."""
     f2 = cfg["figure2"]
     sign = cfgmod.build_params(cfg).coupling_sign
     spin_input = spins.named_spin_input(f2["spin"])
-    return packets.acceleration_profile(
-        spin_input,
-        z=f2["z"],
-        x=f2["x"],
-        y_range=(f2["y_min"], f2["y_max"]),
-        n_samples=f2["samples"],
-        width=f2["width"],
-        coupling_sign=sign,
+    profile = packets.acceleration_profile(
+        spin_input, z=f2["z"], x=f2["x"], y_range=(f2["y_min"], f2["y_max"]),
+        n_samples=f2["samples"], width=f2["width"], coupling_sign=sign,
     )
+    return profile, spin_input, sign
 
 
 REFERENCE_NEGATIVE_AVERAGE = -2.22  # l / tau^2, transverse-profile benchmark
 
 
 def cmd_figure2(cfg: dict, out_dir: Path) -> int:
-    profile = _compute_profile(cfg)
+    profile, spin_input, sign = _compute_profile(cfg)
     crossings = packets.zero_crossings(profile)
     # A vanishing force (e.g. the singlet) has no region to average.
     average = None if packets.is_noise(profile) else packets.region_average(profile)
     f2 = cfg["figure2"]
-    sign = cfgmod.build_params(cfg).coupling_sign
-    spin_input = spins.named_spin_input(f2["spin"])
     (peak,), _ = packets.accelerations(spin_input, [(f2["x"], 0.0, f2["z"])], f2["width"], sign)
     summary = {
         "average_negative_region": average,
@@ -87,7 +106,7 @@ def cmd_figure2(cfg: dict, out_dir: Path) -> int:
         "a_z_at_y0": peak,
         "config": f2,
     }
-    _write(out_dir, "figure2.csv", packets.profile_csv(profile))
+    _write(out_dir, "figure2.csv", csv_text("y,a_z", profile.y, profile.a_z))
     _write_json(out_dir, "figure2_summary.json", summary)
     if average is None:
         print("figure2: no deflecting region, a_z is rounding noise at every sample")
@@ -119,7 +138,7 @@ def cmd_deflect(cfg: dict, out_dir: Path) -> int:
     beta = cfgmod.resolved_beta(cfg)
     if beta == 0.0 or cfg["params"]["alpha"] == 0.0:
         return _no_deflection(out_dir, d, "zero coupling: no interaction, no deflection")
-    profile = _compute_profile(cfg)
+    profile, _, _ = _compute_profile(cfg)
     if packets.is_noise(profile):
         return _no_deflection(out_dir, d, "zero force: a_z is rounding noise at every sample")
     average, width_nat = packets.deflecting_lobe(profile)
@@ -175,7 +194,7 @@ def cmd_epr(cfg: dict, out_dir: Path) -> int:
         "representation_gap": 0.0,
         "config": e,
     }
-    _write(out_dir, "epr_sweep.csv", epr.sweep_csv(rows))
+    _write(out_dir, "epr_sweep.csv", csv_text("p,cond_up_given_down", *zip(*rows)))
     _write_json(out_dir, "epr_scenario.json", payload)
     cond = epr.conditional(dist, 1, "down")["up"]
     print(f"epr: P(down@1)={dist.marginal(1, 'down'):.6g}, P(up@2|down@1)={cond:.6g}")
@@ -236,7 +255,8 @@ def cmd_oracle(cfg: dict, out_dir: Path) -> int:
             f"({100 * report['relative_error']:.2f}%), "
             f"remainder exponent {result.remainder_exponent:.2f}, norm drift {drift:.2e}"
         )
-    _write(out_dir, "oracle_series.csv", gridsim.series_csv(series))
+    _write(out_dir, "oracle_series.csv",
+           csv_text("t,z_expect,norm", series.t, series.z_expect, series.norm))
     _write_json(out_dir, "oracle_report.json", report)
     print(summary)
     return 0
@@ -392,18 +412,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    try:
+
+    def command() -> int:
         cfg = cfgmod.load_config(args.config, preset=args.preset)
         return _COMMANDS[args.command](cfg, Path(args.out))
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except NumericalError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: cannot write output: {exc}", file=sys.stderr)
-        return 1
+
+    return exit_code(command)
 
 
 if __name__ == "__main__":

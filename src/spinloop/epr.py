@@ -17,7 +17,7 @@ correlation sweep at once.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -124,7 +124,9 @@ def conditional(dist: JointDistribution, wing: int, outcome: str) -> dict[str, f
     return {o: d[(o, outcome)] / marg for o in OUTCOMES}
 
 
-def correlation_sweep(p_values: Iterable[float], bell: str = "singlet") -> list[tuple[float, float]]:
+def correlation_sweep(
+    p_values: Iterable[float], bell: str = "singlet"
+) -> list[tuple[float, float]]:
     """P(up at wing 2 | down at wing 1) for equal loop weights p1 = p2 = p.
 
     One pass over all p: each outcome probability is one numpy expression
@@ -139,11 +141,3 @@ def correlation_sweep(p_values: Iterable[float], bell: str = "singlet") -> list[
     EPRScenario(bell=bell)  # refuses an unknown Bell state
     cond = conditional(_joint(bell, p, p), 1, "down")["up"]
     return list(zip(p.tolist(), cond.tolist()))
-
-
-def sweep_csv(rows: Sequence[tuple[float, float]]) -> str:
-    """CSV rendering with 12 significant digits: `p,cond_up_given_down`."""
-    lines = ["p,cond_up_given_down"]
-    for p, c in rows:
-        lines.append(f"{p:.12g},{c:.12g}")
-    return "\n".join(lines) + "\n"

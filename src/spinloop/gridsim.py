@@ -701,7 +701,8 @@ def evolve(
 
 @dataclass(frozen=True)
 class TimeSeries:
-    """Recorded expectation trajectory: time, <z> and total norm."""
+    """Per step: the time ``t``, ``z_expect`` (<z> times the squared norm) and
+    ``norm`` (the squared norm, whose largest drift from 1 is :meth:`max_norm_drift`)."""
 
     t: np.ndarray
     z_expect: np.ndarray
@@ -968,14 +969,15 @@ def _alongside(task: Callable[[], object], own: Callable[[], object]) -> tuple[o
     first, where it may use one or cannot fork.  Either way an error of
     ``own`` comes first.
 
-    The child shares the parent's pages, sends back its result or the
-    exception it raised, pickled over a pipe, and always leaves by
-    ``os._exit``.  A fork copies only the calling thread, so ``task`` must
-    make no BLAS or LAPACK call, whose thread pool the child lacks.  An exception that does not survive pickling comes back
-    as a NumericalError naming its type and message.  The parent reads the
-    pipe to its end before it reaps the child, as a result can outgrow the
-    pipe's buffer; a child that ends without a result is a NumericalError.
-    If ``own`` raises, the child is killed and reaped first."""
+    The child shares the parent's pages, sends back its result or the exception
+    it raised, pickled over a pipe, and always leaves by ``os._exit``.  A fork
+    copies only the calling thread, so ``task`` must make no BLAS or LAPACK
+    call, whose thread pool the child lacks.  An exception that does not
+    survive pickling comes back as a NumericalError naming its type and
+    message.  The parent reads the pipe to its end before it reaps the child,
+    as a result can outgrow the pipe's buffer; a child that ends without a
+    result is a NumericalError.  If ``own`` raises, the child is killed and
+    reaped first."""
     cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()
     if not hasattr(os, "fork") or len(cpus) < 2:
         return own(), task()
@@ -1185,11 +1187,3 @@ def canonical_commutator_residual(
     residual = comm - 1j * dg * phi
     residual[0] = residual[-1] = 0.0  # stencil undefined on the walls
     return float(np.linalg.norm(residual))
-
-
-def series_csv(series: TimeSeries) -> str:
-    """CSV rendering with 12 significant digits: `t,z_expect,norm`."""
-    lines = ["t,z_expect,norm"]
-    for t, z, n in zip(series.t, series.z_expect, series.norm):
-        lines.append(f"{t:.12g},{z:.12g},{n:.12g}")
-    return "\n".join(lines) + "\n"

@@ -64,8 +64,9 @@ _RULE_ORDER = 5
 # |a_z| at or below this share of its L1 scale is rounding noise: both
 # rules' error stays under ~2e-13 of the scale, the worst near z = 0.
 ZERO_FLOOR = 1e-12
-# The moment quadrature divides by r^7, which overflows past
-# max_float**(1/7) ~ 1.1e44 l
+# The moment quadrature takes x^a y^b z^c / r^n with a + b + c and n at
+# most MAX_MOMENT_POWER; r^7 overflows past max_float**(1/7) ~ 1.1e44 l
+MAX_MOMENT_POWER = 7
 FAR_FIELD_RADIUS = 1e40
 # and underflows inside min_normal**(1/7) ~ 1.1e-44 l; the profile rules
 # have more room on both sides (see README).
@@ -179,11 +180,15 @@ def moments(
 
     The Gauss-Legendre order is raised until every requested moment's
     relative change between consecutive orders drops below ``rel_tol``.
+    A key (a, b, c, n) needs non-negative exponents with a + b + c and n
+    at most :data:`MAX_MOMENT_POWER`, the power that the field radii are
+    derived for; any other key is refused.
     """
     tuples = sorted(set(tuples))
     for a, b, c, n in tuples:
-        if min(a, b, c, n) < 0:
-            raise ValidationError(f"moment exponents must be non-negative, got {(a, b, c, n)}")
+        if min(a, b, c, n) < 0 or max(a + b + c, n) > MAX_MOMENT_POWER:
+            raise ValidationError(f"moment key {(a, b, c, n)} needs non-negative exponents with "
+                                  f"a + b + c and n at most {MAX_MOMENT_POWER}")
     if not tuples:
         return {}
     center = np.array([packet.center], dtype=float)
@@ -446,11 +451,3 @@ def zero_crossings(profile: AccelerationProfile) -> list[float]:
         else:
             crossings.append(float(0.5 * (profile.y[stop + 1] + profile.y[start - 1])))
     return crossings
-
-
-def profile_csv(profile: AccelerationProfile) -> str:
-    """CSV rendering with 12 significant digits: header `y,a_z`, one row per sample."""
-    lines = ["y,a_z"]
-    for y, a in zip(profile.y, profile.a_z):
-        lines.append(f"{y:.12g},{a:.12g}")
-    return "\n".join(lines) + "\n"

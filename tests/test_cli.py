@@ -14,7 +14,7 @@ import pytest
 
 from spinloop import config as cfgmod
 from spinloop import gridsim, packets, spins
-from spinloop.cli import main
+from spinloop.cli import csv_text, main
 from spinloop.errors import ValidationError
 
 
@@ -262,7 +262,7 @@ class TestZeroForce:
             spins.singlet(), z=cfg["z"], x=cfg["x"], y_range=(cfg["y_min"], cfg["y_max"]),
             n_samples=cfg["samples"], width=cfg["width"],
         )
-        assert (tmp_path / "o" / "figure2.csv").read_text() == packets.profile_csv(prof)
+        assert (tmp_path / "o" / "figure2.csv").read_text() == csv_text("y,a_z", prof.y, prof.a_z)
 
     def test_deflect_reports_zero(self, tmp_path):
         assert main(["deflect", "--config", self.singlet_config(tmp_path),
@@ -788,31 +788,61 @@ class TestOracleInputErrors:
         assert not out.exists()
 
 
-def run_remainder_study(*args):
+class TestCsvText:
+    """The one CSV writer: each value to 12 significant digits, as %.12g."""
+
+    @pytest.mark.parametrize("value, text", [
+        (-0.0, "-0"),
+        (1e-300, "1e-300"),
+        (0.99999999999951, "1"),  # rounds up at the 12th digit, through every 9
+        (0.99999999999949, "0.999999999999"),
+        (1.23456789012345, "1.23456789012"),
+        (32, "32"),
+    ])
+    def test_value(self, value, text):
+        assert csv_text("v", [value]) == f"v\n{text}\n"
+        assert csv_text("v", np.array([value], dtype=float)) == f"v\n{text}\n"
+
+    def test_rows_and_header(self):
+        assert csv_text("a,b", np.array([0.0, 1e-6]), [0.4, -0.0]) == "a,b\n0,0.4\n1e-06,-0\n"
+        assert csv_text("a,b") == "a,b\n"
+
+
+def run_convergence_study(*args, prelude=""):
+    """scripts/convergence_study.py in a subprocess, after ``prelude``."""
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ)
     paths = [str(root / "src"), env.get("PYTHONPATH")]
     env["PYTHONPATH"] = os.pathsep.join(p for p in paths if p)
-    return subprocess.run(
-        [sys.executable, str(root / "scripts" / "remainder_study.py"), *args],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
+    script = root / "scripts" / "convergence_study.py"
+    code = (f"import runpy, sys\n{prelude}\nsys.argv = [{str(script)!r}, *{list(args)!r}]\n"
+            f"runpy.run_path({str(script)!r}, run_name='__main__')\n")
+    return subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, env=env, timeout=120)
 
 
-class TestRemainderStudyScript:
-    def test_packet_outside_box_is_one_line_error(self):
-        done = run_remainder_study("--points", "16")
-        assert done.returncode == 1
-        assert "Traceback" not in done.stderr
-        assert done.stderr.startswith("error: packet outside box")
-        assert done.stderr.count("\n") == 1
+class TestConvergenceStudyScript:
+    """The script's errors go through cli.exit_code: one line, no traceback."""
 
     def test_oversized_grid_is_one_line_error(self):
-        done = run_remainder_study("--points", "100000")
+        done = run_convergence_study("--points", "100000", "100001")
         assert done.returncode == 1
         assert "Traceback" not in done.stderr
         assert done.stderr.startswith("error: grid of 100000^3 points")
         assert done.stderr.count("\n") == 1
+
+    def test_one_grid_is_one_line_error(self):
+        done = run_convergence_study("--points", "100000")
+        assert (done.returncode, done.stderr) == (1, "error: the study needs at least two grids\n")
+
+    def test_numerical_failure_exits_2(self):
+        prelude = ("from spinloop import gridsim\nfrom spinloop.errors import NumericalError\n"
+                   "def fail(cfg):\n    raise NumericalError('unstable step 3')\n"
+                   "gridsim.run_oracle = fail")
+        done = run_convergence_study("--points", "20", "24", prelude=prelude)
+        assert done.returncode == 2
+        assert "Traceback" not in done.stderr
+        assert done.stderr == "numerical failure: unstable step 3\n"
 
 
 class TestDeterminism:

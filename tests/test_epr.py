@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spinloop import epr
+from spinloop.cli import csv_text
 from spinloop.errors import ValidationError
 
 probs = st.floats(0.0, 1.0, allow_nan=False)
@@ -257,7 +258,6 @@ class TestSweep:
             epr.correlation_sweep([0.5, 1.0], bell="triplet+")
 
     def test_csv_format(self):
-        text = epr.sweep_csv([(0.1, 0.82), (0.5, 0.5)])
-        lines = text.strip().split("\n")
-        assert lines[0] == "p,cond_up_given_down"
-        assert lines[1] == "0.1,0.82"
+        """The CLI writes a sweep's rows as its p and conditional columns."""
+        text = csv_text("p,cond_up_given_down", *zip(*[(0.1, 0.82), (0.5, 0.5)]))
+        assert text == "p,cond_up_given_down\n0.1,0.82\n0.5,0.5\n"

@@ -21,6 +21,7 @@ import pytest
 from spinloop import config as cfgmod
 from spinloop import deflection as dfl
 from spinloop import fields, gridsim, packets, spins
+from spinloop.cli import csv_text
 from spinloop.errors import NumericalError, ValidationError
 
 KAPPA = 0.8773534162632591  # reference kinetic scale
@@ -964,7 +965,8 @@ class TestSeriesCsv:
             t=np.array([0.0, 1e-6]), z_expect=np.array([0.4, 0.3999999]),
             norm=np.array([1.0, 1.0]),
         )
-        lines = gridsim.series_csv(series).strip().split("\n")
+        text = csv_text("t,z_expect,norm", series.t, series.z_expect, series.norm)
+        lines = text.strip().split("\n")
         assert lines[0] == "t,z_expect,norm"
         assert lines[1] == "0,0.4,1"
         assert lines[2] == "1e-06,0.3999999,1"

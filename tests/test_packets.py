@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from spinloop import deflection as dfl
 from spinloop import packets, spins
+from spinloop.cli import csv_text
 from spinloop.deflection import PARALLEL_TUPLES
 from spinloop.errors import NumericalError, ValidationError
 
@@ -110,6 +111,27 @@ class TestMoment:
         pk = packets.WavePacket(center=(0, 0, 0.4), width=1e-3)
         with pytest.raises(ValidationError):
             packets.moment(pk, -1, 0, 0, 5)
+
+    @pytest.mark.parametrize("center, width, key", [
+        ((0.0, 0.0, 1e7), 1.0, (0, 0, 0, 50)),  # r^50 overflows: read 0.0 with a warning
+        ((0.0, 0.0, 1e-7), 1e-8, (0, 0, 0, 50)),  # r^50 underflows: divided by zero
+        ((1e39, 1e39, 1e39), 1e38, (4, 4, 0, 7)),  # x^4 y^4 overflows
+    ])
+    def test_rejects_keys_past_the_field_radii_bound(self, center, width, key):
+        """The field radii hold for a + b + c and n up to 7; any other key
+        is refused by name before a node is summed."""
+        pk = packets.WavePacket(center=center, width=width)
+        with pytest.raises(ValidationError) as info:
+            packets.moment(pk, *key)
+        assert str(info.value).startswith(f"moment key {key} ")
+        assert str(info.value).endswith("at most 7")
+
+    def test_accepts_every_key_the_package_uses(self):
+        keys = set(PARALLEL_TUPLES).union(*(
+            dfl.required_tuples_for(spins.named_spin_input(name)) for name in SPIN_NAMES))
+        assert {n for *_, n in keys} == {5, 7}
+        assert max(a + b + c for a, b, c, _ in keys) <= packets.MAX_MOMENT_POWER
+        packets.moments(packets.WavePacket(center=(0.02, 0.1, 0.3), width=0.05), keys)
 
     @given(st.floats(0.15, 0.6), st.floats(1e-4, 1e-2))
     @settings(max_examples=30, deadline=None)
@@ -745,7 +767,7 @@ def test_profile_csv_format():
         y=np.array([0.0, 0.5]), a_z=np.array([-1.23456789012345, 2.0]),
         x=0.0, z=0.4, width=1e-3,
     )
-    text = packets.profile_csv(prof)
+    text = csv_text("y,a_z", prof.y, prof.a_z)
     lines = text.strip().split("\n")
     assert lines[0] == "y,a_z"
     assert lines[1] == "0,-1.23456789012"
