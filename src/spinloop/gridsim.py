@@ -47,10 +47,10 @@ n - 1 - i (to within an ulp of np.linspace).  Against the same state
 unfolded onto the whole grid, the preset main run's <z> moves by at most
 1.1e-16 and its fitted acceleration by 5e-4 of its sigma.
 
-Discretization: 2nd-order finite-difference Laplacian and classical RK4
-time stepping.  The outer layer of grid points is the Dirichlet wall: it
-is held at exactly zero, so the simulated box is the (n-2)^3 interior,
-one cell narrower per side than ``box_half_width``.  A wall pushes a
+Discretization: the Laplacian of :data:`LAPLACIAN`, the grid's one stencil,
+and classical RK4 time stepping.  The outer h = :data:`STENCIL_REACH` layers of
+grid points are the Dirichlet wall, held at exactly zero, so the simulated box
+is h cells narrower per side than ``box_half_width``.  A wall pushes a
 packet that reaches it, and the fit then measures the wall as well as the
 coupling: at 32 points and half width 0.05 the ``free`` oracle variant
 fits a = -0.079 (4.8 sigma) where it should fit 0.
@@ -58,9 +58,9 @@ fits a = -0.079 (4.8 sigma) where it should fit 0.
 walls: 1.5e-4 there, and 2e-8 in the preset box (half width 0.0629).
 There the free fit reads -1.7e-5 (13 sigma): 4e-6 of the coupled fit,
 over a sigma that the fit's 5e-16 residual makes tiny.  The momentum stencil
-conjugate to this Laplacian is the plain central difference, which is
-what :func:`expect_momentum_z` measures, so the fitted velocity matches
-kappa * <p_z> exactly up to fit error.
+conjugate to this Laplacian, :data:`MOMENTUM`, is what :func:`expect_momentum_z`,
+:func:`discrete_acceleration` and :func:`canonical_commutator_residual` use, so
+the fitted velocity matches kappa * <p_z> exactly up to fit error.
 
 The square packet is represented on the grid with cosine-smoothed edges a
 few cells wide: a sharp discontinuity is not representable on a grid and
@@ -84,7 +84,7 @@ import numpy as np
 from . import config, spins
 from .deflection import MomentKey, contract_force, required_tuples_for
 from .errors import NumericalError, ValidationError
-from .packets import WavePacket, moments as quadrature_moments
+from .packets import FAR_FIELD_RADIUS, WavePacket, moments as quadrature_moments
 
 _R = 1.0 / math.sqrt(2.0)
 # Columns: the magic basis T_x = (dd - uu)/sqrt2, T_y = i(uu + dd)/sqrt2,
@@ -107,6 +107,15 @@ RK4_STABILITY_LIMIT = 2.0
 DEFAULT_THETA = 0.15
 STEP_NORM_DRIFT_LIMIT = 1e-6
 
+# The grid's one stencil: the Laplacian along an axis is sum_{k=0..h} c_k (f[i + k] +
+# f[i - k]) / dx^2, c_0 read once (Fornberg, Math. Comp. 51, 699 (1988)); h, its half-
+# width, is STENCIL_REACH: the wall depth and the quadrant's ghost planes per cut face.
+# D, [L, z] = 2 D, weighs f[i + k] - f[i - k] by k c_k / 2 over dx.  GridOperator.apply
+# sums ring k = 1 unweighted (c_1 = 1 over its unit) and fills one ghost plane a face.
+LAPLACIAN = (-2.0, 1.0)
+STENCIL_REACH = len(LAPLACIAN) - 1
+MOMENTUM = tuple(k * c / 2.0 for k, c in enumerate(LAPLACIAN))
+_LAPLACIAN_RADIUS = 3 * (2 * sum(map(abs, LAPLACIAN)) - abs(LAPLACIAN[0]))  # Gershgorin, x dx^2
 
 # Bytes per cell for the size guard: operator fields and build temporaries
 # (20 rows) and five stacks of 2 x 4 rows (a run holds four: the caller's
@@ -147,8 +156,15 @@ class Grid:
             raise ValidationError("box half width must be positive")
         if self.kinetic_scale <= 0:
             raise ValidationError("kinetic scale must be positive")
+        if math.hypot(*self.box_center) > FAR_FIELD_RADIUS:  # where min_radius's norm overflows
+            raise ValidationError(f"grid box centre lies {math.hypot(*self.box_center):.3g} l "
+                                  f"out, beyond the far-field radius {FAR_FIELD_RADIUS:.0e} l")
         if self.min_radius() <= 0:
             raise ValidationError("grid box must exclude the dipole at the origin")
+        if not (self.dx**2 > 0 and self.min_radius() ** 3 > 0  # both divide the bound
+                and math.isfinite(spectral_radius_bound(self))):
+            raise ValidationError(f"grid spacing {self.dx:.3g} l at {self.min_radius():.3g} l "
+                                  "from the dipole overflows the spectral radius bound")
 
     @property
     def dx(self) -> float:
@@ -238,7 +254,7 @@ def interaction_bound(grid: Grid) -> float:
 
 def spectral_radius_bound(grid: Grid) -> float:
     """Conservative spectral-radius estimate of the kinetic term plus the coupling."""
-    return grid.kinetic_scale / 2.0 * 12.0 / grid.dx**2 + interaction_bound(grid)
+    return grid.kinetic_scale / 2.0 * _LAPLACIAN_RADIUS / grid.dx**2 + interaction_bound(grid)
 
 
 def stable_dt(grid: Grid, theta: float = DEFAULT_THETA) -> float:
@@ -255,23 +271,23 @@ def cell_weights(n: int, phase: complex | None) -> np.ndarray:
     itself.  A quadrant cell stands for its four images, a cell of an odd
     grid's x = 0 or y = 0 face for two (two of the four half-planes that
     turn into one another lie in the quadrant), its axis column for one,
-    and the ghost planes for none."""
+    and the :data:`STENCIL_REACH` ghost planes per cut face for none."""
     if phase is None:
         return np.ones((n, n, 1))
-    side = n - n // 2 + 1
+    side = n - n // 2 + STENCIL_REACH
     weight = np.full((side, side, 1), 4.0)
-    weight[0] = weight[:, 0] = 0.0
+    weight[:STENCIL_REACH] = weight[:, :STENCIL_REACH] = 0.0
     if n % 2:
-        weight[1] /= 2.0
-        weight[:, 1] /= 2.0
+        weight[STENCIL_REACH] /= 2.0
+        weight[:, STENCIL_REACH] /= 2.0
     return weight
 
 
 def box_axes(grid: Grid, phase: complex | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The x, y and z axes of the box of ``phase`` (see :func:`cell_weights`):
-    the whole grid's, or from the ghost planes n // 2 - 1 on in x and y."""
+    the whole grid's, or from the ghost planes n // 2 - h on in x and y."""
     ax, ay, az = grid.axes()
-    cut = grid.points_per_axis // 2 - 1 if phase is not None else 0
+    cut = grid.points_per_axis // 2 - STENCIL_REACH if phase is not None else 0
     return ax[cut:], ay[cut:], az
 
 
@@ -357,15 +373,16 @@ def _on_axis(*points: Sequence[float]) -> bool:
 
 
 def check_packet_fits(packet: WavePacket, grid: Grid, edge_ramp_cells: float) -> None:
-    """Refuse a packet that, edge ramps included, comes within 2 cells of the
-    box, so that the wall layer starts, and stays, exactly zero."""
+    """Refuse a packet that, edge ramps included, comes within STENCIL_REACH + 1
+    cells of the box, so that the wall layers start, and stay, exactly zero."""
     if edge_ramp_cells <= 0:
         raise ValidationError("edge_ramp_cells must be positive")
     extent = packet.width / 2.0 + edge_ramp_cells * grid.dx
-    margin = 2.0 * grid.dx
+    cells = STENCIL_REACH + 1
+    margin = cells * grid.dx
     for i in range(3):
         if abs(packet.center[i] - grid.box_center[i]) + extent > grid.box_half_width - margin:
-            raise ValidationError("packet outside box (needs >= 2 cells of margin)")
+            raise ValidationError(f"packet outside box (needs >= {cells} cells of margin)")
 
 
 def initialize(
@@ -425,7 +442,7 @@ class _Box:
 
     shape: tuple[int, int, int]
     offsets: tuple[int, int, int]  # flat offsets of the z, y and x neighbours
-    span: int  # flat index of cell (1, 1, 1), where the neighbour sums start
+    span: int  # flat index of cell (h, h, h), where the neighbour sums start
     diag: float  # the diagonal off the coupling: the Laplacian's, over unit
     potential: np.ndarray | None  # the triplet's diagonal field and the coupling vector
     masks: np.ndarray
@@ -444,10 +461,10 @@ class GridOperator:
     elementwise per row, so a row's bits do not depend on the rows beside
     it.  H y / ``unit`` is the sum of:
 
-    * the six-neighbour sum of the Laplacian (flat offset slices +-1, +-n
-      and +-n * ny over the box), plus the diagonal: the field
-      (3 kappa / dx^2 + G) / unit on the triplet under the coupling, and
-      the constant 3 kappa / dx^2 / unit on the other rows;
+    * the ring k = 1 of :data:`LAPLACIAN`, weight 1 over ``unit``, as six
+      neighbour sums (flat offset slices +-1, +-n and +-n * ny over the
+      box), plus the diagonal: the field (K + G) / unit on the triplet under
+      the coupling and K / unit on the other rows, K = -(3 c_0 / 2) kappa / dx^2;
     * on the triplet, the dipole coupling g/2 (delta_ab - 3 n_a n_b) with
       g = -sign * scale / (4 pi r^3 kappa), i.e. G u - sigma q (q . u) with
       G = g/2, q = n sqrt(3 |g| / 2) and sigma = sign(g); the singlet row
@@ -457,14 +474,13 @@ class GridOperator:
       S_z_p - S_z_l is real on (T_z, S), so it swaps them across parts.
 
     One multiply by the stage mask, dt / j * unit on the interior and 0 on
-    the outer wall layer, then scales the part and clears the walls, and
-    one pass adds it to (or subtracts it from) psi.  The wall layer is the
-    Dirichlet ghost and is held at exactly zero, so the simulated box is
-    the (n-2)^3 interior.
+    the h outer wall layers, then scales the part and clears the walls, and
+    one pass adds it to (or subtracts it from) psi.  The wall layers are the
+    Dirichlet ghost and are held at exactly zero.
 
     The passes run over the box of the stacks' quarter-turn eigenvalue
     (:class:`GridState`): the whole grid, or, in a grid centred on the z
-    axis, the quadrant box, (n - n // 2 + 1)^2 x n cells.  :meth:`box`
+    axis, the quadrant box, (n - n // 2 + h)^2 x n cells.  :meth:`box`
     builds a box's fields on its first use, from its own meshes: the
     diagonal field, the coupling vector q / sqrt|unit| and the four stage
     masks, each a contiguous row per cell, and scratch rows: one for q . u
@@ -506,7 +522,7 @@ class GridOperator:
         ax, ay, az = box_axes(spec, phase)
         side = len(ax)
         cells = side * side * n
-        diag = 3.0 * spec.kinetic_scale / spec.dx**2 if self._kinetic else 0.0
+        diag = -1.5 * LAPLACIAN[0] * spec.kinetic_scale / spec.dx**2 if self._kinetic else 0.0
         potential = None
         if ham.include_interaction:
             X, Y, Z = (m.reshape(-1) for m in np.meshgrid(ax, ay, az, indexing="ij"))
@@ -517,13 +533,13 @@ class GridOperator:
         # Stage scale dt / j * unit on the interior and 0 on the walls, j = 1..4;
         # the quadrant's ghost planes are no walls
         interior = np.zeros((side, side, n))
-        lo = 1 if phase is None else 0
-        interior[lo:-1, lo:-1, 1:-1] = 1.0
+        lo = STENCIL_REACH if phase is None else 0
+        interior[lo:-STENCIL_REACH, lo:-STENCIL_REACH, STENCIL_REACH:-STENCIL_REACH] = 1.0
         masks = np.stack([(spec.dt / j * unit) * interior.reshape(-1) for j in range(1, 5)])
         return _Box(
-            shape=(side, side, n), offsets=(1, n, side * n), span=side * n + n + 1,
-            diag=diag / unit, potential=potential, masks=masks,
-            weight=cell_weights(n, phase), z=az, dot=np.empty(cells),
+            shape=(side, side, n), offsets=(1, n, side * n),
+            span=STENCIL_REACH * (side * n + n + 1), diag=diag / unit, potential=potential,
+            masks=masks, weight=cell_weights(n, phase), z=az, dot=np.empty(cells),
             tmp=np.empty((3 if potential is not None else 1, cells)),
         )
 
@@ -588,12 +604,13 @@ class GridOperator:
             np.multiply(o, mask, out=o)
             finish(p, o, out=o)
         if phase is not None:
-            # the ghost plane i = n//2 - 1 is the image of the row j = n - n//2
-            # (box index g) under one quarter-turn, the ghost plane
-            # j = n//2 - 1 that of the plane i = n - n//2 under three
-            g = box.shape[2] % 2 + 1
-            _turn(out[:, :, 0, 1:], out[:, :, 1:, g], phase, 1, first)
-            _turn(out[:, :, 1:, 0], out[:, :, g, 1:], phase, 3, first)
+            # the ghost plane i = n//2 - 1 (box index h - 1) is the image of the
+            # row j = n - n//2 (box index g) under one quarter-turn, the ghost
+            # plane j = n//2 - 1 that of the plane i = n - n//2 under three
+            h = STENCIL_REACH
+            g = box.shape[2] % 2 + h
+            _turn(out[:, :, h - 1, h:], out[:, :, h:, g], phase, 1, first)
+            _turn(out[:, :, h:, h - 1], out[:, :, g, h:], phase, 3, first)
         return out
 
     def observe(self, stack: np.ndarray, phase: complex | None = None) -> tuple[float, float]:
@@ -737,29 +754,28 @@ def run(state: GridState, spec: GridSpec, operator: GridOperator) -> tuple[GridS
     return state, TimeSeries(t=spec.times(), z_expect=zs, norm=norms)
 
 
-def _central_difference_z(stack: np.ndarray, dx: float) -> np.ndarray:
-    """D = d/dz by the central difference on every row of a stack, 0 on the
-    z walls: p_h = -i D is the momentum conjugate to the Laplacian."""
+def _stencil_d(stack: np.ndarray, dx: float) -> np.ndarray:
+    """D = d/dz by :data:`MOMENTUM`, its one ring as (f[i + 1] - f[i - 1]) / (dx / d_1),
+    on every row of a stack, 0 on the z walls: p_h = -i D is conjugate to the Laplacian."""
+    n, h = stack.shape[-1], STENCIL_REACH
     d = np.zeros_like(stack)
-    inner = d[..., 1:-1]
-    np.subtract(stack[..., 2:], stack[..., :-2], out=inner)
-    inner /= 2.0 * dx
+    np.subtract(stack[..., h + 1 : n - h + 1], stack[..., h - 1 : n - h - 1], out=d[..., h : n - h])
+    d[..., h : n - h] /= dx / MOMENTUM[1]
     return d
 
 
-def _cell_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """sum_c a[c] b[c] per cell, for stacks (m, nx, ny, n) of one shape."""
-    return np.einsum("c...,c...->...", a, b)
+def _im_d(state: GridState, a: np.ndarray, dx: float) -> float:
+    """Im<a | D psi> over the whole grid, for psi the state's stack and
+    ``a`` a stack of its shape: the box sum of a_re . Dpsi_im - a_im . Dpsi_re."""
+    d = _stencil_d(state.stack, dx)
+    cells = np.einsum("c...,c...->...", a[0], d[1]) - np.einsum("c...,c...->...", a[1], d[0])
+    return state.total(cells)
 
 
 def expect_momentum_z(state: GridState, grid: Grid) -> float:
-    """<p_z> with the central-difference stencil conjugate to the Laplacian.
-
-    With psi = a + i b per component, Re(psi* (-i d/dz) psi) = a db - b da.
-    """
-    re, im = state.stack
-    d = _central_difference_z(state.stack, grid.dx)
-    return state.total(_cell_dot(re, d[1]) - _cell_dot(im, d[0])) / state.total(state.density())
+    """<p_z> = Im<psi | D psi> / |psi|^2, with D the momentum stencil conjugate to the
+    Laplacian: Re(psi* (-i D) psi) = a Db - b Da per component, psi = a + i b."""
+    return _im_d(state, state.stack, grid.dx) / state.total(state.density())
 
 
 def discrete_acceleration(state: GridState, spec: GridSpec, ham: GridHamiltonian) -> float:
@@ -777,9 +793,8 @@ def discrete_acceleration(state: GridState, spec: GridSpec, ham: GridHamiltonian
     state = _on_closure(state, operator)
     psi = state.stack
     v = operator.apply(psi, np.zeros_like(psi), 1, np.empty_like(psi), state.first, state.phase)
-    d = _central_difference_z(psi, spec.dx)
-    # V psi = i v / dt, so Re<V psi | D psi> = (v_re . d_im - v_im . d_re) / dt
-    val = state.total(_cell_dot(v[0], d[1]) - _cell_dot(v[1], d[0]))
+    # V psi = i v / dt, so Re<V psi | D psi> = Im<v | D psi> / dt
+    val = _im_d(state, v, spec.dx)
     return 2.0 * spec.kinetic_scale * val / (spec.dt * state.total(state.density()))
 
 
@@ -792,12 +807,12 @@ def edge_density_ratio(state: GridState) -> float:
     ghost planes are not read: their corner column stands for no cell and
     holds no image."""
     dens = state.density()
-    inner = dens[1:-1, 1:-1, 1:-1]
+    inner = dens[(slice(STENCIL_REACH, -STENCIL_REACH),) * 3]
     faces = [inner[-1], inner[:, -1], inner[:, :, 0], inner[:, :, -1]]
     if state.phase is None:
         faces += [inner[0], inner[:, 0]]
     else:
-        dens = dens[1:, 1:]
+        dens = dens[STENCIL_REACH:, STENCIL_REACH:]
     return float(max(face.max() for face in faces) / dens.max())
 
 
@@ -1164,10 +1179,10 @@ def canonical_commutator_residual(
 ) -> float:
     """L2 residual of [g(z), p_z] - i g'(z) applied to a smooth test packet.
 
-    1-D check with the same central-difference momentum stencil the
+    1-D check of the momentum stencil of :data:`MOMENTUM`, the one the
     evolution uses; g is a polynomial (coefficients low to high, degree
-    <= 3).  The residual is O(dx^2) for smooth packets and vanishes for
-    constant g.
+    <= 3).  The residual falls at the stencil's order, dx^2, for smooth
+    packets and vanishes for constant g.
     """
     g_coeffs = list(g_coeffs)
     if len(g_coeffs) > 4:
@@ -1180,10 +1195,11 @@ def canonical_commutator_residual(
     dg = np.polynomial.polynomial.polyval(z, np.polynomial.polynomial.polyder(g_coeffs))
 
     # [g, p] phi in the algebraically rearranged (exactly cancelling) form
-    # i [ (g_{n+1} - g_n) phi_{n+1} + (g_n - g_{n-1}) phi_{n-1} ] / (2 dx):
+    # i sum_k d_k [(g_{n+k} - g_n) phi_{n+k} + (g_n - g_{n-k}) phi_{n-k}] / dx:
     # a constant g yields an exact zero, not rounding residue.
-    comm = np.zeros_like(phi)
-    comm[1:-1] = 1j * ((g[2:] - g[1:-1]) * phi[2:] + (g[1:-1] - g[:-2]) * phi[:-2]) / (2.0 * dx)
+    comm = 1j * sum(
+        d * ((np.roll(g, -k) - g) * np.roll(phi, -k) + (g - np.roll(g, k)) * np.roll(phi, k))
+        for k, d in enumerate(MOMENTUM) if k) / dx
     residual = comm - 1j * dg * phi
-    residual[0] = residual[-1] = 0.0  # stencil undefined on the walls
+    residual[:STENCIL_REACH] = residual[-STENCIL_REACH:] = 0.0  # the walls, where the rolls wrap
     return float(np.linalg.norm(residual))

@@ -554,6 +554,23 @@ class TestOracleInputErrors:
         with pytest.raises(ValidationError, match="^packet outside box"):
             gridsim.run_oracle(cfg)
 
+    @pytest.mark.parametrize("override", [
+        {"half_width": 1e-160},
+        {"center": [0, 0, 1e-120], "half_width": 1e-125},
+        {"center": [0, 0, 1e200]},
+    ])
+    def test_box_past_float_range_refused_with_one_line(self, tmp_path, capsys, override):
+        """Boxes whose spectral radius bound leaves the float range, and a
+        centre whose norm would overflow, exit 1 with one line, not a
+        ZeroDivisionError or a numpy warning."""
+        over = tmp_path / "cfg.json"
+        over.write_text(json.dumps({"oracle": override}))
+        out = tmp_path / "out"
+        assert main(["oracle", "--config", str(over), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: grid ") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_work_guard_refuses_before_any_state(self, tmp_path, capsys, monkeypatch):
         """164 points pass the memory guard but mean 4,291 steps over 164^3
         cells: refused with one line before any state is built."""

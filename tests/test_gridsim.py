@@ -85,6 +85,20 @@ class TestGrid:
         with pytest.raises(ValidationError, match=r"grid of 100000\^3 points .* GiB budget"):
             gridsim.Grid(100000, (0.0, 0.0, 0.4), 0.05, KAPPA)
 
+    @pytest.mark.parametrize("center, half_width", [
+        ((0.0, 0.0, 0.4), 1e-160),  # 12 / dx^2 overflows
+        ((0.0, 0.0, 1e-120), 1e-125),  # min_radius^3 underflows to 0
+    ])
+    def test_box_too_fine_for_floats_refused(self, center, half_width):
+        with pytest.raises(ValidationError, match="overflows the spectral radius bound$"):
+            gridsim.Grid(32, center, half_width, KAPPA)
+
+    def test_centre_past_far_field_refused_without_warning(self):
+        """A centre of 1e200 overflows min_radius's norm (a RuntimeWarning,
+        an error under this suite); it is refused before the norm is taken."""
+        with pytest.raises(ValidationError, match="^grid box centre lies 1e[+]200 l out"):
+            gridsim.Grid(32, (0.0, 0.0, 1e200), 0.05, KAPPA)
+
     def test_stable_dt_ignores_stepping_fields(self):
         """The benchmark's scan builds GridSpec(dt=<tiny>, steps=1, **geometry)
         to read stable_dt: that must give the Grid's value bit for bit."""
@@ -939,6 +953,48 @@ class TestRemainderScaling:
             fit = gridsim.fit_acceleration(series.t, series.z_expect)
             residuals.append(fit.residual_rms)
         assert residuals[1] > 1.5 * residuals[0]
+
+
+class TestStencil:
+    def test_shipped_table(self):
+        """GridOperator.apply sums the ring k = 1 unweighted and fills one ghost
+        plane per cut face: any other table needs apply extended first."""
+        assert gridsim.LAPLACIAN == (-2.0, 1.0)
+        assert gridsim.STENCIL_REACH == 1
+        assert gridsim.MOMENTUM == (0.0, 0.5)
+        grid = gridsim.Grid(**GEOMETRY)
+        kinetic = gridsim.spectral_radius_bound(grid) - gridsim.interaction_bound(grid)
+        assert kinetic == pytest.approx(KAPPA / 2.0 * 12.0 / grid.dx**2, rel=1e-15)
+
+    @pytest.mark.parametrize("points, center", [
+        (32, (0.0, 0.0, 0.4)), (33, (0.0, 0.0, 0.4)),  # the quadrant box
+        (20, (0.01, -0.02, 0.4)), (21, (0.01, -0.02, 0.4)),  # the whole grid
+    ])
+    def test_apply_is_conjugate_to_d(self, uu, points, center):
+        """[H, z] = i kappa D for the kinetic H: apply (kinetic part only) on
+        z psi minus z apply(psi) is i dt kappa D psi on every interior cell.
+        The error is rounding of sums of seven terms each up to the scale
+        dt (3 kappa / dx^2) max|z| max|psi|: at most 4.8e-16 of that scale
+        over 324 kicks, spins, thetas and boxes at 16 to 33 points, where
+        the commutator itself is about 7.5e-4 of it."""
+        spec = gridsim.Grid(points, center, 0.05, KAPPA).stepped()
+        packet = packets.WavePacket(center=center, width=0.03)
+        state = gridsim.initialize(packet, uu, spec, momentum_z=3.0)
+        assert (state.phase is not None) == (center[:2] == (0.0, 0.0))
+        op = gridsim.GridOperator(spec, gridsim.GridHamiltonian(include_interaction=False))
+        psi, z = state.stack, gridsim.box_axes(spec, state.phase)[2]
+
+        def kinetic(y):
+            return op.apply(y, np.zeros_like(y), 1, np.empty_like(y), state.first, state.phase)
+
+        commutator = kinetic(z * psi) - z * kinetic(psi)
+        d = gridsim._stencil_d(psi, spec.dx)
+        expected = spec.dt * KAPPA * np.stack([-d[1], d[0]])
+        h = gridsim.STENCIL_REACH
+        inner = (slice(None),) * 2 + (slice(h, -h),) * 3
+        scale = spec.dt * 3.0 * KAPPA / spec.dx**2 * np.max(np.abs(z)) * np.max(np.abs(psi))
+        assert np.max(np.abs(expected[inner])) > 1e-4 * scale
+        assert np.max(np.abs(commutator[inner] - expected[inner])) <= 1e-15 * scale
 
 
 class TestCanonicalCommutator:
