@@ -348,8 +348,9 @@ def _selftest_checks(cfg: dict) -> list[tuple[str, bool, str]]:
         uu, spec, edge_ramp_cells=2.0,
     )
     gm = gridsim.moments_from_state(state, spec, dfl.required_tuples_for(uu))
-    a_pred = dfl.contract_force(uu, gm, params=params).a_z
-    _, series = gridsim.run(state, spec, gridsim.GridOperator(spec, gridsim.GridHamiltonian()))
+    a_pred = dfl.contract_force(uu, gm, coupling_sign=params.coupling_sign).a_z
+    ham = gridsim.GridHamiltonian(coupling_sign=params.coupling_sign)
+    _, series = gridsim.run(state, spec, gridsim.GridOperator(spec, ham))
     fit = gridsim.fit_acceleration(series.t, series.z_expect)
     gap = abs(fit.a - a_pred) / abs(a_pred)
     check(

@@ -18,7 +18,6 @@ Keys (types in parentheses; all keys optional in user files):
         loop_current (float)       amperes, used when beta is null
         loop_radius (float)        meters, used when beta is null
         mass (float)               kg
-        b0 (float)                 tesla
     figure2:
         z, x, width (float)        packet placement in natural lengths
         y_min, y_max (float)       sweep range
@@ -81,7 +80,6 @@ def preset_config() -> dict[str, Any]:
             "loop_current": 1e-6,
             "loop_radius": 1e-6,
             "mass": PROTON_MASS,
-            "b0": 0.0,
         },
         "figure2": {
             "z": 0.4,
@@ -243,7 +241,7 @@ def resolved_beta(cfg: dict[str, Any]) -> float:
 
 def build_params(cfg: dict[str, Any]) -> PhysicalParams:
     p = cfg["params"]
-    return PhysicalParams(alpha=p["alpha"], beta=resolved_beta(cfg), mass=p["mass"], b0=p["b0"])
+    return PhysicalParams(alpha=p["alpha"], beta=resolved_beta(cfg), mass=p["mass"])
 
 
 def build_units(cfg: dict[str, Any]) -> NaturalUnits:

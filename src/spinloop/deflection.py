@@ -39,11 +39,15 @@ _QUADRATIC: list[list[MomentKey]] = [
 PARALLEL_TUPLES: tuple[MomentKey, ...] = ((0, 0, 1, 5), (0, 0, 3, 7))
 
 
-def spin_correlators(state: np.ndarray, tol: float = 1e-14) -> np.ndarray:
+# Correlators of magnitude under this are rounding residue and read 0.
+CORRELATOR_FLOOR = 1e-14
+
+
+def spin_correlators(state: np.ndarray) -> np.ndarray:
     """3x3 matrix C_ij = <S_i_p S_j_l> for a pure state or density matrix.
 
-    Each S_i_p S_j_l is Hermitian (the slots commute), so C is real; tiny
-    imaginary residue below ``tol`` is discarded.
+    Each S_i_p S_j_l is Hermitian (the slots commute), so C is real; entries
+    below ``CORRELATOR_FLOOR`` in magnitude are set to 0.
     """
     rho = density_of(state)
     C = np.empty((3, 3))
@@ -53,7 +57,7 @@ def spin_correlators(state: np.ndarray, tol: float = 1e-14) -> np.ndarray:
             if abs(val.imag) > 1e-10:
                 raise ValidationError("spin correlator came out complex; state is invalid")
             C[i, j] = val.real
-    C[np.abs(C) < tol] = 0.0
+    C[np.abs(C) < CORRELATOR_FLOOR] = 0.0
     return C
 
 
@@ -102,19 +106,16 @@ class ForceExpectation:
 def contract_force(
     state: np.ndarray,
     moments: Mapping[MomentKey, float],
-    params: PhysicalParams | None = None,
-    coupling_sign: int | None = None,
+    coupling_sign: int = 1,
 ) -> ForceExpectation:
     """Contract the force bracket against a spin state and packet moments.
 
     ``moments`` must contain every tuple required by the state's nonzero
     correlators (see :func:`required_tuples_for`); each value is a float
     or an array, and the contraction is elementwise.  The sign of the
-    coupling comes from ``params`` when given, else ``coupling_sign``,
-    else +1.
+    coupling is ``coupling_sign`` (``PhysicalParams.coupling_sign``), +1
+    by default.
     """
-    if coupling_sign is None:
-        coupling_sign = params.coupling_sign if params is not None else 1
     C = spin_correlators(state)
     terms = bracket_terms(C)
     _require(moments, (key for *_, key in terms))
@@ -131,12 +132,11 @@ def contract_force(
 def parallel_closed_form(
     moments: Mapping[MomentKey, float],
     params: PhysicalParams | None = None,
-    coupling_sign: int | None = None,
 ) -> float:
     """Closed form sign * (3/16 pi) (-5 M[0,0,3,7] + 3 M[0,0,1,5]), contact
-    term omitted: the independent reference for the up-up contraction."""
-    if coupling_sign is None:
-        coupling_sign = params.coupling_sign if params is not None else 1
+    term omitted: the independent reference for the up-up contraction.
+    The sign is ``params.coupling_sign``, or +1 without ``params``."""
+    coupling_sign = params.coupling_sign if params is not None else 1
     _require(moments, PARALLEL_TUPLES)
     m_z5 = moments[(0, 0, 1, 5)]
     m_z37 = moments[(0, 0, 3, 7)]

@@ -76,6 +76,7 @@ import math
 import os
 import pickle
 import signal
+import sys
 from dataclasses import dataclass, fields, replace
 from typing import Callable, Iterable, Sequence
 
@@ -186,6 +187,8 @@ class Grid:
         before the steps are counted: such a run is over the budget on any
         grid, and duration / dt can overflow to inf."""
         dt = stable_dt(self, theta)
+        if dt == 0.0:
+            raise ValidationError(f"theta {theta:.3g} gives a time step that underflows to 0")
         if duration / dt > CELL_STEPS_BUDGET:
             raise ValidationError(f"a run of {duration:g} tau takes {duration / dt:.3g} steps "
                                   f"of dt {dt:.3e}, over the {CELL_STEPS_BUDGET:.3g} cell-steps "
@@ -864,6 +867,8 @@ def fit_acceleration(t: np.ndarray, z: np.ndarray) -> QuadraticFit:
     if not np.all(np.diff(t) > 0):
         raise ValidationError("fit needs strictly increasing times")
     scale = float(t[-1]) if t[-1] > 0 else 1.0
+    if scale**2 < sys.float_info.min:  # a and its sigma divide by it
+        raise ValidationError(f"fit window of {scale:.3g} tau is too short: its square underflows")
     s = t / scale
     A = np.vstack([np.ones_like(s), s, s * s]).T
     gram = A.T @ A

@@ -312,20 +312,15 @@ class AccelerationProfile:
 
     ``scale`` is each sample's L1 scale (see :func:`accelerations`); a
     sample with |a_z| <= ZERO_FLOOR * scale is rounding noise and counts
-    as zero.  Without it only exact zeros do.
+    as zero.  At a zero scale only exact zeros do.
     """
 
     y: np.ndarray
     a_z: np.ndarray
-    x: float
-    z: float
-    width: float
-    scale: np.ndarray | None = None
+    scale: np.ndarray
 
     def __post_init__(self):
-        if len(self.y) != len(self.a_z):
-            raise ValidationError("profile arrays must have equal length")
-        if self.scale is not None and len(self.scale) != len(self.a_z):
+        if not len(self.y) == len(self.a_z) == len(self.scale):
             raise ValidationError("profile arrays must have equal length")
         if len(self.y) >= 2 and not np.all(np.diff(self.y) > 0):
             raise ValidationError("profile y samples must be strictly increasing")
@@ -348,15 +343,14 @@ def acceleration_profile(
     ys = np.linspace(y_range[0], y_range[1], n_samples)
     centers = np.column_stack([np.full_like(ys, x), ys, np.full_like(ys, z)])
     a_z, scale = accelerations(spin, centers, width, coupling_sign)
-    return AccelerationProfile(y=ys, a_z=a_z, x=x, z=z, width=width, scale=scale)
+    return AccelerationProfile(y=ys, a_z=a_z, scale=scale)
 
 
 def _runs(profile: AccelerationProfile) -> list[tuple[int, int, int]]:
     """Maximal runs (start, stop, sign) of same-sign samples.  Noise-level
     samples belong to no run, so they split the runs around them."""
     a = profile.a_z
-    floor = 0.0 if profile.scale is None else ZERO_FLOOR * profile.scale
-    signs = np.where(np.abs(a) <= floor, 0, np.sign(a)).astype(int)
+    signs = np.where(np.abs(a) <= ZERO_FLOOR * profile.scale, 0, np.sign(a)).astype(int)
     # A run starts wherever the sign changes; sentinels that match no sign
     # bound the first and the last run.
     edges = np.flatnonzero(np.diff(np.concatenate(([2], signs, [2]))))

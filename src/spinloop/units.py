@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 from .errors import ValidationError
 
@@ -28,26 +29,22 @@ HBAR = 1.054571817e-34  # J s
 
 @dataclass(frozen=True)
 class PhysicalParams:
-    """Dimensional inputs: gyromagnetic factors, mass, external field, constants.
+    """Dimensional inputs: the gyromagnetic factors and the mass.
 
     alpha and beta are the particle / loop moment-per-spin ratios in
-    A m^2 / (J s); b0 is the uniform external field in tesla.
+    A m^2 / (J s); mu0 and hbar are the SI constants, not inputs.  The sign
+    of alpha * beta is the coupling sign, read as :attr:`coupling_sign`.
     """
 
     alpha: float
     beta: float
     mass: float
-    b0: float = 0.0
-    mu0: float = VACUUM_PERMEABILITY
-    hbar: float = HBAR
+    mu0: ClassVar[float] = VACUUM_PERMEABILITY
+    hbar: ClassVar[float] = HBAR
 
     def __post_init__(self):
         if self.mass <= 0:
             raise ValidationError("mass must be positive")
-        if self.mu0 <= 0:
-            raise ValidationError("mu0 must be positive")
-        if self.hbar <= 0:
-            raise ValidationError("hbar must be positive")
         if self.alpha * self.beta == 0:
             raise ValidationError("alpha*beta must be nonzero (no interaction otherwise)")
 
@@ -81,7 +78,7 @@ def derive_length_unit(params: PhysicalParams, tau: float) -> NaturalUnits:
     return NaturalUnits(l=l5**0.2, tau=tau)
 
 
-def beta_from_loop(current: float, radius: float, hbar: float = HBAR) -> float:
+def beta_from_loop(current: float, radius: float) -> float:
     """Moment-per-spin ratio of a current loop: (I pi R^2) / (hbar/2)."""
     if current <= 0 or radius <= 0:
         raise ValidationError("loop current and radius must be positive")
@@ -89,7 +86,7 @@ def beta_from_loop(current: float, radius: float, hbar: float = HBAR) -> float:
         moment = current * math.pi * radius**2
     except OverflowError:  # float ** raises where * returns inf
         moment = math.inf
-    beta = moment / (hbar / 2.0)
+    beta = moment / (HBAR / 2.0)
     if not math.isfinite(beta):
         raise ValidationError(
             f"loop current {current:g} A and radius {radius:g} m put beta beyond the float range"

@@ -457,6 +457,38 @@ class TestSelftestCommand:
         report = json.loads((tmp_path / "selftest_report.json").read_text())
         assert report["all_passed"] is True
 
+    def test_grid_smoke_steps_at_the_config_sign(self, tmp_path, capsys):
+        """A positive beta against the preset's negative alpha flips the
+        coupling sign and keeps |alpha beta|, so kappa is the preset's: the
+        smoke's grid run and its contraction must both take the -1."""
+        over = tmp_path / "cfg.json"
+        over.write_text(json.dumps({"params": {"beta": 5.958044019281416e16}}))
+        assert main(["selftest", "--config", str(over), "--out", str(tmp_path)]) == 0
+        assert "PASS grid-smoke:" in capsys.readouterr().out
+
+    def test_window_too_short_to_fit_refused(self, tmp_path, capsys):
+        """At this mass the smoke's 120 steps span ~1e-168 tau, whose square
+        underflows: one line and exit 1, not a numpy warning and inf%."""
+        over = tmp_path / "cfg.json"
+        over.write_text(json.dumps({"params": {"mass": 1e-300}}))
+        out = tmp_path / "out"
+        assert main(["selftest", "--config", str(over), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: fit window of ") and err.count("\n") == 1
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["figure2", "deflect", "epr", "oracle", "selftest"])
+def test_uniform_field_is_not_a_key(tmp_path, capsys, command):
+    """No code reads a uniform external field: the detector field is the
+    loop's dipole, so a config that sets one is refused, not ignored."""
+    over = tmp_path / "cfg.json"
+    over.write_text(json.dumps({"params": {"b0": 0.0}}))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(over), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: config.params: unknown keys ['b0']\n"
+    assert not out.exists()
+
 
 class TestOracleVariants:
     def test_pure_zeeman_no_deflection(self, tmp_path):
@@ -569,6 +601,18 @@ class TestOracleInputErrors:
         assert main(["oracle", "--config", str(over), "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: grid ") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("oracle", [{"theta": 1e-320}, {"remainder": {"theta": 1e-320}}])
+    def test_theta_whose_step_underflows_refused(self, tmp_path, capsys, monkeypatch, oracle):
+        monkeypatch.setattr(gridsim, "initialize", refuse_state)
+        over = tmp_path / "cfg.json"
+        over.write_text(json.dumps({"oracle": oracle}))
+        out = tmp_path / "out"
+        assert main(["oracle", "--config", str(over), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: theta ") and err.endswith(" underflows to 0\n")
+        assert err.count("\n") == 1
         assert not out.exists()
 
     def test_work_guard_refuses_before_any_state(self, tmp_path, capsys, monkeypatch):

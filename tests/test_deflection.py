@@ -1,5 +1,6 @@
 """Spin-contracted force expectations and the classical dipole limit."""
 
+import dataclasses
 from itertools import product
 
 import numpy as np
@@ -186,26 +187,15 @@ class TestContractForce:
         minus = dfl.contract_force(uu, fig_moments, coupling_sign=-1).a_z
         assert minus == pytest.approx(-plus, rel=1e-14)
 
-    def test_params_supplies_sign(self, fig_moments, preset_params):
-        uu = spins.basis_state("up", "up")
-        assert preset_params.coupling_sign == 1
-        a = dfl.contract_force(uu, fig_moments, params=preset_params).a_z
-        assert a == pytest.approx(POINT, rel=1e-6)
-
-    def test_no_b0_dependence_in_signature(self, fig_moments, preset_params):
-        """The force contraction cannot depend on the uniform field: the
-        same params with a different b0 must give the bit-identical result."""
-        import dataclasses
-
-        uu = spins.basis_state("up", "up")
-        a0 = dfl.contract_force(uu, fig_moments, params=preset_params).a_z
-        a1 = dfl.contract_force(
-            uu, fig_moments, params=dataclasses.replace(preset_params, b0=12.3)
-        ).a_z
-        assert a0 == a1
-
 
 class TestClosedForms:
+    def test_params_supplies_sign(self, fig_moments, preset_params):
+        flipped = dataclasses.replace(preset_params, beta=-preset_params.beta)
+        assert (preset_params.coupling_sign, flipped.coupling_sign) == (1, -1)
+        plus = dfl.parallel_closed_form(fig_moments, params=preset_params)
+        assert plus == pytest.approx(POINT, rel=1e-6)
+        assert dfl.parallel_closed_form(fig_moments, params=flipped) == -plus
+
     def test_crossing_condition(self):
         moments = {(0, 0, 3, 7): 0.6, (0, 0, 1, 5): 1.0}
         assert dfl.parallel_closed_form(moments) == pytest.approx(0.0, abs=1e-15)

@@ -124,6 +124,13 @@ class TestGrid:
         ):
             assert np.array_equal(use(spec), use(grid))
 
+    @pytest.mark.parametrize("duration", [0.0, 5e-5])
+    def test_step_that_underflows_refused(self, duration):
+        """theta / spectral_radius_bound can underflow to 0, which duration / dt
+        then divides by."""
+        with pytest.raises(ValidationError, match="^theta 1e-320 gives a time step that underflows"):
+            gridsim.Grid(**GEOMETRY).stepped(theta=1e-320, duration=duration)
+
     def test_stepped_covers_duration_with_floor(self):
         grid = gridsim.Grid(**GEOMETRY)
         dt = gridsim.stable_dt(grid, theta=0.1)
@@ -663,6 +670,14 @@ class TestFitAcceleration:
         t = np.array([0.0, 1.0, 1.0, 2.0])
         with pytest.raises(ValidationError):
             gridsim.fit_acceleration(t, t)
+
+    @pytest.mark.parametrize("span", [1e-168, 1e-160])  # t^2 is 0, or subnormal
+    def test_window_whose_square_underflows_refused(self, span):
+        """a and its sigma divide by the window's squared length: where that
+        underflows they came out inf after numpy divide-by-zero warnings."""
+        t = np.linspace(0.0, span, 20)
+        with pytest.raises(ValidationError, match="too short: its square underflows$"):
+            gridsim.fit_acceleration(t, 0.4 + t)
 
     def test_cubic_contamination_grows_as_cube(self):
         # residual of the quadratic fit must scale like T^3

@@ -198,19 +198,19 @@ class TestAccelerationProfile:
 class TestRegionAverage:
     def test_constant_profile(self):
         prof = packets.AccelerationProfile(
-            y=np.linspace(0, 1, 11), a_z=np.full(11, -3.0), x=0.0, z=0.4, width=1e-3
+            y=np.linspace(0, 1, 11), a_z=np.full(11, -3.0), scale=np.zeros(11)
         )
         assert packets.region_average(prof) == pytest.approx(-3.0, abs=1e-15)
 
     def test_filter_restricts_to_negative_lobe(self):
         y = np.linspace(-1, 1, 21)
-        prof = packets.AccelerationProfile(y=y, a_z=np.sin(np.pi * y), x=0.0, z=0.4, width=1e-3)
+        prof = packets.AccelerationProfile(y=y, a_z=np.sin(np.pi * y), scale=np.zeros(21))
         avg = packets.region_average(prof)
         assert avg < 0  # only the negative lobe enters
 
     def test_all_positive_raises(self):
         prof = packets.AccelerationProfile(
-            y=np.linspace(0, 1, 5), a_z=np.ones(5), x=0.0, z=0.4, width=1e-3
+            y=np.linspace(0, 1, 5), a_z=np.ones(5), scale=np.zeros(5)
         )
         with pytest.raises(ValidationError):
             packets.region_average(prof)
@@ -219,7 +219,7 @@ class TestRegionAverage:
 class TestZeroCrossings:
     def test_linear_profile(self):
         prof = packets.AccelerationProfile(
-            y=np.linspace(-1, 1, 21), a_z=np.linspace(-1, 1, 21), x=0.0, z=0.4, width=1e-3
+            y=np.linspace(-1, 1, 21), a_z=np.linspace(-1, 1, 21), scale=np.zeros(21)
         )
         crossings = packets.zero_crossings(prof)
         assert len(crossings) == 1
@@ -227,7 +227,7 @@ class TestZeroCrossings:
 
     def test_all_negative_empty(self):
         prof = packets.AccelerationProfile(
-            y=np.linspace(0, 1, 5), a_z=-np.ones(5), x=0.0, z=0.4, width=1e-3
+            y=np.linspace(0, 1, 5), a_z=-np.ones(5), scale=np.zeros(5)
         )
         assert packets.zero_crossings(prof) == []
 
@@ -470,8 +470,7 @@ class TestAgainstPowKernel:
         prof = packets.acceleration_profile(
             spin, z=z, x=x, y_range=y_range, n_samples=n, width=width, coupling_sign=sign
         )
-        ref_prof = packets.AccelerationProfile(y=prof.y, a_z=a_z, x=x, z=z, width=width,
-                                               scale=scale)
+        ref_prof = packets.AccelerationProfile(y=prof.y, a_z=a_z, scale=scale)
         assert packets._runs(prof) == packets._runs(ref_prof)
 
 
@@ -614,8 +613,8 @@ class TestDeflectingLobe:
 
 
 def _synthetic(y, a_z):
-    return packets.AccelerationProfile(y=y, a_z=np.asarray(a_z, dtype=float), x=0.0, z=0.4,
-                                       width=1e-3)
+    return packets.AccelerationProfile(y=y, a_z=np.asarray(a_z, dtype=float),
+                                       scale=np.zeros(len(y)))
 
 
 class TestRegionWidth:
@@ -663,8 +662,7 @@ class TestRegionWidth:
 def runs_by_loop(profile):
     """The per-sample loop that `_runs` replaced, kept as its reference."""
     a = profile.a_z
-    floor = 0.0 if profile.scale is None else packets.ZERO_FLOOR * profile.scale
-    signs = np.where(np.abs(a) <= floor, 0, np.sign(a)).astype(int)
+    signs = np.where(np.abs(a) <= packets.ZERO_FLOOR * profile.scale, 0, np.sign(a)).astype(int)
     runs = []
     for i, s in enumerate(signs.tolist()):
         if s and runs and runs[-1][1] == i - 1 and runs[-1][2] == s:
@@ -675,14 +673,14 @@ def runs_by_loop(profile):
 
 
 class TestRuns:
-    # +-1e-13 is noise against a unit scale and signal without one
+    # +-1e-13 is noise against a unit scale and signal against a zero one
     @given(st.lists(st.sampled_from([-2.0, -1e-13, 0.0, 1e-13, 3.0]), max_size=40),
            st.booleans())
     @settings(max_examples=300, deadline=None)
     def test_equals_loop(self, a_z, scaled):
         prof = packets.AccelerationProfile(
-            y=np.arange(float(len(a_z))), a_z=np.array(a_z), x=0.0, z=0.4, width=1e-3,
-            scale=np.ones(len(a_z)) if scaled else None,
+            y=np.arange(float(len(a_z))), a_z=np.array(a_z),
+            scale=np.full(len(a_z), float(scaled)),
         )
         runs = packets._runs(prof)
         assert runs == runs_by_loop(prof)
@@ -764,8 +762,7 @@ class TestContractionProperties:
 
 def test_profile_csv_format():
     prof = packets.AccelerationProfile(
-        y=np.array([0.0, 0.5]), a_z=np.array([-1.23456789012345, 2.0]),
-        x=0.0, z=0.4, width=1e-3,
+        y=np.array([0.0, 0.5]), a_z=np.array([-1.23456789012345, 2.0]), scale=np.zeros(2)
     )
     text = csv_text("y,a_z", prof.y, prof.a_z)
     lines = text.strip().split("\n")

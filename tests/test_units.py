@@ -1,5 +1,7 @@
 """Dimensional parameters, natural units, conversions."""
 
+import dataclasses
+
 import pytest
 
 from spinloop import units
@@ -29,6 +31,11 @@ class TestPhysicalParams:
     def test_rejects_nonpositive_mass(self):
         with pytest.raises(ValidationError):
             units.PhysicalParams(alpha=1.0, beta=1.0, mass=0.0)
+
+    def test_only_alpha_beta_and_mass_are_inputs(self):
+        p = preset_like_params()
+        assert [f.name for f in dataclasses.fields(p)] == ["alpha", "beta", "mass"]
+        assert (p.mu0, p.hbar) == (units.VACUUM_PERMEABILITY, units.HBAR)
 
     def test_coupling_sign(self):
         assert preset_like_params().coupling_sign == 1
