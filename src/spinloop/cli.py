@@ -266,6 +266,14 @@ def cmd_oracle(cfg: dict, out_dir: Path) -> int:
 # selftest: invariant suite
 # ----------------------------------------------------------------------
 
+# The grid smoke's displacement |a| t^2 / 2 over its 120 steps, in units of
+# eps z0, under which the rounding of <z> ~ z0 alone can move its fit by the
+# check's 10%: the fit carries each sample's rounding, up to about 2 eps z0
+# (the residual of a smoke that reads only rounding), 1.2 times into the
+# displacement, and 1.2 x 2 / 10% = 24.
+SMOKE_SHIFT_FLOOR = 24
+
+
 def _selftest_checks(cfg: dict) -> list[tuple[str, bool, str]]:
     results = []
 
@@ -349,6 +357,13 @@ def _selftest_checks(cfg: dict) -> list[tuple[str, bool, str]]:
     )
     gm = gridsim.moments_from_state(state, spec, dfl.required_tuples_for(uu))
     a_pred = dfl.contract_force(uu, gm, coupling_sign=params.coupling_sign).a_z
+    t = spec.steps * spec.dt
+    shift, floor = abs(a_pred) * t * t / 2.0, SMOKE_SHIFT_FLOOR * np.finfo(float).eps * z0
+    if shift < floor:
+        raise ValidationError(
+            f"grid smoke: {spec.steps} steps of dt {spec.dt:.3e} move <z> by {shift:.3g} l, "
+            f"under the {floor:.3g} l that its fit resolves over the rounding of <z> ~ {z0:g}"
+        )
     ham = gridsim.GridHamiltonian(coupling_sign=params.coupling_sign)
     _, series = gridsim.run(state, spec, gridsim.GridOperator(spec, ham))
     fit = gridsim.fit_acceleration(series.t, series.z_expect)

@@ -101,9 +101,9 @@ MAGIC_BASIS = np.array([
 # Integer, so that its powers take no BLAS call (see _alongside).
 _QUARTER_TURN = np.array([[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
 
-# RK4 is stable for |lambda| dt <= 2*sqrt(2) on the imaginary axis; specs
-# are rejected beyond 2.0 and defaults run far below that so that the
-# amplification error stays under the norm budget.
+# RK4 is stable for |lambda| dt <= 2*sqrt(2) on the imaginary axis; an operator
+# refuses a dt beyond 2.0 over its H's spectral bound, and defaults run far
+# below that so that the amplification error stays under the norm budget.
 RK4_STABILITY_LIMIT = 2.0
 DEFAULT_THETA = 0.15
 STEP_NORM_DRIFT_LIMIT = 1e-6
@@ -199,7 +199,7 @@ class Grid:
 
 @dataclass(frozen=True)
 class GridSpec(Grid):
-    """A grid with its RK4 stepping: ``steps`` steps of size ``dt``."""
+    """A grid with ``steps`` RK4 steps of size ``dt``, which its :class:`GridOperator` checks."""
 
     dt: float
     steps: int
@@ -210,11 +210,6 @@ class GridSpec(Grid):
             raise ValidationError("steps must be >= 1")
         if self.dt <= 0:
             raise ValidationError("dt must be positive")
-        bound = spectral_radius_bound(self)
-        if self.dt * bound > RK4_STABILITY_LIMIT:
-            raise ValidationError(
-                f"dt {self.dt} exceeds the RK4 stability bound {RK4_STABILITY_LIMIT / bound:.3e}"
-            )
 
     def times(self) -> np.ndarray:
         """The times of the ``steps + 1`` states of a run, from 0."""
@@ -491,9 +486,20 @@ class GridOperator:
     coupling or one without it, whose first row also takes the Zeeman
     products and the weighted cells of :meth:`observe`.  At 32^3 the
     coupled quadrant's fields take 0.85 MiB, and the whole grid's 3.0 MiB.
+
+    It refuses a ``spec.dt`` beyond :data:`RK4_STABILITY_LIMIT` over its own
+    H's bound: :func:`spectral_radius_bound` plus the largest Zeeman eigenvalue.
     """
 
     def __init__(self, spec: GridSpec, ham: GridHamiltonian):
+        zp, zl = ham.zeeman_particle, ham.zeeman_loop
+        # the Zeeman eigenvalues are +-(zp + zl) / 2 and +-(zp - zl) / 2
+        radius = spectral_radius_bound(spec) + (abs(zp) + abs(zl)) / 2.0
+        if spec.dt * radius > RK4_STABILITY_LIMIT:
+            raise ValidationError(
+                f"dt {spec.dt:.3e} is beyond the RK4 stability bound "
+                f"{RK4_STABILITY_LIMIT / radius:.3e} under Zeeman strengths {[zp, zl]}"
+            )
         self.spec = spec
         self.ham = ham
         kappa = spec.kinetic_scale if ham.include_kinetic else 0.0
@@ -508,6 +514,17 @@ class GridOperator:
         self._spin_mix = -0.5 * (ham.zeeman_particle + ham.zeeman_loop) / self._unit
         self._singlet_mix = -0.5 * (ham.zeeman_particle - ham.zeeman_loop) / self._unit
         self._boxes: dict[bool, _Box] = {}
+
+    def first_step_loss(self, first: int, stop: int) -> float:
+        """The least share of its squared norm that the first step takes from a state on
+        the magic components [first, stop), or 0: on those H reaches from them, each eigenvalue
+        of H lies x / dt or more from zero (Weyl's inequality), and RK4 keeps |R(ix)|^2 =
+        1 - x^6/72 + x^8/576 of its component, a loss growing with x up to sqrt(6) (x <= 2)."""
+        zp, zl = self.ham.zeeman_particle, self.ham.zeeman_loop
+        lo, hi = self.ham.closure(first, stop)
+        gaps = [abs(zp + zl)] * (lo < 2) + [abs(zp - zl)] * (hi > 2)
+        x = self.spec.dt * (min(gaps) / 2.0 - spectral_radius_bound(self.spec))
+        return x**6 / 72.0 - x**8 / 576.0 if x > 0 else 0.0
 
     def box(self, phase: complex | None) -> _Box:
         """The fields of the box of ``phase`` (see :func:`cell_weights`),
@@ -670,13 +687,9 @@ def _on_closure(state: GridState, operator: GridOperator) -> GridState:
     return replace(state, stack=grown, first=lo)
 
 
-def evolve(
-    state: GridState,
-    spec: GridSpec,
-    operator: GridOperator,
-    out: tuple[np.ndarray, np.ndarray] | None = None,
-) -> GridState:
-    """One RK4 step of size ``spec.dt``; errors out on a norm jump.
+def evolve(state: GridState, operator: GridOperator,
+           out: tuple[np.ndarray, np.ndarray] | None = None) -> GridState:
+    """One RK4 step of the operator's dt; errors out on a norm jump.
 
     H is linear and time independent, so the classical four-stage step is
     sum_{k<=4} (-i dt H)^k psi / k!, evaluated in Horner form:
@@ -694,16 +707,8 @@ def evolve(
     state carries its ``norm2`` and ``z_norm2`` from one
     :meth:`GridOperator.observe` pass over the box; the step is refused if
     the squared norm moved by more than :data:`STEP_NORM_DRIFT_LIMIT` of
-    itself.  The operator's stage masks hold its own ``dt``, so a ``spec``
-    that differs from ``operator.spec`` in anything but ``steps`` is
-    refused.
+    itself.
     """
-    if spec is not operator.spec:  # callers pass the operator's own spec: no field walk
-        differ = [f.name for f in fields(spec)
-                  if f.name != "steps" and getattr(spec, f.name) != getattr(operator.spec, f.name)]
-        if differ:
-            raise ValidationError(f"spec differs from the operator's in {', '.join(differ)}: "
-                                  f"the operator steps at dt {operator.spec.dt:.3e}")
     state = _on_closure(state, operator)
     psi, first, phase = state.stack, state.first, state.phase
     work, y = out if out is not None else (np.empty_like(psi), np.empty_like(psi))
@@ -713,9 +718,8 @@ def evolve(
     after, z_norm2 = operator.observe(y, phase)
     step = state.step + 1
     if abs(after - before) > STEP_NORM_DRIFT_LIMIT * max(before, 1e-300):
-        raise NumericalError(
-            f"unstable step {step} (dt {spec.dt:.3e}): norm drifted by {after - before:.3e}"
-        )
+        raise NumericalError(f"unstable step {step} (dt {operator.spec.dt:.3e}): "
+                             f"norm drifted by {after - before:.3e}")
     return GridState(stack=y, first=first, norm2=after, step=step, phase=phase, z_norm2=z_norm2)
 
 
@@ -735,14 +739,19 @@ class TimeSeries:
 def run(state: GridState, spec: GridSpec, operator: GridOperator) -> tuple[GridState, TimeSeries]:
     """Evolve ``spec.steps`` steps recording <z> and the norm at every step.
 
-    Every step is an :func:`evolve` on the state's box, which refuses a
-    ``spec`` that is not the operator's but for ``steps``, and the final
-    state holds that box too.  Three stacks of the box are rotated through
-    the steps: a copy of the state's and two RK4 buffers, so ``state.stack``
-    is read, never written.  The recorded norm (squared) and <z> (times it)
-    are the ``norm2`` and ``z_norm2`` of each state, one
-    :meth:`GridOperator.observe` pass over its box.
+    A ``spec`` other than ``operator.spec`` but for ``steps`` is refused
+    before the first step.  Every step is an :func:`evolve` on the state's
+    box, and the final state holds that box too.  Three stacks of the box
+    are rotated through the steps: a copy of the state's and two RK4
+    buffers, so ``state.stack`` is read, never written.  The recorded norm
+    (squared) and <z> (times it) are the ``norm2`` and ``z_norm2`` of each
+    state, one :meth:`GridOperator.observe` pass over its box.
     """
+    differ = [f.name for f in fields(spec)
+              if f.name != "steps" and getattr(spec, f.name) != getattr(operator.spec, f.name)]
+    if differ:
+        raise ValidationError(f"spec differs from the operator's in {', '.join(differ)}: "
+                              f"the operator steps at dt {operator.spec.dt:.3e}")
     state = _on_closure(state, operator)
     stack = state.stack.copy()
     norm2, z_norm2 = operator.observe(stack, state.phase)
@@ -750,7 +759,7 @@ def run(state: GridState, spec: GridSpec, operator: GridOperator) -> tuple[GridS
     rows = [(norm2, z_norm2)]
     spare = (np.empty_like(stack), np.empty_like(stack))
     for _ in range(spec.steps):
-        new = evolve(state, spec, operator, out=spare)
+        new = evolve(state, operator, out=spare)
         spare, state = (spare[0], state.stack), new
         rows.append((state.norm2, state.z_norm2))
     norms, zs = np.array(rows).T
@@ -946,16 +955,19 @@ def remainder_scaling(series: TimeSeries, windows: Sequence[float]) -> float:
     largest window's residual sits below 10x the norm-conservation error
     (scaled by max |<z>|), the measurement is noise and an error is raised.
     """
-    windows = sorted(windows)
     check_windows(series.t, windows)
-    residuals = remainder_residuals(series, windows)
+    return _remainder_exponent(series, windows, remainder_residuals(series, windows))
+
+
+def _remainder_exponent(series: TimeSeries, windows: Sequence[float], residuals: list) -> float:
+    """:func:`remainder_scaling` from the windows' residuals, already fitted."""
     floor = 10.0 * series.max_norm_drift() * float(np.max(np.abs(series.z_expect)))
     if max(residuals) < floor:
         raise NumericalError(
             f"below resolution: residual {max(residuals):.3e} under noise floor {floor:.3e}"
         )
-    slope = np.polyfit(np.log(np.asarray(windows)), np.log(np.asarray(residuals)), 1)[0]
-    return float(slope)
+    ends, values = zip(*sorted(zip(windows, residuals)))
+    return float(np.polyfit(np.log(ends), np.log(values), 1)[0])
 
 
 @dataclass(frozen=True)
@@ -1047,12 +1059,12 @@ def run_oracle(cfg: dict) -> OracleResult:
     steps at stable_dt(theta) for ceil(duration / dt) steps, with the
     ``theta`` of its own section: ``oracle`` for the main and Zeeman runs,
     ``oracle.remainder`` for the remainder run, which lasts until its last
-    window ends.  Before any state is built, it refuses a main run of fewer
-    than 8 steps, an oracle whose runs together take more than
-    :data:`CELL_STEPS_BUDGET` cell-steps, a Zeeman term that puts the step
-    beyond the RK4 stability limit or the first step past the norm budget
-    :data:`STEP_NORM_DRIFT_LIMIT`, and remainder windows that
-    :func:`check_windows` refuses.
+    window ends.  Every run's operator is built, which checks its step (see
+    :class:`GridOperator`), before any state; so are refused a main run of
+    fewer than 8 steps, a Zeeman run whose first step would lose more than
+    :data:`STEP_NORM_DRIFT_LIMIT` (:meth:`GridOperator.first_step_loss`), an
+    oracle whose runs together take more than :data:`CELL_STEPS_BUDGET`
+    cell-steps, and remainder windows that :func:`check_windows` refuses.
 
     Once those checks pass and the initial state is built, the ``full``
     variant runs its Zeeman run in a forked child beside the main and
@@ -1069,13 +1081,20 @@ def run_oracle(cfg: dict) -> OracleResult:
     sign = config.build_params(cfg).coupling_sign
     center = tuple(o["center"])
     uu = spins.basis_state("up", "up")
+    full = o["variant"] == "full"
+    runs: dict[str, GridOperator] = {}  # each run's operator, until the run takes it
 
-    def placed(kappa: float, duration: float, run_cfg: dict) -> tuple[GridSpec, WavePacket]:
+    def hamiltonian(zeeman: Sequence[float] = (0.0, 0.0), coupled: bool = True) -> GridHamiltonian:
+        return GridHamiltonian(include_interaction=coupled, coupling_sign=sign,
+                               zeeman_particle=zeeman[0], zeeman_loop=zeeman[1])
+
+    def placed(name: str, kappa: float, duration: float, run_cfg: dict,
+               ham: GridHamiltonian) -> tuple[GridSpec, WavePacket]:
         grid = Grid(o["points"], center, o["half_width"], kappa)
-        spec = grid.stepped(run_cfg["theta"], duration, steps=1)
+        runs[name] = GridOperator(grid.stepped(run_cfg["theta"], duration, steps=1), ham)
         packet = WavePacket(center=center, width=run_cfg["packet_width"])
-        check_packet_fits(packet, spec, run_cfg["edge_ramp_cells"])
-        return spec, packet
+        check_packet_fits(packet, grid, run_cfg["edge_ramp_cells"])
+        return runs[name].spec, packet
 
     def start(spec: GridSpec, packet: WavePacket, run_cfg: dict) -> GridState:
         return initialize(
@@ -1083,18 +1102,17 @@ def run_oracle(cfg: dict) -> OracleResult:
             edge_ramp_cells=run_cfg["edge_ramp_cells"],
         )
 
-    def measured(zeeman: Sequence[float], coupled: bool = True) -> tuple[TimeSeries, float]:
-        """A run from ``initial``: its series and its final state's edge density ratio."""
-        ham = GridHamiltonian(
-            include_interaction=coupled, coupling_sign=sign,
-            zeeman_particle=zeeman[0], zeeman_loop=zeeman[1],
-        )
-        final, series = run(initial, spec, GridOperator(spec, ham))
+    def measured(state: GridState, name: str) -> tuple[TimeSeries, float]:
+        """Run ``name`` from ``state``: its series and final edge density ratio.  It
+        takes its operator out of ``runs``, so that the operator's fields go with it."""
+        operator = runs.pop(name)
+        final, series = run(state, operator.spec, operator)
         return series, edge_density_ratio(final)
 
-    # Every run's grid and packet are checked, and their work summed, before
-    # the first run starts.
-    spec, packet = placed(config.build_kinetic_scale(cfg), o["duration"], o)
+    # Every run's operator and packet are checked, and its work summed, before any run.
+    zeeman = o["zeeman"] if o["variant"] == "pure-zeeman" else (0.0, 0.0)
+    spec, packet = placed("main", config.build_kinetic_scale(cfg), o["duration"], o,
+                          hamiltonian(zeeman, coupled=full))
     if spec.steps < 8:
         raise ValidationError(
             f"oracle.duration {o['duration']:g} is under 8 steps of dt {spec.dt:.3e}: "
@@ -1102,78 +1120,59 @@ def run_oracle(cfg: dict) -> OracleResult:
         )
     r = o["remainder"]  # heavy-slow regime resolving the cubic term
     steps = spec.steps
-    if o["variant"] == "full":
+    if full:
         # fewer than two windows reach check_windows below, which refuses them
-        spec_r, packet_r = placed(r["kinetic_scale"], max(r["windows"], default=0.0), r)
+        spec_r, packet_r = placed("remainder", r["kinetic_scale"], max(r["windows"], default=0.0),
+                                  r, hamiltonian())
+        runs["zeeman"] = GridOperator(spec, hamiltonian(o["zeeman"]))
         steps += spec_r.steps + spec.steps  # the remainder and Zeeman runs
-    if o["variant"] != "free":  # a run under the Zeeman term, at the main step
-        zp, zl = o["zeeman"]
-        # the Zeeman eigenvalues are +-(zp + zl) / 2 and +-(zp - zl) / 2
-        radius = spectral_radius_bound(spec) + (abs(zp) + abs(zl)) / 2.0
-        if spec.dt * radius > RK4_STABILITY_LIMIT:
-            raise ValidationError(
-                f"oracle.zeeman {[zp, zl]} puts dt {spec.dt:.3e} beyond the RK4 stability "
-                f"bound {RK4_STABILITY_LIMIT / radius:.3e}"
-            )
-        # The run holds the magic components that its H reaches from up-up's
-        # (T_x, T_y); on them, by Weyl's inequality, every eigenvalue of H
-        # lies at least this far from zero.  RK4 keeps |R(ix)|^2 = 1 - x^6/72
-        # + x^8/576 of each eigencomponent, a loss that grows with x up to
-        # sqrt(6) (x <= 2 here): past the norm budget the first step is
-        # certain to fail.
-        lo, hi = GridHamiltonian(include_interaction=o["variant"] == "full",
-                                 zeeman_particle=zp, zeeman_loop=zl).closure(0, 2)
-        gaps = [abs(zp + zl)] * (lo < 2) + [abs(zp - zl)] * (hi > 2)
-        x = spec.dt * (min(gaps) / 2.0 - spectral_radius_bound(spec))
-        loss = x**6 / 72.0 - x**8 / 576.0
-        if x > 0 and loss > STEP_NORM_DRIFT_LIMIT:
-            raise ValidationError(
-                f"oracle.zeeman {[zp, zl]} puts dt {spec.dt:.3e} past the per-step norm "
-                f"budget: RK4 loses at least {loss:.3e} of it, over {STEP_NORM_DRIFT_LIMIT:g}"
-            )
+    loss = runs["zeeman" if full else "main"].first_step_loss(0, 2)  # up-up: (T_x, T_y)
+    if loss > STEP_NORM_DRIFT_LIMIT:
+        raise ValidationError(f"oracle.zeeman {list(o['zeeman'])} puts dt {spec.dt:.3e} past "
+                              f"the per-step norm budget: RK4 loses at least {loss:.3e} of it, "
+                              f"over {STEP_NORM_DRIFT_LIMIT:g}")
     if spec.points_per_axis**3 * steps > CELL_STEPS_BUDGET:
         raise ValidationError(
             f"oracle of {steps} steps over {spec.points_per_axis}^3 points takes "
             f"{spec.points_per_axis**3 * steps:.3g} cell-steps, "
             f"over the {CELL_STEPS_BUDGET:.3g} budget"
         )
-    if o["variant"] == "full":
+    if full:
         check_windows(spec_r.times(), r["windows"])
     initial = start(spec, packet, o)
     # Measurements follow the runs, so their temporaries do not shape the runs' heap.
-    if o["variant"] != "full":
-        zeeman = o["zeeman"] if o["variant"] == "pure-zeeman" else (0.0, 0.0)
-        series, edge = measured(zeeman, coupled=False)
+    if not full:
+        series, edge = measured(initial, "main")
         return OracleResult(o["variant"], spec, initial, series,
                             fit_acceleration(series.t, series.z_expect), edge,
                             expect_momentum_z(initial, spec))
-    ham = GridHamiltonian(coupling_sign=sign)
 
     def main_and_remainder():
-        series, edge = measured((0.0, 0.0))
+        series, edge = measured(initial, "main")
         fit = fit_acceleration(series.t, series.z_expect)
-        final, series_r = run(start(spec_r, packet_r, r), spec_r, GridOperator(spec_r, ham))
-        return series, fit, series_r, max(edge, edge_density_ratio(final))
+        series_r, edge_r = measured(start(spec_r, packet_r, r), "remainder")
+        return series, fit, series_r, max(edge, edge_r)
 
     # The Zeeman run (a uniform field must not change the fit), the costliest
     # with four components, is the forked task, and runs last inline.  Its
     # series is fitted here, so that the child makes no BLAS or LAPACK call.
     (series, fit, series_r, edge), (series_z, edge_z) = _alongside(
-        lambda: measured(o["zeeman"]), main_and_remainder
+        lambda: measured(initial, "zeeman"), main_and_remainder
     )
     tuples = required_tuples_for(uu)
 
     def contraction(moments: dict[MomentKey, float]) -> float:
         return contract_force(uu, moments, coupling_sign=sign).a_z
 
+    residuals = remainder_residuals(series_r, r["windows"])
     return OracleResult(
         "full", spec, initial, series, fit, max(edge, edge_z), expect_momentum_z(initial, spec),
         series_z, fit_acceleration(series_z.t, series_z.z_expect), series_r,
         a_from_grid_density=contraction(moments_from_state(initial, spec, tuples)),
         a_from_quadrature=contraction(quadrature_moments(packet, tuples)),
-        a_discrete=discrete_acceleration(initial, spec, ham),
-        remainder_exponent=remainder_scaling(series_r, r["windows"]),
-        remainder_residuals=remainder_residuals(series_r, r["windows"]),
+        a_discrete=discrete_acceleration(initial, spec, hamiltonian()),
+        remainder_exponent=_remainder_exponent(series_r, r["windows"], residuals),
+        remainder_residuals=residuals,
     )
 
 

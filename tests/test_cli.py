@@ -466,16 +466,29 @@ class TestSelftestCommand:
         assert main(["selftest", "--config", str(over), "--out", str(tmp_path)]) == 0
         assert "PASS grid-smoke:" in capsys.readouterr().out
 
-    def test_window_too_short_to_fit_refused(self, tmp_path, capsys):
-        """At this mass the smoke's 120 steps span ~1e-168 tau, whose square
-        underflows: one line and exit 1, not a numpy warning and inf%."""
+    @pytest.mark.parametrize("mass", [1e-33, 1e-35, 1e-40, 1e-250, 1e-300])
+    def test_smoke_under_the_rounding_of_z_refused(self, tmp_path, capsys, mass):
+        """Light masses shrink the smoke's step until its displacement is
+        rounding: at 1e-33 kg it is 8 eps z0 and the fit gap read 19.53%, at
+        1e-250 kg a 256-digit number, each a FAIL and exit 2.  At 1e-300 kg
+        the 120 steps span ~1e-168 tau, whose square underflows.  Each is
+        refused before the run: one line and exit 1."""
         over = tmp_path / "cfg.json"
-        over.write_text(json.dumps({"params": {"mass": 1e-300}}))
+        over.write_text(json.dumps({"params": {"mass": mass}}))
         out = tmp_path / "out"
         assert main(["selftest", "--config", str(over), "--out", str(out)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: fit window of ") and err.count("\n") == 1
+        assert err.startswith("error: grid smoke: 120 steps of dt ") and err.count("\n") == 1
+        assert "that its fit resolves over the rounding of <z> ~ 0.4\n" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("mass, gap", [(1e-32, "2.69%"), (1e-22, "3.19%")])
+    def test_smoke_over_the_floor_passes(self, tmp_path, capsys, mass, gap):
+        """At 1e-32 kg the displacement is 127 eps z0, over the floor of 24."""
+        over = tmp_path / "cfg.json"
+        over.write_text(json.dumps({"params": {"mass": mass}}))
+        assert main(["selftest", "--config", str(over), "--out", str(tmp_path)]) == 0
+        assert f"fit gap {gap}\n" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("command", ["figure2", "deflect", "epr", "oracle", "selftest"])
@@ -660,8 +673,21 @@ class TestOracleInputErrors:
         out = tmp_path / "out"
         assert main(["oracle", "--config", str(over), "--out", str(out)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: oracle.zeeman [1000000000000.0, 0.0] puts dt ")
-        assert "beyond the RK4 stability bound" in err and err.count("\n") == 1
+        assert err.startswith("error: dt 9.385e-07 is beyond the RK4 stability bound ")
+        assert err.endswith(" under Zeeman strengths [1000000000000.0, 0.0]\n")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    def test_theta_beyond_the_stability_bound_refused_before_any_state(self, tmp_path, capsys,
+                                                                       monkeypatch):
+        monkeypatch.setattr(gridsim, "initialize", refuse_state)
+        over = tmp_path / "cfg.json"
+        over.write_text(json.dumps({"oracle": {"theta": 2.5}}))
+        out = tmp_path / "out"
+        assert main(["oracle", "--config", str(over), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: dt 7.821e-06 is beyond the RK4 stability bound 6.257e-06 ")
+        assert err.endswith(" under Zeeman strengths [0.0, 0.0]\n") and err.count("\n") == 1
         assert not out.exists()
 
     @pytest.mark.parametrize("variant", ["full", "pure-zeeman"])
@@ -867,6 +893,15 @@ class TestCsvText:
     def test_rows_and_header(self):
         assert csv_text("a,b", np.array([0.0, 1e-6]), [0.4, -0.0]) == "a,b\n0,0.4\n1e-06,-0\n"
         assert csv_text("a,b") == "a,b\n"
+
+    def test_time_series(self):
+        """The oracle's series file: a TimeSeries' three columns."""
+        series = gridsim.TimeSeries(
+            t=np.array([0.0, 1e-6]), z_expect=np.array([0.4, 0.3999999]),
+            norm=np.array([1.0, 1.0]),
+        )
+        text = csv_text("t,z_expect,norm", series.t, series.z_expect, series.norm)
+        assert text == "t,z_expect,norm\n0,0.4,1\n1e-06,0.3999999,1\n"
 
 
 def run_convergence_study(*args, prelude=""):

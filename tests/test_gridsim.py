@@ -21,7 +21,6 @@ import pytest
 from spinloop import config as cfgmod
 from spinloop import deflection as dfl
 from spinloop import fields, gridsim, packets, spins
-from spinloop.cli import csv_text
 from spinloop.errors import NumericalError, ValidationError
 
 KAPPA = 0.8773534162632591  # reference kinetic scale
@@ -69,8 +68,11 @@ class TestGridSpec:
             gridsim.Grid(16, (0.0, 0.0, 0.05), 0.05, 1.0)
 
     def test_rejects_unstable_dt(self):
-        with pytest.raises(ValidationError, match="stability"):
-            gridsim.GridSpec(dt=1000.0 * small_spec().dt, steps=1, **GEOMETRY)
+        """A spec holds any positive dt; the operator that would step it refuses it."""
+        spec = gridsim.GridSpec(dt=1000.0 * small_spec().dt, steps=1, **GEOMETRY)
+        with pytest.raises(ValidationError, match=r"^dt 7.893e-04 is beyond the RK4 stability "
+                           r"bound 1.052e-05 under Zeeman strengths \[0.0, 0.0\]$"):
+            gridsim.GridOperator(spec, gridsim.GridHamiltonian())
 
     def test_axes_cover_box(self, spec):
         ax, ay, az = spec.axes()
@@ -203,7 +205,7 @@ class TestEvolution:
         op = gridsim.GridOperator(
             spec, gridsim.GridHamiltonian(include_kinetic=False, include_interaction=False)
         )
-        out = gridsim.evolve(state, spec, op)
+        out = gridsim.evolve(state, op)
         assert np.allclose(out.stack, state.stack, atol=1e-15)
 
     def test_norm_conserved(self, spec, packet, uu):
@@ -236,9 +238,34 @@ class TestEvolution:
         spec = small_spec(points=16)
         op = gridsim.GridOperator(small_spec(points=16, theta=0.05), gridsim.GridHamiltonian())
         state = gridsim.initialize(SMALL_PACKET, uu, spec, edge_ramp_cells=2.0)
-        for step in (gridsim.run, gridsim.evolve):
-            with pytest.raises(ValidationError, match="spec differs from the operator's in dt"):
-                step(state, spec, op)
+        with pytest.raises(ValidationError, match="spec differs from the operator's in dt"):
+            gridsim.run(state, spec, op)
+
+    def test_zeeman_beyond_the_stability_bound_refused_when_built(self, spec):
+        """Any operator, not only the oracle's, checks dt against its own H:
+        this one used to be accepted and fail at step 1 with the norm
+        drifted by 1.022e+42."""
+        ham = gridsim.GridHamiltonian(include_interaction=False, zeeman_particle=1e12)
+        with pytest.raises(ValidationError, match=(
+                rf"^dt {spec.dt:.3e} is beyond the RK4 stability bound 4.000e-12 "
+                r"under Zeeman strengths \[1000000000000.0, 0.0\]$")):
+            gridsim.GridOperator(spec, ham)
+
+    @pytest.mark.parametrize("coupled, zeeman, loss", [
+        (False, (1.5e6, 1.5e6), "2.172e-02"),  # (T_x, T_y) alone: the gap is zp + zl
+        (True, (1.5e6, 1.5e6), "0.000e+00"),  # the coupling reaches T_z, whose gap is 0
+        (False, (5.0, 3.0), "0.000e+00"),  # the preset's: far inside the kinetic spectrum
+    ])
+    def test_first_step_loss_at_the_preset_step(self, preset_cfg, preset_kappa, coupled,
+                                                zeeman, loss):
+        """The loss that oracle.zeeman [1.5e6, 1.5e6] reports for the
+        pure-zeeman variant at the preset dt, read off the operator."""
+        o = preset_cfg["oracle"]
+        spec = gridsim.Grid(o["points"], tuple(o["center"]), o["half_width"],
+                            preset_kappa).stepped(o["theta"], o["duration"])
+        ham = gridsim.GridHamiltonian(include_interaction=coupled, zeeman_particle=zeeman[0],
+                                      zeeman_loop=zeeman[1])
+        assert f"{gridsim.GridOperator(spec, ham).first_step_loss(0, 2):.3e}" == loss
 
     def test_spec_may_differ_in_steps(self, uu):
         spec = small_spec(points=16, steps=3)
@@ -257,7 +284,7 @@ class TestEvolution:
         op = gridsim.GridOperator(spec, gridsim.GridHamiltonian())
         with pytest.raises(NumericalError, match="unstable step"):
             for _ in range(spec.steps):
-                state = gridsim.evolve(state, spec, op)
+                state = gridsim.evolve(state, op)
 
     def test_unstable_step_names_step_and_dt(self, uu):
         bound = gridsim.spectral_radius_bound(gridsim.Grid(**GEOMETRY))
@@ -289,7 +316,7 @@ class TestEvolution:
         assert np.array_equal(state.stack, before)
         ref = state
         for _ in range(spec.steps):
-            ref = gridsim.evolve(ref, spec, op)
+            ref = gridsim.evolve(ref, op)
         assert state.stack.shape[1] == 2 and final.stack.shape[1] == live
         assert np.array_equal(final.stack, ref.stack) and final.step == ref.step == spec.steps
 
@@ -540,7 +567,7 @@ class TestStructuredKernel:
         k3 = f(psi + 0.5 * dt * k2)
         k4 = f(psi + dt * k3)
         ref = psi + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        got = gridsim.evolve(magic_state(psi), spec, full_operator).amplitudes()
+        got = gridsim.evolve(magic_state(psi), full_operator).amplitudes()
         assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(psi))
 
     @pytest.mark.parametrize(
@@ -853,6 +880,27 @@ class TestOracleMeasurements:
         ):
             assert getattr(result, field) == expected, field
 
+    def test_each_window_fitted_once(self, preset_cfg, monkeypatch):
+        """The main and Zeeman fits and one per remainder window: 8 fits at
+        the preset's 6 windows, which are checked once, before the runs."""
+        calls = []
+
+        def spy(name):
+            real = getattr(gridsim, name)
+
+            def call(*args):
+                calls.append(name)
+                return real(*args)
+            monkeypatch.setattr(gridsim, name, call)
+
+        spy("fit_acceleration")
+        spy("check_windows")
+        monkeypatch.delattr(os, "fork")
+        gridsim.run_oracle(preset_cfg)
+        windows = preset_cfg["oracle"]["remainder"]["windows"]
+        assert calls.count("fit_acceleration") == 2 + len(windows) == 8
+        assert calls.count("check_windows") == 1
+
     @pytest.mark.parametrize("windows", [[2.5e-4, 5e-4], [2.5e-4, 6.1e-4, 4e-4]])
     def test_remainder_run_ends_at_its_last_window(self, preset_cfg, monkeypatch, windows):
         """The remainder run ends within one step after its last window,
@@ -893,8 +941,8 @@ class TestDiscreteAcceleration:
         state = gridsim.initialize(packet, uu, spec, momentum_z=3.0)
         ham = gridsim.GridHamiltonian()
         op = gridsim.GridOperator(spec, ham)
-        one = gridsim.evolve(state, spec, op)
-        p = [gridsim.expect_momentum_z(s, spec) for s in (state, one, gridsim.evolve(one, spec, op))]
+        one = gridsim.evolve(state, op)
+        p = [gridsim.expect_momentum_z(s, spec) for s in (state, one, gridsim.evolve(one, op))]
         rate = KAPPA * (-3.0 * p[0] + 4.0 * p[1] - p[2]) / (2.0 * spec.dt)
         exact = gridsim.discrete_acceleration(state, spec, ham)
         assert exact == pytest.approx(rate, rel=1e-7)
@@ -1028,19 +1076,6 @@ class TestCanonicalCommutator:
     def test_degree_cap(self):
         with pytest.raises(ValidationError):
             gridsim.canonical_commutator_residual([0, 0, 0, 0, 1.0])
-
-
-class TestSeriesCsv:
-    def test_format(self):
-        series = gridsim.TimeSeries(
-            t=np.array([0.0, 1e-6]), z_expect=np.array([0.4, 0.3999999]),
-            norm=np.array([1.0, 1.0]),
-        )
-        text = csv_text("t,z_expect,norm", series.t, series.z_expect, series.norm)
-        lines = text.strip().split("\n")
-        assert lines[0] == "t,z_expect,norm"
-        assert lines[1] == "0,0.4,1"
-        assert lines[2] == "1e-06,0.3999999,1"
 
 
 def test_moments_from_state_matches_quadrature(spec, packet, uu):

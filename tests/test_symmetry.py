@@ -152,7 +152,7 @@ def test_off_axis_packet_or_box_has_no_parity(packet_center, box_center):
     packet = packets.WavePacket(center=packet_center, width=0.03)
     state = start(spec, spins.basis_state("up", "up"), packet)
     assert state.phase is None
-    assert gridsim.evolve(state, spec, gridsim.GridOperator(spec, gridsim.GridHamiltonian())
+    assert gridsim.evolve(state, gridsim.GridOperator(spec, gridsim.GridHamiltonian())
                           ).phase is None
 
 
@@ -162,7 +162,7 @@ def test_off_axis_operator_refuses_a_quadrant_state():
     spec = small_spec(16, center=(0.002, 0.0, 0.4))
     operator = gridsim.GridOperator(spec, gridsim.GridHamiltonian())
     with pytest.raises(ValidationError, match="centred on the z axis"):
-        gridsim.evolve(on_axis, spec, operator)
+        gridsim.evolve(on_axis, operator)
 
 
 def test_apply_refuses_parity_in_an_off_axis_box():
@@ -210,7 +210,7 @@ def test_evolve_leaves_the_callers_stack_unwritten(points):
     state = start(spec, spins.basis_state("down", "up"))
     before = state.stack.copy()
     for ham in HAMILTONIANS.values():
-        new = gridsim.evolve(state, spec, gridsim.GridOperator(spec, ham))
+        new = gridsim.evolve(state, gridsim.GridOperator(spec, ham))
         assert new.stack is not state.stack
         assert np.array_equal(state.stack, before)
 
@@ -233,7 +233,7 @@ def test_run_sums_every_step_to_fsum_and_steps_as_evolve(points, box):
     step = state
     for k in range(spec.steps + 1):
         if k:
-            step = gridsim.evolve(step, spec, operator)
+            step = gridsim.evolve(step, operator)
             assert (step.norm2, step.z_norm2) == (series.norm[k], series.z_expect[k])
         squares = (unfolded(step) if box == "quadrant" else step).stack ** 2
         assert abs(series.norm[k] - math.fsum(squares.ravel())) <= 4e-16
