@@ -20,7 +20,7 @@ real and imaginary parts form one real stack, and only the components the
 state and the Hamiltonian reach are carried: three (the triplet) for an
 up-up packet under the coupling, four once a Zeeman term with
 zeeman_particle != zeeman_loop mixes in S.  One RK4 stage is one
-:meth:`GridOperator.apply`.
+:meth:`GridOperator.apply`, in the rotating frame of :func:`evolve`.
 
 Symmetry: the quarter-turn R (x, y, z) -> (-y, x, z), taken with the spin
 rotation M: T_x -> T_y, T_y -> -T_x on (T_x, T_y, T_z, S), commutes with
@@ -314,9 +314,9 @@ class GridState:
     whole grid is :meth:`total` over the box.  The quadrant box's ghost
     planes, box index 0 in x or y, stand for no cells (weight 0): a step
     writes them as the images of the inner rows next to the other face,
-    except their corner column (0, 0), which is stepped but holds no
-    image.  Nothing reads it as a cell: sums weight it 0 and
-    :func:`edge_density_ratio` skips the ghost planes.
+    except their corner column (0, 0), which holds no image and which a
+    step carries over unchanged.  Nothing reads it as a cell: sums weight
+    it 0 and :func:`edge_density_ratio` skips the ghost planes.
     """
 
     stack: np.ndarray
@@ -342,7 +342,7 @@ class GridState:
         """|psi|^2 per cell of the box: the squares of the stack summed over
         parts and components.  On the quadrant box this includes the ghost
         planes, which are no cells, and their corner column, which holds no
-        image after a step (see :class:`GridState`)."""
+        image (see :class:`GridState`)."""
         flat = self.stack.reshape(-1, self.stack[0, 0].size)
         return np.einsum("ck,ck->k", flat, flat).reshape(self.stack.shape[2:])
 
@@ -451,30 +451,30 @@ class _Box:
 
 
 class GridOperator:
-    """One RK4 stage, y -> psi + (-i dt H y) / j, on real magic-basis stacks.
+    """One RK4 stage, y -> (dt / j) H y + i^(5 - j) psi, on real magic-basis stacks.
 
-    In the magic basis H is real except for the total-S_z Zeeman term, so a
-    stage is "H on Im added to Re, H on Re subtracted from Im".  Each part is
-    one pass over all the stack's live rows.  Every step of it is
-    elementwise per row, so a row's bits do not depend on the rows beside
-    it.  H y / ``unit`` is the sum of:
+    In the magic basis H is real except for the total-S_z Zeeman term, so
+    all of H but that term acts within each part, one call over the whole
+    stack per term; only that term and the psi term cross parts.  Every
+    step is elementwise per row, so a row's bits do not depend on the rows
+    beside it.  H y / ``unit`` is the sum of:
 
     * the ring k = 1 of :data:`LAPLACIAN`, weight 1 over ``unit``, as six
       neighbour sums (flat offset slices +-1, +-n and +-n * ny over the
-      box), plus the diagonal: the field (K + G) / unit on the triplet under
+      stack), plus the diagonal: the field (K + G) / unit on the triplet under
       the coupling and K / unit on the other rows, K = -(3 c_0 / 2) kappa / dx^2;
     * on the triplet, the dipole coupling g/2 (delta_ab - 3 n_a n_b) with
       g = -sign * scale / (4 pi r^3 kappa), i.e. G u - sigma q (q . u) with
       G = g/2, q = n sqrt(3 |g| / 2) and sigma = sign(g); the singlet row
       and column vanish;
-    * the Zeeman term as two row-pair updates: total S_z is imaginary
-      antisymmetric on (T_x, T_y), so it turns them within a part, and
-      S_z_p - S_z_l is real on (T_z, S), so it swaps them across parts.
+    * the Zeeman term as two row-pair updates: S_z_p - S_z_l is real on
+      (T_z, S), so it swaps them within a part, and total S_z is imaginary
+      antisymmetric on (T_x, T_y), so it turns them across parts.
 
     One multiply by the stage mask, dt / j * unit on the interior and 0 on
-    the h outer wall layers, then scales the part and clears the walls, and
-    one pass adds it to (or subtracts it from) psi.  The wall layers are the
-    Dirichlet ghost and are held at exactly zero.
+    the h outer wall layers and the quadrant's corner column, where the flat
+    sums spill, and one pass adds i^(5 - j) psi: psi, -i psi, -psi or i psi.
+    The wall layers are the Dirichlet ghost and are held at exactly zero.
 
     The passes run over the box of the stacks' quarter-turn eigenvalue
     (:class:`GridState`): the whole grid, or, in a grid centred on the z
@@ -550,11 +550,12 @@ class GridOperator:
             g = -ham.coupling_sign / (4.0 * np.pi * spec.kinetic_scale * r**3)
             q = np.sqrt(1.5 * np.abs(g) / abs(unit)) / r
             potential = np.stack([(diag + 0.5 * g) / unit, q * X, q * Y, q * Z])
-        # Stage scale dt / j * unit on the interior and 0 on the walls, j = 1..4;
-        # the quadrant's ghost planes are no walls
+        # Stage scale dt / j * unit on the interior and 0 on the walls, j = 1..4; the
+        # quadrant's ghost planes are no walls, but their corner column (no cell) is
         interior = np.zeros((side, side, n))
         lo = STENCIL_REACH if phase is None else 0
         interior[lo:-STENCIL_REACH, lo:-STENCIL_REACH, STENCIL_REACH:-STENCIL_REACH] = 1.0
+        interior[:STENCIL_REACH, :STENCIL_REACH] = 0.0
         masks = np.stack([(spec.dt / j * unit) * interior.reshape(-1) for j in range(1, 5)])
         return _Box(
             shape=(side, side, n), offsets=(1, n, side * n),
@@ -567,17 +568,17 @@ class GridOperator:
         self, y: np.ndarray, psi: np.ndarray, j: int, out: np.ndarray, first: int = 0,
         phase: complex | None = None,
     ) -> np.ndarray:
-        """Write psi + (-i dt H y) / j into ``out``, for the stage j = 1, 2, 3 or 4.
+        """Write (dt / j) H y + i^(5 - j) psi into ``out``, for the stage j = 1, 2, 3 or 4.
 
         All three are C-contiguous real stacks of one shape (2, m, nx, ny, n)
         over the cells of the box of ``phase``, the quarter-turn eigenvalue
         of ``y`` and ``psi`` (see :class:`GridState`), holding the magic
         components ``first`` .. ``first + m - 1``, a range that H must map
         into itself; ``out`` may be neither ``y`` nor ``psi``.  The walls of
-        ``out`` are those of ``psi``: the H y term is exactly zero there
-        whatever ``y`` holds.  On the quadrant box, the ghost planes of
-        ``out`` are written as the turned images of its inner rows, so that
-        ``out`` can be the ``y`` of the next stage.
+        ``out`` are those of ``psi`` times i^(5 - j): the H y term is exactly
+        zero there whatever ``y`` holds.  On the quadrant box, the ghost
+        planes of ``out`` are written as the turned images of its inner rows,
+        so that ``out`` can be the ``y`` of the next stage.
         """
         m = y.shape[1]
         stop = first + m
@@ -585,44 +586,48 @@ class GridOperator:
             raise ValidationError(f"H couples magic components {first}..{stop - 1} to others")
         if j not in (1, 2, 3, 4):
             raise ValidationError(f"RK4 stage {j} is not one of 1, 2, 3, 4")
+        if not (y.flags.c_contiguous and psi.flags.c_contiguous and out.flags.c_contiguous):
+            raise ValidationError("apply needs C-contiguous stacks y, psi and out")
         box = self.box(phase)
         if y.shape[2:] != box.shape:
             raise ValidationError(f"stack of cells {y.shape[2:]} is not the box {box.shape}")
         ys, ps, os = (a.reshape(2, m, -1) for a in (y, psi, out))
-        mask = box.masks[j - 1]
-        lo, hi = box.span, ys.shape[2] - box.span
         # under the coupling a closed range holds the triplet, or the singlet alone
         coupled = box.potential is not None and first == 0
         tri = 3 if coupled else 0  # rows on the triplet's field, the rest on the constant
-        # H on Im adds into Re, H on Re subtracts from Im
-        for o, p, same, src, turn, finish in (
-            (os[0], ps[0], ys[0], ys[1], -self._spin_mix, np.add),
-            (os[1], ps[1], ys[1], ys[0], self._spin_mix, np.subtract),
-        ):
-            if coupled:
-                np.multiply(src[:3], box.potential[0], out=o[:3])
-            np.multiply(src[tri:], box.diag, out=o[tri:])
-            if self._kinetic:
-                # neighbours at flat offsets, row by row; spill-over lands on
-                # the walls and ghost planes only
-                inner = o[:, lo:hi]
-                for k in box.offsets:
-                    inner += src[:, lo - k : hi - k]
-                    inner += src[:, lo + k : hi + k]
-            if coupled:
+        # H's real part acts within each part: each of its terms is one call over both
+        if coupled:
+            np.multiply(ys[:, :3], box.potential[0], out=os[:, :3])
+        if tri < m:
+            np.multiply(ys[:, tri:], box.diag, out=os[:, tri:])
+        if self._kinetic:
+            # neighbours at flat offsets over the whole stack; what spills across
+            # rows lands on walls, ghost planes and the corner column only
+            yf, of = y.reshape(-1), out.reshape(-1)
+            inner = of[box.span : of.size - box.span]
+            for k in box.offsets:
+                inner += yf[box.span - k : of.size - box.span - k]
+                inner += yf[box.span + k : of.size - box.span + k]
+        tmp = box.tmp[0]
+        for o, src, other, turn in ((os[0], ys[0], ys[1], self._spin_mix),
+                                    (os[1], ys[1], ys[0], -self._spin_mix)):
+            if coupled:  # per part, so that the scratch holds one part's rows
                 np.einsum("bk,bk->k", box.potential[1:], src[:3], out=box.dot)
                 q_dot = np.multiply(box.potential[1:], box.dot, out=box.tmp)
                 self._couple(o[:3], q_dot, out=o[:3])
-            tmp = box.tmp[0]
             if turn and first == 0:
-                o[0] += np.multiply(same[1], turn, out=tmp)
-                o[1] -= np.multiply(same[0], turn, out=tmp)
+                o[0] += np.multiply(other[1], turn, out=tmp)
+                o[1] -= np.multiply(other[0], turn, out=tmp)
             if self._singlet_mix and stop == 4:
                 o[2 - first] += np.multiply(src[3 - first], self._singlet_mix, out=tmp)
                 o[3 - first] += np.multiply(src[2 - first], self._singlet_mix, out=tmp)
-            # stage scale on the interior, 0 on the walls (where the offset sums spill)
-            np.multiply(o, mask, out=o)
-            finish(p, o, out=o)
+        # stage scale on the interior, 0 where the offset sums spill
+        np.multiply(os, box.masks[j - 1], out=os)
+        if j % 2:  # i^(5 - j) psi: psi at j = 1, -psi at j = 3
+            (np.add if j == 1 else np.subtract)(out, psi, out=out)
+        else:  # -i psi at j = 2, i psi at j = 4: each part takes the other's
+            (np.add if j == 2 else np.subtract)(os[0], ps[1], out=os[0])
+            (np.subtract if j == 2 else np.add)(os[1], ps[0], out=os[1])
         if phase is not None:
             # the ghost plane i = n//2 - 1 (box index h - 1) is the image of the
             # row j = n - n//2 (box index g) under one quarter-turn, the ghost
@@ -693,11 +698,12 @@ def evolve(state: GridState, operator: GridOperator,
 
     H is linear and time independent, so the classical four-stage step is
     sum_{k<=4} (-i dt H)^k psi / k!, evaluated in Horner form:
-    y <- psi, then y <- psi + (-i dt H y) / j for j = 4, 3, 2, 1, each
-    stage one :meth:`GridOperator.apply` on the state's box that alternates
-    between two buffers; the second holds the new state.  The stack first
-    grows to the range of magic components that H reaches from the
-    state's.  ``out`` gives the two buffers (stacks of the grown state's
+    u <- psi, then u <- psi + (-i dt H u) / j for j = 4, 3, 2, 1, in the
+    rotating frame where stage j's :meth:`GridOperator.apply` reads
+    i^(4 - j) u and writes i^(5 - j) u, alternating between two buffers on
+    the state's box: stage 4 reads psi, stage 1 writes the new state u.  The
+    stack first grows to the range of magic components that H reaches from
+    the state's.  ``out`` gives the two buffers (stacks of the grown state's
     box, neither of them the state's); without it they are allocated.  The
     state's stack is never written.
 
@@ -740,12 +746,13 @@ def run(state: GridState, spec: GridSpec, operator: GridOperator) -> tuple[GridS
     """Evolve ``spec.steps`` steps recording <z> and the norm at every step.
 
     A ``spec`` other than ``operator.spec`` but for ``steps`` is refused
-    before the first step.  Every step is an :func:`evolve` on the state's
-    box, and the final state holds that box too.  Three stacks of the box
-    are rotated through the steps: a copy of the state's and two RK4
-    buffers, so ``state.stack`` is read, never written.  The recorded norm
-    (squared) and <z> (times it) are the ``norm2`` and ``z_norm2`` of each
-    state, one :meth:`GridOperator.observe` pass over its box.
+    before the first step, and so is a first step that loses more than
+    :data:`STEP_NORM_DRIFT_LIMIT` (:meth:`GridOperator.first_step_loss`).
+    Every step is an :func:`evolve` on the state's box, and the final state
+    holds that box too.  Three stacks of the box are rotated through the
+    steps: a copy of the state's and two RK4 buffers, so ``state.stack`` is
+    read, never written.  The recorded norm (squared) and <z> (times it) are
+    the ``norm2`` and ``z_norm2`` of each state, one :meth:`GridOperator.observe` pass over its box.
     """
     differ = [f.name for f in fields(spec)
               if f.name != "steps" and getattr(spec, f.name) != getattr(operator.spec, f.name)]
@@ -753,6 +760,10 @@ def run(state: GridState, spec: GridSpec, operator: GridOperator) -> tuple[GridS
         raise ValidationError(f"spec differs from the operator's in {', '.join(differ)}: "
                               f"the operator steps at dt {operator.spec.dt:.3e}")
     state = _on_closure(state, operator)
+    loss = operator.first_step_loss(state.first, state.first + state.stack.shape[1])
+    if loss > STEP_NORM_DRIFT_LIMIT:
+        raise ValidationError(f"dt {spec.dt:.3e} puts the first step past the norm budget: "
+                              f"RK4 loses at least {loss:.3e}, over {STEP_NORM_DRIFT_LIMIT:g}")
     stack = state.stack.copy()
     norm2, z_norm2 = operator.observe(stack, state.phase)
     state = replace(state, stack=stack, norm2=norm2, z_norm2=z_norm2)
@@ -776,18 +787,18 @@ def _stencil_d(stack: np.ndarray, dx: float) -> np.ndarray:
     return d
 
 
-def _im_d(state: GridState, a: np.ndarray, dx: float) -> float:
-    """Im<a | D psi> over the whole grid, for psi the state's stack and
-    ``a`` a stack of its shape: the box sum of a_re . Dpsi_im - a_im . Dpsi_re."""
+def _overlap_d(state: GridState, a: np.ndarray, dx: float) -> complex:
+    """<a | D psi> over the whole grid, for psi the state's stack and ``a`` a stack of its
+    shape: box sums of a_re . Dpsi_re + a_im . Dpsi_im and a_re . Dpsi_im - a_im . Dpsi_re."""
     d = _stencil_d(state.stack, dx)
-    cells = np.einsum("c...,c...->...", a[0], d[1]) - np.einsum("c...,c...->...", a[1], d[0])
-    return state.total(cells)
+    dot = [[np.einsum("c...,c...->...", a[p], d[q]) for q in (0, 1)] for p in (0, 1)]
+    return complex(state.total(dot[0][0] + dot[1][1]), state.total(dot[0][1] - dot[1][0]))
 
 
 def expect_momentum_z(state: GridState, grid: Grid) -> float:
     """<p_z> = Im<psi | D psi> / |psi|^2, with D the momentum stencil conjugate to the
     Laplacian: Re(psi* (-i D) psi) = a Db - b Da per component, psi = a + i b."""
-    return _im_d(state, state.stack, grid.dx) / state.total(state.density())
+    return _overlap_d(state, state.stack, grid.dx).imag / state.total(state.density())
 
 
 def discrete_acceleration(state: GridState, spec: GridSpec, ham: GridHamiltonian) -> float:
@@ -798,15 +809,14 @@ def discrete_acceleration(state: GridState, spec: GridSpec, ham: GridHamiltonian
     -2 kappa Im<V psi | p_h psi> = 2 kappa Re<V psi | D psi>, over the
     squared norm.  V, the potential part of ``ham``, is one
     :meth:`GridOperator.apply` with the kinetic term off: from psi = 0 at
-    j = 1 it writes -i dt V psi at the ``dt`` of ``spec``, which the
-    result divides out again.
+    j = 1 it writes dt V psi at the ``dt`` of ``spec``, which the result
+    divides out again.
     """
     operator = GridOperator(spec, replace(ham, include_kinetic=False))
     state = _on_closure(state, operator)
     psi = state.stack
     v = operator.apply(psi, np.zeros_like(psi), 1, np.empty_like(psi), state.first, state.phase)
-    # V psi = i v / dt, so Re<V psi | D psi> = Im<v | D psi> / dt
-    val = _im_d(state, v, spec.dx)
+    val = _overlap_d(state, v, spec.dx).real
     return 2.0 * spec.kinetic_scale * val / (spec.dt * state.total(state.density()))
 
 

@@ -14,6 +14,7 @@ from spinloop import config as cfgmod
 from spinloop import deflection as dfl
 from spinloop import epr, fields, gridsim, packets, spins, trajectory, units
 from spinloop.cli import main
+from test_epr import oracle_joint
 
 
 @contextmanager
@@ -211,14 +212,15 @@ def test_criterion_9_epr_numbers():
         assert epr.conditional(flat, 1, "down")["up"] == pytest.approx(0.5, abs=1e-12)
         assert flat.marginal(2, "up") == pytest.approx(0.5, abs=1e-12)
         for p in np.linspace(0.01, 0.99, 99):
-            coh = epr.joint_distribution(
-                epr.EPRScenario(p1_up=p, p2_up=p, loop_representation="coherent")
-            )
-            mix = epr.joint_distribution(
-                epr.EPRScenario(p1_up=p, p2_up=p, loop_representation="mixture")
-            )
-            for key, value in coh.as_dict().items():
-                assert abs(value - mix.as_dict()[key]) <= 1e-12
+            coh, mix = (epr.EPRScenario(p1_up=p, p2_up=p, loop_representation=representation)
+                        for representation in ("coherent", "mixture"))
+            joint_coh, joint_mix = (epr.joint_distribution(s).as_dict() for s in (coh, mix))
+            for key, value in joint_coh.items():
+                assert abs(value - joint_mix[key]) <= 1e-12
+            # each against the 16-dimensional projector build, not the closed form alone
+            for scenario, joint in ((coh, joint_coh), (mix, joint_mix)):
+                for key, value in oracle_joint(scenario).items():
+                    assert abs(joint[key] - value) <= 1e-12
 
 
 def test_criterion_10_cli_determinism(tmp_path):

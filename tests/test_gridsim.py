@@ -22,6 +22,7 @@ from spinloop import config as cfgmod
 from spinloop import deflection as dfl
 from spinloop import fields, gridsim, packets, spins
 from spinloop.errors import NumericalError, ValidationError
+from test_symmetry import unfolded
 
 KAPPA = 0.8773534162632591  # reference kinetic scale
 GEOMETRY = dict(points_per_axis=20, box_center=(0.0, 0.0, 0.4), box_half_width=0.05,
@@ -267,6 +268,19 @@ class TestEvolution:
                                       zeeman_loop=zeeman[1])
         assert f"{gridsim.GridOperator(spec, ham).first_step_loss(0, 2):.3e}" == loss
 
+    def test_first_step_past_the_norm_budget_refused_before_it(self, packet, uu):
+        """run checks the first-step loss on the state's own range, for any
+        caller: this run used to fail at step 1 with the norm drifted by
+        -1.468e-01."""
+        spec = gridsim.Grid(**GEOMETRY).stepped(steps=4)
+        ham = gridsim.GridHamiltonian(include_interaction=False, zeeman_particle=2e6,
+                                      zeeman_loop=2e6)
+        state = gridsim.initialize(packet, uu, spec)
+        with pytest.raises(ValidationError, match=(
+                r"^dt 7.893e-07 puts the first step past the norm budget: "
+                r"RK4 loses at least 8.795e-02, over 1e-06$")):
+            gridsim.run(state, spec, gridsim.GridOperator(spec, ham))
+
     def test_spec_may_differ_in_steps(self, uu):
         spec = small_spec(points=16, steps=3)
         op = gridsim.GridOperator(small_spec(points=16), gridsim.GridHamiltonian())
@@ -383,10 +397,16 @@ def magic_state(psi):
 
 
 def step_map(operator, psi):
-    """-i dt H psi in the product basis, through one stage with a zero psi term."""
+    """dt H psi in the product basis, through stage 1 with a zero psi term."""
     y = magic_state(psi).stack
     out = operator.apply(y, np.zeros_like(y), 1, np.empty_like(y))
     return gridsim.GridState(out).amplitudes()
+
+
+def rotated(stack, k):
+    """i^k times the state of a real stack (2, m, ...), as a real stack."""
+    amp = (stack[0] + 1j * stack[1]) * 1j**k
+    return np.stack([amp.real, amp.imag])
 
 
 def dense_hamiltonian_apply(spec, ham, psi):
@@ -471,7 +491,7 @@ class TestStructuredKernel:
         """zeeman_particle != zeeman_loop: all four magic components are live."""
         spec = full_operator.spec
         psi = random_state(rng, spec.points_per_axis)
-        ref = -1j * spec.dt * dense_hamiltonian_apply(spec, full_operator.ham, psi)
+        ref = spec.dt * dense_hamiltonian_apply(spec, full_operator.ham, psi)
         got = step_map(full_operator, psi)
         assert got.shape == psi.shape
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
@@ -487,17 +507,85 @@ class TestStructuredKernel:
         """Without coupling (components in one block) and without kinetic term."""
         spec = small_spec(points=12)
         psi = random_state(rng, spec.points_per_axis)
-        ref = -1j * spec.dt * dense_hamiltonian_apply(spec, ham, psi)
+        ref = spec.dt * dense_hamiltonian_apply(spec, ham, psi)
         got = step_map(gridsim.GridOperator(spec, ham), psi)
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     def test_apply_adds_psi_over_j(self, rng, full_operator):
+        """Stage j writes (dt / j) H y + i^(5 - j) psi: psi, -i psi, -psi, i psi."""
         n = full_operator.spec.points_per_axis
         y, psi = (magic_state(random_state(rng, n)).stack for _ in range(2))
         zero = np.zeros_like(y)
         h = full_operator.apply(y, zero, 1, np.empty_like(y))
-        got = full_operator.apply(y, psi, 3, np.empty_like(y))
-        assert np.max(np.abs(got - (psi + h / 3))) <= 1e-15 * np.max(np.abs(psi))
+        for j in (1, 2, 3, 4):
+            got = full_operator.apply(y, psi, j, np.empty_like(y))
+            expected = h / j + rotated(psi, 5 - j)
+            assert np.max(np.abs(got - expected)) <= 1e-15 * np.max(np.abs(psi))
+
+    @pytest.mark.parametrize("center", [(0.0, 0.0, 0.4), (0.004, 0.0, 0.4)],
+                             ids=["quadrant", "whole-grid"])
+    @pytest.mark.parametrize("spin, ham, live", [
+        (("up", "up"), APPLY_HAMILTONIANS["free"], 2),
+        (("up", "down"), APPLY_HAMILTONIANS["pure-zeeman"], 2),
+        (("up", "up"), APPLY_HAMILTONIANS["pure-zeeman"], 2),
+        (("up", "up"), APPLY_HAMILTONIANS["coupled"], 3),
+        (("up", "up"), APPLY_HAMILTONIANS["coupled+zeeman"], 4),
+    ], ids=["free", "zeeman-singlet", "zeeman-turn", "coupled", "coupled+zeeman"])
+    def test_every_stage_matches_dense_reference(self, spin, ham, live, center):
+        """Each stage j = 1..4 on the stacks of the closed range, on the box of
+        the states' phase, is (dt / j) H y + i^(5 - j) psi on the whole grid."""
+        spec = gridsim.Grid(16, center, 0.0629, KAPPA).stepped(steps=1)
+        op = gridsim.GridOperator(spec, ham)
+        y, psi = (gridsim._on_closure(gridsim.initialize(
+            packets.WavePacket(center=center, width=width), spins.basis_state(*spin), spec,
+            momentum_z=kick, edge_ramp_cells=2.0), op)
+            for width, kick in ((0.03, 2.0), (0.035, -3.0)))
+        assert y.stack.shape[1] == live and (y.phase is None) == (center[0] != 0.0)
+        whole = unfolded if y.phase is not None else (lambda state: state)
+        h = dense_hamiltonian_apply(spec, ham, whole(y).amplitudes())
+        for j in (1, 2, 3, 4):
+            out = op.apply(y.stack, psi.stack, j, np.empty_like(y.stack), y.first, y.phase)
+            got = whole(dataclasses.replace(y, stack=out)).amplitudes()
+            ref = spec.dt / j * h + 1j ** (5 - j) * whole(psi).amplitudes()
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("j", [1, 2, 3, 4])
+    def test_corner_column_and_walls_reach_no_live_cell(self, rng, j):
+        """The flat neighbour sums spill across rows into the walls, the ghost
+        planes and the quadrant's corner column, which stands for no cell.
+        Random values in y's corner column, and in psi's corner column and
+        walls, leave every other cell of out with the bits of zeros there;
+        out's corner column, and its walls off the ghost planes, are
+        i^(5 - j) psi's."""
+        spec = gridsim.Grid(16, (0.0, 0.0, 0.4), 0.0629, KAPPA).stepped(steps=1)
+        op = gridsim.GridOperator(spec, APPLY_HAMILTONIANS["coupled+zeeman"])
+        shape = (2, 4) + op.box(-1j).shape
+        walls = np.zeros(shape[2:], dtype=bool)
+        walls[-1] = walls[:, -1] = walls[:, :, [0, -1]] = True
+        corner = np.zeros(shape[2:], dtype=bool)
+        corner[0, 0] = True
+        y, psi = (np.where(walls | corner, 0.0, rng.standard_normal(shape)) for _ in range(2))
+        noisy_y = np.where(corner, rng.standard_normal(shape), y)
+        noisy_psi = np.where(walls | corner, rng.standard_normal(shape), psi)
+        clean = op.apply(y, psi, j, np.empty(shape), 0, -1j)
+        noisy = op.apply(noisy_y, noisy_psi, j, rng.standard_normal(shape), 0, -1j)
+        rest = ~(walls | corner)
+        assert np.array_equal(noisy[:, :, rest], clean[:, :, rest])
+        kept = corner.copy()  # and the walls off the ghost planes, which hold images
+        kept[1:, 1:] = walls[1:, 1:]
+        assert np.array_equal(noisy[:, :, kept], rotated(noisy_psi, 5 - j)[:, :, kept])
+
+    @pytest.mark.parametrize("which", [0, 1, 2], ids=["y", "psi", "out"])
+    def test_apply_refuses_a_stack_that_is_not_c_contiguous(self, rng, full_operator, which):
+        """A reshape of such a stack is a copy: the stage would be written
+        into the copy and the returned out would not hold it."""
+        y = magic_state(random_state(rng, full_operator.spec.points_per_axis)).stack
+        n = y.shape[-1]
+        args = [y, y.copy(), np.empty_like(y)]
+        args[which] = np.empty(y.shape[:-1] + (n + 1,))[..., :-1]
+        args[which][...] = 0.0 if which == 2 else y
+        with pytest.raises(ValidationError, match="^apply needs C-contiguous stacks"):
+            full_operator.apply(args[0], args[1], 1, args[2])
 
     @pytest.mark.parametrize("points", [16, 17])
     @pytest.mark.parametrize(
@@ -547,7 +635,7 @@ class TestStructuredKernel:
         phi, psi = random_state(rng, n), random_state(rng, n)
 
         def H(v):
-            return step_map(full_operator, v) / (-1j * dt)
+            return step_map(full_operator, v) / dt
 
         lhs = np.vdot(phi, H(psi))
         rhs = np.conj(np.vdot(psi, H(phi)))
@@ -560,7 +648,7 @@ class TestStructuredKernel:
         psi /= np.linalg.norm(psi)
 
         def f(v):
-            return -1j * (step_map(full_operator, v) / (-1j * dt))
+            return -1j * (step_map(full_operator, v) / dt)
 
         k1 = f(psi)
         k2 = f(psi + 0.5 * dt * k1)
@@ -1034,8 +1122,8 @@ class TestStencil:
         (20, (0.01, -0.02, 0.4)), (21, (0.01, -0.02, 0.4)),  # the whole grid
     ])
     def test_apply_is_conjugate_to_d(self, uu, points, center):
-        """[H, z] = i kappa D for the kinetic H: apply (kinetic part only) on
-        z psi minus z apply(psi) is i dt kappa D psi on every interior cell.
+        """[H, z] = -kappa D for the kinetic H: apply (kinetic part only) on
+        z psi minus z apply(psi) is -dt kappa D psi on every interior cell.
         The error is rounding of sums of seven terms each up to the scale
         dt (3 kappa / dx^2) max|z| max|psi|: at most 4.8e-16 of that scale
         over 324 kicks, spins, thetas and boxes at 16 to 33 points, where
@@ -1052,7 +1140,7 @@ class TestStencil:
 
         commutator = kinetic(z * psi) - z * kinetic(psi)
         d = gridsim._stencil_d(psi, spec.dx)
-        expected = spec.dt * KAPPA * np.stack([-d[1], d[0]])
+        expected = -spec.dt * KAPPA * d
         h = gridsim.STENCIL_REACH
         inner = (slice(None),) * 2 + (slice(h, -h),) * 3
         scale = spec.dt * 3.0 * KAPPA / spec.dx**2 * np.max(np.abs(z)) * np.max(np.abs(psi))

@@ -274,7 +274,7 @@ def test_measurements_on_the_box_match_the_whole_grid(points, spin):
 
 def test_ghost_planes_count_for_nothing(points):
     """The ghost planes stand for no cells: whatever they hold, and their
-    corner column holds no image after a run, leaves every measurement of
+    corner column holds no image, leaves every measurement of
     the state as it was."""
     spec = small_spec(points)
     operator = gridsim.GridOperator(spec, HAMILTONIANS["coupling+"])
