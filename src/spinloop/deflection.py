@@ -25,7 +25,6 @@ import numpy as np
 
 from .errors import ValidationError
 from .spins import SPIN_PAIR, density_of
-from .units import PhysicalParams
 
 MomentKey = tuple[int, int, int, int]
 
@@ -129,14 +128,10 @@ def contract_force(
     return ForceExpectation(a_z=a_z, extra_terms=extra)
 
 
-def parallel_closed_form(
-    moments: Mapping[MomentKey, float],
-    params: PhysicalParams | None = None,
-) -> float:
+def parallel_closed_form(moments: Mapping[MomentKey, float], coupling_sign: int = 1) -> float:
     """Closed form sign * (3/16 pi) (-5 M[0,0,3,7] + 3 M[0,0,1,5]), contact
     term omitted: the independent reference for the up-up contraction.
-    The sign is ``params.coupling_sign``, or +1 without ``params``."""
-    coupling_sign = params.coupling_sign if params is not None else 1
+    The sign is ``coupling_sign``, as in :func:`contract_force`."""
     _require(moments, PARALLEL_TUPLES)
     m_z5 = moments[(0, 0, 1, 5)]
     m_z37 = moments[(0, 0, 3, 7)]

@@ -1186,24 +1186,21 @@ def run_oracle(cfg: dict) -> OracleResult:
     )
 
 
-def canonical_commutator_residual(
-    g_coeffs: Sequence[float],
-    points: int = 64,
-    half_width: float = 1.0,
-) -> float:
+def canonical_commutator_residual(g_coeffs: Sequence[float], points: int = 64) -> float:
     """L2 residual of [g(z), p_z] - i g'(z) applied to a smooth test packet.
 
     1-D check of the momentum stencil of :data:`MOMENTUM`, the one the
     evolution uses; g is a polynomial (coefficients low to high, degree
-    <= 3).  The residual falls at the stencil's order, dx^2, for smooth
-    packets and vanishes for constant g.
+    <= 3) on z in [-1, 1], and the packet a Gaussian of width 1/6.  The
+    residual falls at the stencil's order, dx^2, for smooth packets and
+    vanishes for constant g.
     """
     g_coeffs = list(g_coeffs)
     if len(g_coeffs) > 4:
         raise ValidationError("polynomial degree must be <= 3")
-    z = np.linspace(-half_width, half_width, points)
+    z = np.linspace(-1.0, 1.0, points)
     dx = z[1] - z[0]
-    phi = np.exp(-(z**2) / (2.0 * (half_width / 6.0) ** 2)).astype(complex)
+    phi = np.exp(-(z**2) / (2.0 * (1.0 / 6.0) ** 2)).astype(complex)
     phi /= np.linalg.norm(phi)
     g = np.polynomial.polynomial.polyval(z, g_coeffs)
     dg = np.polynomial.polynomial.polyval(z, np.polynomial.polynomial.polyder(g_coeffs))

@@ -346,26 +346,22 @@ def acceleration_profile(
     return AccelerationProfile(y=ys, a_z=a_z, scale=scale)
 
 
-def _runs(profile: AccelerationProfile) -> list[tuple[int, int, int]]:
-    """Maximal runs (start, stop, sign) of same-sign samples.  Noise-level
-    samples belong to no run, so they split the runs around them."""
-    a = profile.a_z
-    signs = np.where(np.abs(a) <= ZERO_FLOOR * profile.scale, 0, np.sign(a)).astype(int)
-    # A run starts wherever the sign changes; sentinels that match no sign
-    # bound the first and the last run.
-    edges = np.flatnonzero(np.diff(np.concatenate(([2], signs, [2]))))
-    starts, stops = edges[:-1], edges[1:] - 1
-    live = signs[starts] != 0
-    return list(zip(starts[live].tolist(), stops[live].tolist(), signs[starts[live]].tolist()))
+@dataclass(frozen=True)
+class Lobe:
+    """A maximal run of same-sign samples ``start``..``stop`` of a profile.
 
+    ``average`` is the trapezoidal mean of a_z over its samples, ``peak``
+    its largest |a_z|, and ``width`` the distance between the interpolated
+    zero crossings that bracket it, or None when it touches either end of
+    the y range.
+    """
 
-def _run_average(profile: AccelerationProfile, start: int, stop: int) -> float:
-    """Trapezoidal mean of a_z over samples start..stop."""
-    if start == stop:
-        return float(profile.a_z[start])
-    ys = profile.y[start : stop + 1]
-    az = profile.a_z[start : stop + 1]
-    return float(np.trapezoid(az, ys) / (ys[-1] - ys[0]))
+    start: int
+    stop: int
+    sign: int
+    average: float
+    peak: float
+    width: float | None
 
 
 def _crossing(profile: AccelerationProfile, i: int) -> float:
@@ -374,74 +370,63 @@ def _crossing(profile: AccelerationProfile, i: int) -> float:
     return float(ys[i] - az[i] * (ys[i + 1] - ys[i]) / (az[i + 1] - az[i]))
 
 
-def is_noise(profile: AccelerationProfile) -> bool:
-    """True when every sample is zero to rounding: the force vanishes."""
-    return not _runs(profile)
+def lobes(profile: AccelerationProfile) -> list[Lobe]:
+    """The profile's lobes in y order.  Noise-level samples belong to no
+    lobe, so they split the lobes around them; an empty list means every
+    sample is zero to rounding: the force vanishes."""
+    ys, a = profile.y, profile.a_z
+    signs = np.where(np.abs(a) <= ZERO_FLOOR * profile.scale, 0, np.sign(a)).astype(int)
+    # A run starts wherever the sign changes; sentinels that match no sign
+    # bound the first and the last run.
+    edges = np.flatnonzero(np.diff(np.concatenate(([2], signs, [2]))))
+    found = []
+    for start, stop in zip(edges[:-1].tolist(), (edges[1:] - 1).tolist()):
+        if signs[start] == 0:
+            continue
+        run = a[start : stop + 1]
+        average = (run[0] if start == stop
+                   else np.trapezoid(run, ys[start : stop + 1]) / (ys[stop] - ys[start]))
+        width = (None if start == 0 or stop == len(ys) - 1
+                 else _crossing(profile, stop) - _crossing(profile, start - 1))
+        found.append(Lobe(start, stop, int(signs[start]), float(average),
+                          float(np.max(np.abs(run))), width))
+    return found
 
 
-def _negative_run(profile: AccelerationProfile) -> tuple[int, int]:
-    """(start, stop) of the longest run of negative samples (ties: first)."""
-    negative = [r for r in _runs(profile) if r[2] < 0]
+def negative_lobe(found: Sequence[Lobe]) -> Lobe:
+    """The longest negative lobe of ``found`` (ties: first)."""
+    negative = [lobe for lobe in found if lobe.sign < 0]
     if not negative:
         raise ValidationError("no negative-acceleration samples in profile")
-    start, stop, _ = max(negative, key=lambda r: r[1] - r[0])
-    return start, stop
+    return max(negative, key=lambda lobe: lobe.stop - lobe.start)
 
 
-def _run_width(profile: AccelerationProfile, start: int, stop: int) -> float | None:
-    """Distance between the interpolated zero crossings that bracket samples
-    start..stop, or None when the run touches either end of the y range."""
-    if start == 0 or stop == len(profile.y) - 1:
-        return None
-    return _crossing(profile, stop) - _crossing(profile, start - 1)
-
-
-def region_average(profile: AccelerationProfile) -> float:
-    """Trapezoidal mean of a_z over the contiguous negative-sign interval.
-
-    With several negative runs the longest one is used (ties: first).
-    """
-    return _run_average(profile, *_negative_run(profile))
-
-
-def region_width(profile: AccelerationProfile) -> float | None:
-    """Width of the negative run that :func:`region_average` averages,
-    measured as :func:`deflecting_lobe` measures its lobe; None when the run
-    touches y_min or y_max."""
-    return _run_width(profile, *_negative_run(profile))
-
-
-def deflecting_lobe(profile: AccelerationProfile) -> tuple[float, float]:
-    """(average a_z, width) of the lobe holding the peak |a_z|, either sign.
-
-    Both come from that same lobe: the trapezoidal mean over its samples and
-    the distance between the interpolated zero crossings that bracket it.
-    """
-    runs = _runs(profile)
-    if not runs:
+def deflecting_lobe(found: Sequence[Lobe], y: np.ndarray) -> Lobe:
+    """The lobe of ``found`` holding the peak |a_z|, either sign (ties:
+    first), which must be bracketed by zero crossings; ``y`` is the
+    profile's samples, to name the lobe in a refusal."""
+    if not found:
         raise ValidationError("no deflecting region: a_z is rounding noise at every sample")
-    az = np.abs(profile.a_z)
-    start, stop, _ = max(runs, key=lambda r: np.max(az[r[0] : r[1] + 1]))
-    width = _run_width(profile, start, stop)
-    if width is None:
+    lobe = max(found, key=lambda lobe: lobe.peak)
+    if lobe.width is None:
         raise ValidationError(
-            f"the deflecting lobe (y in [{profile.y[start]:.6g}, {profile.y[stop]:.6g}]) "
+            f"the deflecting lobe (y in [{y[lobe.start]:.6g}, {y[lobe.stop]:.6g}]) "
             "is not bracketed by zero crossings inside the y range; widen y_min/y_max"
         )
-    return _run_average(profile, start, stop), width
+    return lobe
 
 
 def zero_crossings(profile: AccelerationProfile) -> list[float]:
-    """Roots where a_z changes sign between consecutive runs: linear
+    """Roots where a_z changes sign between consecutive lobes: linear
     interpolation between adjacent samples, or the middle of the
-    noise-level samples that separate the two runs."""
-    runs = _runs(profile)
+    noise-level samples that separate the two lobes."""
+    found = lobes(profile)
     crossings = []
-    for (_, stop, s0), (start, _, s1) in zip(runs, runs[1:]):
-        if s0 == s1:
+    for left, right in zip(found, found[1:]):
+        if left.sign == right.sign:
             continue
-        if start == stop + 1:
-            crossings.append(_crossing(profile, stop))
+        if right.start == left.stop + 1:
+            crossings.append(_crossing(profile, left.stop))
         else:
-            crossings.append(float(0.5 * (profile.y[stop + 1] + profile.y[start - 1])))
+            crossings.append(float(0.5 * (profile.y[left.stop + 1] + profile.y[right.start - 1])))
     return crossings

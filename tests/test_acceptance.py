@@ -76,7 +76,7 @@ def test_criterion_3_transverse_profile(reference_profile):
         assert crossings[1] == pytest.approx(+0.327, abs=0.005)
         width = crossings[1] - crossings[0]
         assert width == pytest.approx(0.65, abs=0.01)  # "approximate width 0.6"
-        average = packets.region_average(reference_profile)
+        average = packets.negative_lobe(packets.lobes(reference_profile)).average
         assert average == pytest.approx(-2.22, rel=0.10)
 
 
@@ -95,7 +95,7 @@ def test_criterion_5_classical_dipole_limit(preset_params, preset_units):
         z0 = 0.4
         packet = packets.WavePacket(center=(0.0, 0.0, z0), width=1e-3)
         m = packets.moments(packet, list(dfl.PARALLEL_TUPLES))
-        a_nat = dfl.parallel_closed_form(m, params=preset_params)
+        a_nat = dfl.parallel_closed_form(m, coupling_sign=preset_params.coupling_sign)
         force_si = preset_params.mass * units.from_natural(a_nat, "acceleration", preset_units)
         classical = dfl.classical_dipole_force(
             preset_params.alpha * preset_params.hbar / 2.0,
@@ -111,7 +111,7 @@ def test_criterion_6_si_estimates(preset_cfg, preset_params, preset_units, refer
         assert 3e-6 <= preset_units.l <= 3e-5
         ratio = preset_params.beta / preset_params.alpha
         assert 2e5 <= ratio <= 2e6
-        average = packets.region_average(reference_profile)
+        average = packets.negative_lobe(packets.lobes(reference_profile)).average
         crossings = packets.zero_crossings(reference_profile)
         est = trajectory.estimate(
             preset_params,

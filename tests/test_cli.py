@@ -466,13 +466,14 @@ class TestSelftestCommand:
         assert main(["selftest", "--config", str(over), "--out", str(tmp_path)]) == 0
         assert "PASS grid-smoke:" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("mass", [1e-33, 1e-35, 1e-40, 1e-250, 1e-300])
+    @pytest.mark.parametrize("mass", [2.512e-33, 1e-33, 1e-35, 1e-40, 1e-250, 1e-300])
     def test_smoke_under_the_rounding_of_z_refused(self, tmp_path, capsys, mass):
         """Light masses shrink the smoke's step until its displacement is
-        rounding: at 1e-33 kg it is 8 eps z0 and the fit gap read 19.53%, at
-        1e-250 kg a 256-digit number, each a FAIL and exit 2.  At 1e-300 kg
-        the 120 steps span ~1e-168 tau, whose square underflows.  Each is
-        refused before the run: one line and exit 1."""
+        rounding: at 2.512e-33 kg it is 24.2 eps z0 and the fit gap read
+        10.31%, at 1e-33 kg 8 eps z0 and 19.53%, at 1e-250 kg a 256-digit
+        number, each a FAIL and exit 2.  At 1e-300 kg the 120 steps span
+        ~1e-168 tau, whose square underflows.  Each is refused before the
+        run: one line and exit 1."""
         over = tmp_path / "cfg.json"
         over.write_text(json.dumps({"params": {"mass": mass}}))
         out = tmp_path / "out"
@@ -484,7 +485,7 @@ class TestSelftestCommand:
 
     @pytest.mark.parametrize("mass, gap", [(1e-32, "2.69%"), (1e-22, "3.19%")])
     def test_smoke_over_the_floor_passes(self, tmp_path, capsys, mass, gap):
-        """At 1e-32 kg the displacement is 127 eps z0, over the floor of 24."""
+        """At 1e-32 kg the displacement is 127 eps z0, over the floor of 48."""
         over = tmp_path / "cfg.json"
         over.write_text(json.dumps({"params": {"mass": mass}}))
         assert main(["selftest", "--config", str(over), "--out", str(tmp_path)]) == 0

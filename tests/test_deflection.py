@@ -192,9 +192,9 @@ class TestClosedForms:
     def test_params_supplies_sign(self, fig_moments, preset_params):
         flipped = dataclasses.replace(preset_params, beta=-preset_params.beta)
         assert (preset_params.coupling_sign, flipped.coupling_sign) == (1, -1)
-        plus = dfl.parallel_closed_form(fig_moments, params=preset_params)
+        plus = dfl.parallel_closed_form(fig_moments, coupling_sign=preset_params.coupling_sign)
         assert plus == pytest.approx(POINT, rel=1e-6)
-        assert dfl.parallel_closed_form(fig_moments, params=flipped) == -plus
+        assert dfl.parallel_closed_form(fig_moments, coupling_sign=flipped.coupling_sign) == -plus
 
     def test_crossing_condition(self):
         moments = {(0, 0, 3, 7): 0.6, (0, 0, 1, 5): 1.0}
@@ -234,7 +234,7 @@ class TestClassicalDipoleForce:
         z0 = 0.4
         pk = packets.WavePacket(center=(0.0, 0.0, z0), width=1e-3)
         m = packets.moments(pk, list(dfl.PARALLEL_TUPLES))
-        a_nat = dfl.parallel_closed_form(m, params=preset_params)
+        a_nat = dfl.parallel_closed_form(m, coupling_sign=preset_params.coupling_sign)
         force_si = preset_params.mass * units.from_natural(
             a_nat, "acceleration", preset_units
         )

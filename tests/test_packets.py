@@ -7,7 +7,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from spinloop import deflection as dfl
@@ -167,7 +167,7 @@ class TestAccelerationProfile:
         assert crossings[1] == pytest.approx(REFERENCE_CROSSING, abs=5e-3)
 
     def test_negative_region_average(self, fig_profile):
-        avg = packets.region_average(fig_profile)
+        avg = packets.negative_lobe(packets.lobes(fig_profile)).average
         assert avg == pytest.approx(-2.22, rel=0.10)
         # frozen regression value from this implementation
         assert avg == pytest.approx(-2.2260495245836793, rel=1e-9)
@@ -200,12 +200,12 @@ class TestRegionAverage:
         prof = packets.AccelerationProfile(
             y=np.linspace(0, 1, 11), a_z=np.full(11, -3.0), scale=np.zeros(11)
         )
-        assert packets.region_average(prof) == pytest.approx(-3.0, abs=1e-15)
+        assert packets.negative_lobe(packets.lobes(prof)).average == pytest.approx(-3.0, abs=1e-15)
 
     def test_filter_restricts_to_negative_lobe(self):
         y = np.linspace(-1, 1, 21)
         prof = packets.AccelerationProfile(y=y, a_z=np.sin(np.pi * y), scale=np.zeros(21))
-        avg = packets.region_average(prof)
+        avg = packets.negative_lobe(packets.lobes(prof)).average
         assert avg < 0  # only the negative lobe enters
 
     def test_all_positive_raises(self):
@@ -213,7 +213,7 @@ class TestRegionAverage:
             y=np.linspace(0, 1, 5), a_z=np.ones(5), scale=np.zeros(5)
         )
         with pytest.raises(ValidationError):
-            packets.region_average(prof)
+            packets.negative_lobe(packets.lobes(prof))
 
 
 class TestZeroCrossings:
@@ -471,7 +471,7 @@ class TestAgainstPowKernel:
             spin, z=z, x=x, y_range=y_range, n_samples=n, width=width, coupling_sign=sign
         )
         ref_prof = packets.AccelerationProfile(y=prof.y, a_z=a_z, scale=scale)
-        assert packets._runs(prof) == packets._runs(ref_prof)
+        assert spans(prof) == spans(ref_prof)
 
 
 # ---------------------------------------------------------------------------
@@ -555,12 +555,12 @@ class TestNoiseFloor:
         prof = packets.acceleration_profile(spins.singlet(), z=0.4, n_samples=101, width=1e-3)
         assert np.all(prof.a_z == 0.0)  # the trace drops out exactly
         assert np.all(np.abs(prof.a_z) <= packets.ZERO_FLOOR * prof.scale)
-        assert packets.is_noise(prof)
+        assert packets.lobes(prof) == []
         assert packets.zero_crossings(prof) == []
         with pytest.raises(ValidationError):
-            packets.region_average(prof)
+            packets.negative_lobe(packets.lobes(prof))
         with pytest.raises(ValidationError, match="no deflecting region"):
-            packets.deflecting_lobe(prof)
+            packets.deflecting_lobe(packets.lobes(prof), prof.y)
 
     @pytest.mark.parametrize("sign", [1, -1])
     @pytest.mark.parametrize("width", [1e-3, 0.2])  # fixed rule, corner sums
@@ -570,7 +570,7 @@ class TestNoiseFloor:
         wide = width >= packets.CORNER_SWITCH * np.hypot(prof.y, 0.4)
         assert np.all(wide) == (width > 0.1)
         assert np.all(prof.a_z == 0.0) and not np.any(np.signbit(prof.a_z))
-        assert packets.is_noise(prof)
+        assert packets.lobes(prof) == []
 
     @pytest.mark.parametrize("width", [1e-3, 0.2])
     def test_parallel_and_antiparallel_negate_exactly(self, width):
@@ -583,33 +583,34 @@ class TestNoiseFloor:
         assert np.array_equal(up_down.scale, up_up.scale)
 
     def test_signal_profile_is_not_noise(self, fig_profile):
-        assert not packets.is_noise(fig_profile)
+        assert packets.lobes(fig_profile) != []
         assert np.all(np.abs(fig_profile.a_z) > packets.ZERO_FLOOR * fig_profile.scale)
 
 
 class TestDeflectingLobe:
     def test_parallel_uses_central_lobe(self, fig_profile):
-        avg, width = packets.deflecting_lobe(fig_profile)
+        found = packets.lobes(fig_profile)
+        lobe = packets.deflecting_lobe(found, fig_profile.y)
         crossings = packets.zero_crossings(fig_profile)
-        assert avg == packets.region_average(fig_profile)
-        assert width == crossings[-1] - crossings[0]
+        assert lobe.average == packets.negative_lobe(found).average
+        assert lobe.width == crossings[-1] - crossings[0]
 
     def test_antiparallel_mirrors_parallel(self, fig_profile):
         anti = packets.acceleration_profile(
             spins.basis_state("up", "down"), z=0.4, x=0.0, y_range=(-0.5, 0.5),
             n_samples=201, width=1e-3,
         )
-        avg, width = packets.deflecting_lobe(anti)
-        ref_avg, ref_width = packets.deflecting_lobe(fig_profile)
-        assert avg == pytest.approx(-ref_avg, rel=1e-12)
-        assert width == pytest.approx(ref_width, rel=1e-12)
+        lobe = packets.deflecting_lobe(packets.lobes(anti), anti.y)
+        ref = packets.deflecting_lobe(packets.lobes(fig_profile), fig_profile.y)
+        assert lobe.average == pytest.approx(-ref.average, rel=1e-12)
+        assert lobe.width == pytest.approx(ref.width, rel=1e-12)
 
     def test_unbracketed_lobe_rejected(self):
         prof = packets.acceleration_profile(
             spins.parallel_mixture(), z=0.4, y_range=(-0.1, 0.1), n_samples=21
         )
         with pytest.raises(ValidationError, match="not bracketed"):
-            packets.deflecting_lobe(prof)
+            packets.deflecting_lobe(packets.lobes(prof), prof.y)
 
 
 def _synthetic(y, a_z):
@@ -617,13 +618,17 @@ def _synthetic(y, a_z):
                                        scale=np.zeros(len(y)))
 
 
+def negative_width(profile):
+    return packets.negative_lobe(packets.lobes(profile)).width
+
+
 class TestRegionWidth:
-    """The width belongs to the run that region_average averages, and is
-    measured by the rule of deflecting_lobe."""
+    """figure2's width belongs to the negative lobe that it averages, and is
+    measured as the deflecting lobe's."""
 
     def test_preset_width_is_crossing_distance(self, fig_profile):
         crossings = packets.zero_crossings(fig_profile)
-        assert packets.region_width(fig_profile) == crossings[1] - crossings[0]
+        assert negative_width(fig_profile) == crossings[1] - crossings[0]
 
     def test_width_of_longest_run_not_outermost_crossings(self):
         # negative on (0, 1) and (2, 2.55]: the bracketed (0, 1) run is longest
@@ -631,15 +636,16 @@ class TestRegionWidth:
         prof = _synthetic(y, -np.sin(np.pi * y))
         crossings = packets.zero_crossings(prof)
         assert len(crossings) == 3
-        assert packets.region_width(prof) == crossings[1] - crossings[0]
-        assert packets.region_width(prof) == pytest.approx(1.0, abs=1e-2)
+        assert negative_width(prof) == crossings[1] - crossings[0]
+        assert negative_width(prof) == pytest.approx(1.0, abs=1e-2)
 
     def test_run_touching_range_end_has_no_width(self):
         y = np.linspace(0.05, 1.45, 29)
         prof = _synthetic(y, np.cos(np.pi * y))
         assert len(packets.zero_crossings(prof)) == 1
-        assert packets.region_average(prof) < 0
-        assert packets.region_width(prof) is None
+        region = packets.negative_lobe(packets.lobes(prof))
+        assert region.average < 0
+        assert region.width is None
 
     @pytest.mark.parametrize("a_z, width", [
         # a noise sample at y_min borders the run
@@ -651,16 +657,24 @@ class TestRegionWidth:
     ])
     def test_same_width_as_deflecting_lobe(self, a_z, width):
         prof = _synthetic(np.arange(float(len(a_z))), a_z)
-        assert packets.region_width(prof) == width
-        assert packets.deflecting_lobe(prof) == (packets.region_average(prof), width)
+        found = packets.lobes(prof)
+        region = packets.negative_lobe(found)
+        assert region.width == width
+        lobe = packets.deflecting_lobe(found, prof.y)
+        assert (lobe.average, lobe.width) == (region.average, width)
 
     def test_no_negative_run_raises(self):
         with pytest.raises(ValidationError):
-            packets.region_width(_synthetic(np.arange(3.0), [1, 2, 1]))
+            negative_width(_synthetic(np.arange(3.0), [1, 2, 1]))
+
+
+def spans(profile):
+    """(start, stop, sign) of each of the profile's lobes."""
+    return [(lobe.start, lobe.stop, lobe.sign) for lobe in packets.lobes(profile)]
 
 
 def runs_by_loop(profile):
-    """The per-sample loop that `_runs` replaced, kept as its reference."""
+    """A per-sample loop over the sign runs, the reference for the lobes' spans."""
     a = profile.a_z
     signs = np.where(np.abs(a) <= packets.ZERO_FLOOR * profile.scale, 0, np.sign(a)).astype(int)
     runs = []
@@ -682,9 +696,73 @@ class TestRuns:
             y=np.arange(float(len(a_z))), a_z=np.array(a_z),
             scale=np.full(len(a_z), float(scaled)),
         )
-        runs = packets._runs(prof)
+        runs = spans(prof)
         assert runs == runs_by_loop(prof)
         assert all(type(v) is int for run in runs for v in run)
+
+
+def lobe_by_hand(profile, start, stop):
+    """(average, peak, width) of samples start..stop, one step at a time."""
+    y, a = profile.y, profile.a_z
+    if start == stop:
+        average = float(a[start])
+    else:
+        area = np.trapezoid(a[start : stop + 1], y[start : stop + 1])
+        average = float(area / (y[stop] - y[start]))
+    peak = float(max(abs(v) for v in a[start : stop + 1]))
+    if start == 0 or stop == len(y) - 1:
+        return average, peak, None
+
+    def root(i):
+        return float(y[i] - a[i] * (y[i + 1] - y[i]) / (a[i + 1] - a[i]))
+
+    return average, peak, root(stop) - root(start - 1)
+
+
+# Repeated levels make equal peaks and equal lengths, so ties are common;
+# +-1e-13 is noise against a unit scale and signal against a zero one.
+lobe_levels = st.one_of(st.sampled_from([-3.0, -2.0, -1e-13, 0.0, 1e-13, 2.0, 3.0]),
+                        st.floats(-4.0, 4.0, allow_nan=False))
+# (a_z, scale, step to the next y) per sample
+lobe_samples = st.lists(st.tuples(lobe_levels, st.sampled_from([0.0, 1.0]), st.floats(0.01, 2.0)),
+                        min_size=1, max_size=40)
+
+
+class TestLobes:
+    @given(lobe_samples)
+    @settings(max_examples=300, deadline=None)
+    def test_each_lobe_equals_its_run_by_hand(self, drawn):
+        a_z, scale, steps = (np.array(v) for v in zip(*drawn))
+        prof = packets.AccelerationProfile(y=np.cumsum(steps), a_z=a_z, scale=scale)
+        runs = runs_by_loop(prof)
+        # A noise sample next to a signal sample of the same value has no
+        # crossing between them to interpolate (it divides by zero): skipped.
+        signs = np.where(np.abs(a_z) <= packets.ZERO_FLOOR * scale, 0, np.sign(a_z))
+        assume(not np.any((np.diff(signs) != 0) & (np.diff(a_z) == 0)))
+        found = packets.lobes(prof)
+        assert spans(prof) == runs
+        for lobe, (start, stop, _) in zip(found, runs):
+            assert (lobe.average, lobe.peak, lobe.width) == lobe_by_hand(prof, start, stop)
+
+        negative = [lobe for lobe in found if lobe.sign < 0]
+        if negative:
+            longest = max(lobe.stop - lobe.start for lobe in negative)
+            first = next(lobe for lobe in negative if lobe.stop - lobe.start == longest)
+            assert packets.negative_lobe(found) is first
+        else:
+            with pytest.raises(ValidationError, match="no negative-acceleration samples"):
+                packets.negative_lobe(found)
+        if not found:
+            with pytest.raises(ValidationError, match="no deflecting region"):
+                packets.deflecting_lobe(found, prof.y)
+            return
+        top = max(lobe.peak for lobe in found)
+        first = next(lobe for lobe in found if lobe.peak == top)
+        if first.width is None:
+            with pytest.raises(ValidationError, match="not bracketed"):
+                packets.deflecting_lobe(found, prof.y)
+        else:
+            assert packets.deflecting_lobe(found, prof.y) is first
 
 
 # ---------------------------------------------------------------------------
@@ -757,7 +835,7 @@ class TestContractionProperties:
             spins.singlet(), z=z, x=x, y_range=(y, y + 0.2), n_samples=n, width=width
         )
         assert np.all(np.abs(prof.a_z) <= packets.ZERO_FLOOR * prof.scale)
-        assert packets.is_noise(prof) and packets.zero_crossings(prof) == []
+        assert packets.lobes(prof) == [] and packets.zero_crossings(prof) == []
 
 
 def test_profile_csv_format():

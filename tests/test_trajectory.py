@@ -76,7 +76,7 @@ class TestScaleConsistency:
                 spin, z=z_nat, x=0.0, y_range=(-y_max, y_max),
                 n_samples=151, width=width_nat,
             )
-            avg = packets.region_average(prof)
+            avg = packets.negative_lobe(packets.lobes(prof)).average
             crossings = packets.zero_crossings(prof)
             est = trajectory.estimate(
                 preset_params, tau=tau, speed=1e3,
